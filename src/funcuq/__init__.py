@@ -41,6 +41,7 @@ from .uq import (
     forward_uq,
     kde_pdf,
     log_posterior,
+    log_posterior_block,
     posterior_summary,
 )
 from .bench import (

@@ -20,7 +20,16 @@ import time
 import numpy as np
 
 from . import bench, uq
-from .core import FLOAT_FMT, ResponseEnsemble, derive_seed, load_ensemble, make_rng, model_nrmse, save_ensemble
+from .core import (
+    FLOAT_FMT,
+    ResponseEnsemble,
+    derive_seed,
+    load_ensemble,
+    make_rng,
+    model_nrmse,
+    save_ensemble,
+    write_atomic,
+)
 from .surrogate import (
     FitConfig,
     LatentSurrogate,
@@ -97,17 +106,8 @@ def _fmt(value) -> str:
     return FLOAT_FMT % float(value)
 
 
-def _write_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, [",".join(header)] + [",".join(row) for row in rows])
 
 
 def _fit_config(cfg: dict) -> FitConfig:
@@ -255,9 +255,9 @@ def cmd_fit(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     save_surrogate(sur, os.path.join(out_dir, "model.json"))
     report = _fit_report(sur, seed, elapsed)
-    _write_atomic(
+    write_atomic(
         os.path.join(out_dir, "fit_report.json"),
-        json.dumps(report, sort_keys=True, indent=2) + "\n",
+        [json.dumps(report, sort_keys=True, indent=2)],
     )
     print(f"fitted {report['reducer']} surrogate: m={report['m']}"
           + (f", n_b={report['n_b']}, tau={report['tau']:g}" if "n_b" in report else ""))
@@ -376,6 +376,41 @@ def cmd_forward(args) -> int:
     return 0
 
 
+def _check_observation_nodes(path, times, grid) -> None:
+    """Observations must sit on the model grid's nodes (to 1e-6 dt)."""
+    if times.size != grid.n_t:
+        raise ValueError(
+            f"observations file {path}: {times.size} time nodes, model grid has {grid.n_t}"
+        )
+    off = np.flatnonzero(np.abs(times - grid.nodes) > 1e-6 * grid.dt)
+    if off.size:
+        j = off[0]
+        raise ValueError(
+            f"observations file {path}: time node {j + 1} is {_fmt(times[j])}, "
+            f"model grid has {_fmt(grid.nodes[j])}"
+        )
+
+
+def _calibration_model(model, names, fixed: dict, calibrated):
+    """Batched model over the calibrated inputs: each (n, len(calibrated))
+    block is widened to the model's full input order, with the fixed
+    parameters filled in."""
+    order = {n: i for i, n in enumerate(names)}
+    full = np.zeros(len(names))
+    for name, value in fixed.items():
+        if name not in order:
+            raise ValueError(f"fixed parameter {name!r} unknown to the model")
+        full[order[name]] = value
+    cal_idx = np.array([order[n] for n in calibrated], dtype=int)
+
+    def block_model(X):
+        block = np.tile(full, (X.shape[0], 1))
+        block[:, cal_idx] = X
+        return model(block)
+
+    return block_model
+
+
 def cmd_inverse(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
@@ -387,8 +422,7 @@ def cmd_inverse(args) -> int:
     if not os.path.exists(inv["observations"]):
         raise FileNotFoundError(f"observations file not found: {inv['observations']}")
     times, observations = uq.load_observations(inv["observations"])
-    if times.size != grid.n_t:
-        raise ValueError("observation grid does not match the model grid")
+    _check_observation_nodes(inv["observations"], times, grid)
 
     entries = inv["priors"]
     if not entries:
@@ -396,42 +430,16 @@ def cmd_inverse(args) -> int:
     fixed = dict(inv["fixed"] or {})
     calibrated = [e.get("name") for e in entries]
     if names:
-        expected = [n for n in names if n not in fixed]
-        _check_names(calibrated, expected, "prior")
-        order = {n: i for i, n in enumerate(names)}
-        full = np.zeros(len(names))
-        for name, value in fixed.items():
-            if name not in order:
-                raise ValueError(f"fixed parameter {name!r} unknown to the model")
-            full[order[name]] = value
-        cal_idx = np.array([order[n] for n in calibrated], dtype=int)
-
-        def assemble(x):
-            v = full.copy()
-            v[cal_idx] = x
-            return v
-
-    else:
-        def assemble(x):
-            return np.asarray(x, dtype=float)
+        _check_names(calibrated, [n for n in names if n not in fixed], "prior")
+        model = _calibration_model(model, names, fixed, calibrated)
 
     priors = [_build_marginal(e) for e in entries]
     if not inv["sigma_prior"]:
         raise ValueError("inverse needs a sigma_prior range")
     sigma_prior = uq.Uniform(inv["sigma_prior"]["lower"], inv["sigma_prior"]["upper"])
 
-    if hasattr(model, "predict_curve"):
-        def mean_curve(x):
-            return model.predict_curve(assemble(x))[0]
-    else:
-        def mean_curve(x):
-            return model(assemble(x)[None, :])[0]
-
-    def logpost(thetavec):
-        return uq.log_posterior(
-            mean_curve, priors, sigma_prior, observations,
-            thetavec[:-1], float(thetavec[-1]),
-        )
+    def logpost(thetas):
+        return uq.log_posterior_block(model, priors, sigma_prior, observations, thetas)
 
     samples = uq.ensemble_mcmc(
         logpost,
@@ -441,6 +449,7 @@ def cmd_inverse(args) -> int:
         burn_in=inv["burn_in"],
         rng=make_rng(derive_seed(seed, "inverse/mcmc")),
         names=calibrated + ["sigma"],
+        vectorize=True,
     )
     summary = uq.posterior_summary(samples)
     os.makedirs(out_dir, exist_ok=True)

@@ -223,11 +223,18 @@ def mirror_rows(curves):
     return np.concatenate([curves, curves[:, -2:0:-1]], axis=1)
 
 
-def _replace_with(path, lines) -> None:
+def write_atomic(path, lines) -> None:
+    """Write newline-terminated lines to path through a temporary sibling
+    and a rename, so a reader sees either the old file or the whole new one."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_ensemble(ens: ResponseEnsemble, responses_path, inputs_path) -> None:
@@ -238,10 +245,10 @@ def save_ensemble(ens: ResponseEnsemble, responses_path, inputs_path) -> None:
     """
     lines = [",".join(FLOAT_FMT % t for t in ens.grid.nodes)]
     lines += [",".join(FLOAT_FMT % v for v in row) for row in ens.responses]
-    _replace_with(responses_path, lines)
+    write_atomic(responses_path, lines)
     lines = [",".join(ens.input_names)]
     lines += [",".join(FLOAT_FMT % v for v in row) for row in ens.inputs]
-    _replace_with(inputs_path, lines)
+    write_atomic(inputs_path, lines)
 
 
 def load_ensemble(responses_path, inputs_path) -> ResponseEnsemble:

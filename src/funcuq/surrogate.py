@@ -6,7 +6,6 @@ variance prediction, cross-validation, and a versioned text model file.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import fpca
 from .basis import BSPLINE, FOURIER
-from .core import ResponseEnsemble, TimeGrid, make_rng, model_nrmse
+from .core import ResponseEnsemble, TimeGrid, make_rng, model_nrmse, write_atomic
 from .fpca import FunctionalReducer, select_m
 from .kriging import KrigingModel, _cho_with_jitter, _kernel_matrix, fit_kriging
 from scipy.linalg import cho_solve
@@ -176,6 +175,9 @@ class LatentSurrogate:
         """Predictive mean curves for raw input rows; shape (M, n_t)."""
         means, _ = self.predict_scores(X_star, with_var=False)
         return self.reducer.mean_curve + means @ self._phi.T
+
+    # A surrogate is a batched model: (n, p) inputs to (n, n_t) mean curves.
+    __call__ = predict_mean_curves
 
 
 def fit_surrogate(
@@ -355,11 +357,7 @@ def surrogate_to_dict(s: LatentSurrogate) -> dict:
 
 def save_surrogate(s: LatentSurrogate, path) -> None:
     """Write the surrogate as deterministic JSON text."""
-    payload = json.dumps(surrogate_to_dict(s), sort_keys=True, separators=(",", ":"))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, [json.dumps(surrogate_to_dict(s), sort_keys=True, separators=(",", ":"))])
 
 
 def _rebuild_kriging(d: dict) -> KrigingModel:

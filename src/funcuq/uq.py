@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FLOAT_FMT
+from .core import FLOAT_FMT, write_atomic
 
 DEFAULT_N_MCS = 100_000
 DEFAULT_WALKERS = 100
@@ -265,40 +265,53 @@ def forward_uq(
 # Inverse UQ
 
 
-def _model_curve(model, x) -> np.ndarray:
-    if hasattr(model, "predict_curve"):
-        return model.predict_curve(x)[0]
-    return np.asarray(model(x), dtype=float)
+def log_posterior_block(model, x_priors, sigma_prior, observations, thetas) -> np.ndarray:
+    """Unnormalized log posterior of a block of inputs and noise stds.
 
-
-def log_posterior(model, x_priors, sigma_prior, observations, x, sigma) -> float:
-    """Unnormalized log posterior of inputs and noise std given curves.
-
-    Independent Gaussian noise of variance sigma^2 at each of the n_t
-    nodes gives each observation the likelihood factor
+    Each row of thetas is [x_1, ..., x_p, sigma].  Independent Gaussian
+    noise of variance sigma^2 at each of the n_t nodes gives each
+    observation the likelihood factor
     -(n_t/2) ln(2 pi sigma^2) - ||y_i - M(x)||^2 / (2 sigma^2).
-    Returns -inf outside the prior support.
+    The model maps an (n, p) input block to (n, n_t) mean curves and is
+    called once, on the rows inside the prior support; the other rows
+    get -inf.
     """
-    if sigma <= 0:
-        return -math.inf
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     if observations.shape[0] == 0:
         raise ValueError("need at least one observation")
-    lp = sigma_prior.logpdf(sigma)
-    if lp == -math.inf:
-        return -math.inf
-    x = np.asarray(x, dtype=float)
-    for j, prior in enumerate(x_priors):
-        contrib = prior.logpdf(float(x[j]))
-        if contrib == -math.inf:
-            return -math.inf
-        lp += contrib
-    curve = _model_curve(model, x)
-    n_t = curve.size
-    sigma2 = sigma * sigma
-    resid2 = np.sum((observations - curve) ** 2, axis=1)
-    lp += np.sum(-0.5 * n_t * np.log(2 * math.pi * sigma2) - resid2 / (2 * sigma2))
-    return float(lp)
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    lp = np.full(thetas.shape[0], -math.inf)
+    for i, row in enumerate(thetas):
+        sigma = float(row[-1])
+        if sigma <= 0:
+            continue
+        total = sigma_prior.logpdf(sigma)
+        for prior, value in zip(x_priors, row[:-1], strict=True):
+            total += prior.logpdf(float(value))
+        lp[i] = total
+    inside = np.flatnonzero(lp > -math.inf)
+    if inside.size == 0:
+        return lp
+    curves = np.asarray(model(thetas[inside, :-1]), dtype=float)
+    if curves.ndim != 2 or curves.shape[0] != inside.size:
+        raise ValueError(f"model returned shape {curves.shape} for {inside.size} input rows")
+    n_t = curves.shape[1]
+    sigma2 = thetas[inside, -1:] ** 2
+    resid2 = ((observations[None, :, :] - curves[:, None, :]) ** 2).sum(axis=2)
+    loglik = -0.5 * n_t * np.log(2 * math.pi * sigma2) - resid2 / (2 * sigma2)
+    lp[inside] += loglik.sum(axis=1)
+    return lp
+
+
+def log_posterior(model, x_priors, sigma_prior, observations, x, sigma) -> float:
+    """log_posterior_block of the single row [x, sigma]; here the model maps
+    one input point to its mean curve.  Returns -inf outside the prior
+    support."""
+    theta = np.append(np.asarray(x, dtype=float), sigma)
+    return float(log_posterior_block(
+        lambda X: np.reshape(model(X[0]), (1, -1)),
+        x_priors, sigma_prior, observations, theta,
+    )[0])
 
 
 @dataclass
@@ -313,9 +326,10 @@ class PosteriorSamples:
     names: tuple = ()
 
 
-def stretch_draw(rng: np.random.Generator, a: float = STRETCH_A) -> float:
-    """Stretch factor with density proportional to 1/sqrt(z) on [1/a, a]."""
-    u = rng.random()
+def stretch_draw(rng: np.random.Generator, a: float = STRETCH_A, size=None):
+    """Stretch factors with density proportional to 1/sqrt(z) on [1/a, a]:
+    one float, or an array of the given size."""
+    u = rng.random(size)
     return ((a - 1.0) * u + 1.0) ** 2 / a
 
 
@@ -328,14 +342,21 @@ def ensemble_mcmc(
     rng: np.random.Generator | None = None,
     a: float = STRETCH_A,
     names=None,
+    vectorize: bool = False,
 ) -> PosteriorSamples:
-    """Affine-invariant ensemble sampler with stretch moves.
+    """Affine-invariant ensemble sampler with red-blue stretch moves.
 
-    Walkers start at prior draws and advance one at a time: walker k
-    proposes Y = X_j + z (X_k - X_j) against a random other walker j with
-    z drawn from the 1/sqrt(z) density on [1/a, a], accepted with
-    probability min(1, z^(d-1) exp(delta log posterior)).  The first
-    burn_in fraction of iterations is discarded.
+    Walkers start at prior draws and are split into two halves,
+    [0, W//2) and [W//2, W).  Each iteration moves the first half, then
+    the second: every walker k of the moving half proposes
+    Y = X_j + z (X_k - X_j) against a random walker j of the other half,
+    with z drawn from the 1/sqrt(z) density on [1/a, a], and is accepted
+    with probability min(1, z^(d-1) exp(delta log posterior)).  All
+    proposals of a half are scored in one logpost call (Foreman-Mackey et
+    al. 2013, section 2).  With vectorize=True, logpost maps an (n, d)
+    block to (n,) values; otherwise it maps one row to a float and the
+    sampler calls it on each row of the block.  The first burn_in
+    fraction of iterations is discarded.
     """
     d = len(priors)
     if walkers < 2 * (d + 1):
@@ -347,28 +368,42 @@ def ensemble_mcmc(
     if rng is None:
         raise ValueError("an explicit generator is required")
 
+    def logpost_block(block):
+        if vectorize:
+            values = np.asarray(logpost(block), dtype=float)
+        else:
+            values = np.array([logpost(row) for row in block], dtype=float)
+        if values.shape != (block.shape[0],):
+            raise ValueError(f"logpost returned shape {values.shape} for {block.shape[0]} rows")
+        return values
+
     state = np.empty((walkers, d))
     for j, prior in enumerate(priors):
         state[:, j] = prior.sample(rng, walkers)
-    logp = np.array([logpost(state[k]) for k in range(walkers)])
+    logp = logpost_block(state)
     if not np.any(np.isfinite(logp)):
         raise ValueError("log posterior is -inf at every initial walker")
 
+    half = walkers // 2
+    halves = (slice(0, half), slice(half, walkers))
     chain = np.empty((iterations, walkers, d))
     accepted = 0
     for it in range(iterations):
-        for k in range(walkers):
-            j = int(rng.integers(walkers - 1))
-            if j >= k:
-                j += 1
-            z = stretch_draw(rng, a)
-            proposal = state[j] + z * (state[k] - state[j])
-            lp_new = logpost(proposal)
-            log_ratio = (d - 1) * math.log(z) + lp_new - logp[k]
-            if log_ratio >= 0.0 or rng.random() < math.exp(log_ratio):
-                state[k] = proposal
-                logp[k] = lp_new
-                accepted += 1
+        for moving, other in (halves, halves[::-1]):
+            current = state[moving]
+            n = current.shape[0]
+            partners = state[rng.integers(other.start, other.stop, size=n)]
+            z = stretch_draw(rng, a, size=n)
+            proposals = partners + z[:, None] * (current - partners)
+            lp_new = logpost_block(proposals)
+            # -inf minus -inf (a walker that started outside the support
+            # proposing outside it again) is NaN and is rejected.
+            with np.errstate(invalid="ignore"):
+                log_ratio = (d - 1) * np.log(z) + lp_new - logp[moving]
+                accept = rng.random(n) < np.exp(np.minimum(log_ratio, 0.0))
+            current[accept] = proposals[accept]
+            logp[moving][accept] = lp_new[accept]
+            accepted += int(accept.sum())
         chain[it] = state
     n_burn = int(burn_in * iterations)
     draws = chain[n_burn:].reshape(-1, d)
@@ -402,13 +437,12 @@ def posterior_summary(samples: PosteriorSamples):
 def save_observations(path, times, observations) -> None:
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     times = np.asarray(times, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ["t"] + [f"obs{i + 1}" for i in range(observations.shape[0])]
-        fh.write(",".join(header) + "\n")
-        for j in range(times.size):
-            row = [FLOAT_FMT % times[j]] + [FLOAT_FMT % observations[i, j]
-                                            for i in range(observations.shape[0])]
-            fh.write(",".join(row) + "\n")
+    lines = [",".join(["t"] + [f"obs{i + 1}" for i in range(observations.shape[0])])]
+    lines += [
+        ",".join(FLOAT_FMT % v for v in (times[j], *observations[:, j]))
+        for j in range(times.size)
+    ]
+    write_atomic(path, lines)
 
 
 def load_observations(path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import funcuq as fq
-from funcuq.cli import main
-from funcuq.uq import save_observations
+from funcuq.cli import _calibration_model, main
+from funcuq.uq import Uniform, log_posterior, log_posterior_block, save_observations
 
 
 def write_config(path, **overrides):
@@ -295,6 +295,27 @@ def test_inverse_with_surrogate_and_fixed_parameter(tmp_path):
     lines = (out / "posterior_summary.csv").read_text().strip().splitlines()
     names = [line.split(",")[0] for line in lines[1:]]
     assert names == ["beta", "c", "y0", "sigma"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_calibration_model_block_matches_scalar_posterior():
+    t = fq.TimeGrid(0.0, 1.0, 11).nodes
+
+    def hook(X):
+        X = np.atleast_2d(X)
+        return X[:, 0:1] * t + X[:, 1:2] * t**2 + X[:, 2:3]
+
+    model = _calibration_model(hook, ("a", "b", "c"), {"b": 0.5}, ["a", "c"])
+    priors, sigma_prior = [Uniform(0.0, 2.0), Uniform(-1.0, 1.0)], Uniform(1e-3, 1.0)
+    rng = fq.make_rng(51)
+    obs = hook([1.2, 0.5, 0.1]) + rng.normal(0.0, 0.05, (2, t.size))
+    thetas = np.array([[1.2, 0.1, 0.05], [0.3, -0.7, 0.2], [2.2, 0.0, 0.1],
+                       [1.0, 0.0, -0.1], [1.0, 0.3, 2.0]])
+    block = log_posterior_block(model, priors, sigma_prior, obs, thetas)
+    for row, value in zip(thetas, block):
+        scalar = log_posterior(lambda x: hook([x[0], 0.5, x[1]])[0], priors, sigma_prior,
+                               obs, row[:-1], row[-1])
+        assert value == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
 
 def test_inverse_zero_observations_errors(tmp_path, capsys):
@@ -306,6 +327,17 @@ def test_inverse_zero_observations_errors(tmp_path, capsys):
             fh.write(f"{t}\n")
     cfg_path = make_inverse_config(tmp_path, path)
     assert main(["inverse", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_inverse_rejects_shifted_observation_nodes(tmp_path, capsys):
+    grid = fq.TimeGrid(0.0, 2.0, 401)
+    path = tmp_path / "shifted_obs.csv"
+    save_observations(path, grid.nodes + 0.25 * grid.dt, np.zeros((2, grid.n_t)))
+    cfg_path = make_inverse_config(tmp_path, path)
+    assert main(["inverse", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "time node 1 is 0.00125, model grid has 0" in err
 
 
 def test_inverse_missing_observations_file(tmp_path):

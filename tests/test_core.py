@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import funcuq as fq
-from funcuq.core import RandomSource, derive_seed, mirror_rows
+from funcuq.core import RandomSource, derive_seed, mirror_rows, write_atomic
 
 
 def test_time_grid_nodes_uniform():
@@ -204,3 +204,15 @@ def test_ensemble_csv_roundtrip(tmp_path):
     # 10-significant-digit text round trip
     assert np.allclose(back.responses, ens.responses, rtol=1e-9, atol=1e-12)
     assert np.allclose(back.inputs, ens.inputs, rtol=1e-9, atol=1e-12)
+
+
+def test_write_atomic_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_atomic(path, ["a,b", "1,2"])
+    assert path.read_text() == "a,b\n1,2\n"
+    assert list(tmp_path.iterdir()) == [path]
+    # A failed write keeps the old file and removes its temporary.
+    with pytest.raises(TypeError):
+        write_atomic(path, ["a,b", 3])
+    assert path.read_text() == "a,b\n1,2\n"
+    assert list(tmp_path.iterdir()) == [path]

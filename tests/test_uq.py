@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import funcuq as fq
 from funcuq.uq import (
@@ -14,6 +16,7 @@ from funcuq.uq import (
     kde_pdf,
     load_observations,
     log_posterior,
+    log_posterior_block,
     posterior_summary,
     save_observations,
     silverman_bandwidth,
@@ -228,6 +231,63 @@ def test_log_posterior_needs_observations():
                       np.zeros((0, T.size)), [1.0], 0.1)
 
 
+def block_model_1d(X):
+    return X[:, 0:1] * T[None, :]
+
+
+BLOCK_PRIORS = ([Uniform(0, 2)], Uniform(1e-4, 1.0))
+
+
+def noisy_observations(x, n_obs, seed):
+    rng = fq.make_rng(seed)
+    return np.array([model_1d([x]) + rng.normal(0, 0.1, T.size) for _ in range(n_obs)])
+
+
+def test_log_posterior_block_matches_scalar():
+    obs = noisy_observations(1.2, 3, 18)
+    # In support, outside the x support, sigma <= 0, sigma outside its prior.
+    thetas = np.array([[1.0, 0.1], [1.9, 0.3], [2.5, 0.1], [-0.1, 0.2],
+                       [1.3, -0.1], [0.5, 0.0], [1.0, 1.5], [0.7, 0.05]])
+    block = log_posterior_block(block_model_1d, *BLOCK_PRIORS, obs, thetas)
+    assert np.sum(np.isfinite(block)) == 3
+    for row, value in zip(thetas, block):
+        scalar = log_posterior(model_1d, *BLOCK_PRIORS, obs, row[:-1], row[-1])
+        assert value == pytest.approx(scalar, rel=1e-12, abs=1e-12)
+
+
+def test_log_posterior_block_rejects_wrong_model_shape():
+    obs = noisy_observations(1.2, 2, 18)
+    with pytest.raises(ValueError, match="model returned shape"):
+        log_posterior_block(lambda X: model_1d(X[0]), *BLOCK_PRIORS, obs,
+                            np.array([[1.0, 0.1], [1.1, 0.1]]))
+
+
+theta_rows = st.lists(
+    st.tuples(st.floats(-0.5, 2.5), st.floats(-0.1, 1.2)), min_size=1, max_size=10
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=theta_rows, data=st.data())
+def test_log_posterior_block_row_permutation_equivariant(rows, data):
+    thetas = np.array(rows)
+    perm = np.array(data.draw(st.permutations(range(len(rows)))))
+    obs = noisy_observations(1.2, 3, 19)
+    lp = log_posterior_block(block_model_1d, *BLOCK_PRIORS, obs, thetas)
+    lp_perm = log_posterior_block(block_model_1d, *BLOCK_PRIORS, obs, thetas[perm])
+    np.testing.assert_allclose(lp_perm, lp[perm], rtol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=theta_rows, perm=st.permutations(range(5)))
+def test_log_posterior_block_observation_order_invariant(rows, perm):
+    thetas = np.array(rows)
+    obs = noisy_observations(0.8, 5, 20)
+    lp = log_posterior_block(block_model_1d, *BLOCK_PRIORS, obs, thetas)
+    lp_perm = log_posterior_block(block_model_1d, *BLOCK_PRIORS, obs[list(perm)], thetas)
+    np.testing.assert_allclose(lp_perm, lp, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Ensemble sampler
 
@@ -310,6 +370,55 @@ def test_mcmc_deterministic():
                       walkers=12, iterations=50, rng=fq.make_rng(15))
     assert np.array_equal(a.draws, b.draws)
     assert a.acceptance_rate == b.acceptance_rate
+
+
+def test_mcmc_vectorize_bit_identical():
+    priors = [Normal(0, 1), Normal(0, 2)]
+
+    def lp_row(x):
+        return -0.5 * (x[0] ** 2 + 0.25 * x[1] ** 2)
+
+    def lp_block(X):
+        return -0.5 * (X[:, 0] ** 2 + 0.25 * X[:, 1] ** 2)
+
+    a = ensemble_mcmc(lp_row, priors, walkers=10, iterations=30, rng=fq.make_rng(21))
+    b = ensemble_mcmc(lp_block, priors, walkers=10, iterations=30, rng=fq.make_rng(21),
+                      vectorize=True)
+    assert np.array_equal(a.draws, b.draws)
+    assert a.acceptance_rate == b.acceptance_rate
+
+
+def test_mcmc_odd_walker_count_inside_support():
+    priors = [Uniform(0.0, 1.0), Uniform(-2.0, 3.0)]
+    dist = InputDistribution(priors)
+    walkers = 2 * (len(priors) + 1) + 1
+    ps = ensemble_mcmc(dist.logpdf, priors, walkers=walkers, iterations=100,
+                       rng=fq.make_rng(22))
+    assert ps.draws.shape == (50 * walkers, 2)
+    for j, prior in enumerate(priors):
+        assert prior.lower <= ps.draws[:, j].min() and ps.draws[:, j].max() <= prior.upper
+    assert 0.0 < ps.acceptance_rate < 1.0
+
+
+def test_mcmc_block_model_calls_bounded_and_in_support():
+    # The truth sits near the upper bound, so many proposals leave the support.
+    obs = noisy_observations(1.95, 2, 23)
+    blocks = []
+
+    def model(X):
+        blocks.append(X.copy())
+        return block_model_1d(X)
+
+    def lp(thetas):
+        return log_posterior_block(model, *BLOCK_PRIORS, obs, thetas)
+
+    iterations = 25
+    ensemble_mcmc(lp, BLOCK_PRIORS[0] + [BLOCK_PRIORS[1]], walkers=16,
+                  iterations=iterations, rng=fq.make_rng(24), vectorize=True)
+    assert 1 < len(blocks) <= 1 + 2 * iterations
+    rows = np.concatenate(blocks)
+    assert rows.shape[0] < 16 * (1 + iterations)
+    assert rows.min() >= 0.0 and rows.max() <= 2.0
 
 
 # ---------------------------------------------------------------------------
