@@ -276,17 +276,11 @@ def cmd_predict(args) -> int:
             raise FileNotFoundError(f"file not found: {path}")
     sur = load_surrogate(model_path)
     X = np.loadtxt(inputs_path, delimiter=",", skiprows=1, ndmin=2)
-    nodes = sur.grid.nodes
-    means = np.empty((X.shape[0], sur.grid.n_t))
-    stds = np.empty_like(means)
-    for i in range(X.shape[0]):
-        mean, var = sur.predict_curve(X[i])
-        means[i] = mean
-        stds[i] = np.sqrt(var)
+    means, var = sur.predict_curves(X)
     os.makedirs(out_dir, exist_ok=True)
-    for name, table in (("predictions.csv", means), ("predictions_std.csv", stds)):
-        rows = [[_fmt(v) for v in row] for row in table]
-        _write_csv(os.path.join(out_dir, name), [_fmt(t) for t in nodes], rows)
+    header = [_fmt(t) for t in sur.grid.nodes]
+    for name, table in (("predictions.csv", means), ("predictions_std.csv", np.sqrt(var))):
+        _write_csv(os.path.join(out_dir, name), header, [[_fmt(v) for v in row] for row in table])
     print(f"wrote predictions for {X.shape[0]} inputs to {out_dir}")
     return 0
 

@@ -159,17 +159,21 @@ class LatentSurrogate:
                 var[:, j] = vj
         return means, var
 
-    def predict_curve(self, x_star):
-        """Predictive mean and variance curves at one input point.
+    def predict_curves(self, X_star):
+        """Predictive mean and variance curves for raw input rows; each of
+        shape (M, n_t).
 
         The latent predictive covariance is diagonal, so the variance at
         each time node is the squared latent-function row weighted by the
         per-score variances.
         """
-        means, var = self.predict_scores(np.atleast_2d(x_star))
-        mean_curve = self.reducer.mean_curve + self._phi @ means[0]
-        var_curve = (self._phi**2) @ var[0]
-        return mean_curve, var_curve
+        means, var = self.predict_scores(X_star)
+        return self.reducer.mean_curve + means @ self._phi.T, var @ (self._phi**2).T
+
+    def predict_curve(self, x_star):
+        """predict_curves of the single input point x_star."""
+        means, var = self.predict_curves(np.atleast_2d(x_star))
+        return means[0], var[0]
 
     def predict_mean_curves(self, X_star) -> np.ndarray:
         """Predictive mean curves for raw input rows; shape (M, n_t)."""

@@ -340,6 +340,22 @@ def test_inverse_rejects_shifted_observation_nodes(tmp_path, capsys):
     assert "time node 1 is 0.00125, model grid has 0" in err
 
 
+def test_inverse_rejects_non_finite_observation(tmp_path, capsys):
+    path = write_duffing_observations(tmp_path)
+    lines = path.read_text().splitlines()
+    cells = lines[10].split(",")
+    cells[2] = "nan"
+    lines[10] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    cfg_path = make_inverse_config(tmp_path, path)
+    out = tmp_path / "o"
+    assert main(["inverse", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "data row 10, column 3 (obs2) is nan" in err
+    assert not out.exists()
+
+
 def test_inverse_missing_observations_file(tmp_path):
     cfg_path = make_inverse_config(tmp_path, tmp_path / "nope.csv")
     assert main(["inverse", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1

@@ -93,6 +93,32 @@ def test_predict_curve_variance_nonnegative():
         assert np.all(var >= 0.0)
 
 
+def test_predict_curves_matches_row_loop():
+    X = fq.make_rng(31).uniform(0.0, 1.0, (30, 2))
+    Y = linear_generator(X) + X[:, 1:2] ** 2 * np.sin(4 * np.pi * T)[None, :]
+    # A nugget of 0.1 keeps the kernel systems well conditioned: one-row
+    # and many-row Kriging predictions sum in different BLAS orders and
+    # agree only to about cond(A) * eps.
+    cfg = FitConfig(reducer="pca", n_starts=3, budget=100, fix_nugget=0.1)
+    s = fit_surrogate(fq.ResponseEnsemble(X, Y, GRID), cfg, fq.make_rng(32))
+    assert s.m >= 2
+    X_new = fq.make_rng(33).uniform(-0.2, 1.2, (40, 2))
+    means, var = s.predict_curves(X_new)
+    assert means.shape == var.shape == (40, GRID.n_t)
+    phi = s.reducer.basis_curves()
+    score_means, score_var = s.predict_scores(X_new)
+    for i, x in enumerate(X_new):
+        # The per-row curve formula, on the batched latent predictions.
+        np.testing.assert_allclose(means[i], s.reducer.mean_curve + phi @ score_means[i],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(var[i], (phi**2) @ score_var[i], rtol=1e-12, atol=0)
+        # The row loop cmd_predict used to run.
+        row_mean, row_var = s.predict_curve(x)
+        for row, batched in ((row_mean, means[i]), (row_var, var[i])):
+            np.testing.assert_allclose(batched, row, rtol=1e-12,
+                                       atol=1e-12 * np.abs(row).max())
+
+
 def test_training_point_prediction_matches_roundtrip():
     ens = make_linear_ensemble()
     cfg = FitConfig(reducer="kfdr-b", fix_nugget=0.0, n_starts=4, budget=150)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funcuq as fq
+from funcuq import uq
 from funcuq.uq import (
+    KDE_REACH,
     InputDistribution,
     Lognormal,
     Normal,
@@ -126,6 +129,83 @@ def test_forward_uq_monte_carlo_rate():
     assert 1.2 <= coarse / fine <= 3.5
 
 
+def test_forward_uq_constant_response_gives_empty_kde():
+    dist = InputDistribution([Normal(0, 1), Normal(0, 1)])
+    res = forward_uq(lambda X: np.ones((X.shape[0], T.size)), dist, 500, GRID,
+                     fq.make_rng(1))
+    assert np.array_equal(res.mean, np.ones(T.size))
+    assert res.kde_grid.size == res.kde_max.size == res.kde_min.size == 0
+
+
+def test_forward_uq_rejects_non_finite_responses():
+    dist = InputDistribution([Normal(0, 1), Normal(0, 1)])
+
+    def hook(X):
+        curves = linear_hook(X)
+        curves[X[:, 0] > 1.5, 3] = np.nan
+        curves[X[:, 1] < -2.0, 7] = np.inf
+        return curves
+
+    X = dist.sample(fq.make_rng(26), 2000)
+    bad = int(np.count_nonzero((X[:, 0] > 1.5) | (X[:, 1] < -2.0)))
+    assert bad > 0
+    with pytest.raises(ValueError, match=f"^{bad} of 2000 Monte Carlo samples"):
+        forward_uq(hook, dist, 2000, GRID, fq.make_rng(26), batch_size=300)
+
+
+def test_forward_uq_kde_errors_are_not_swallowed(monkeypatch):
+    # Only a zero-spread sample gives an empty KDE; other errors propagate.
+    def broken_kde(samples, eval_points):
+        raise ValueError("broken kde")
+
+    monkeypatch.setattr(uq, "kde_pdf", broken_kde)
+    dist = InputDistribution([Normal(0, 1), Normal(0, 1)])
+    with pytest.raises(ValueError, match="broken kde"):
+        forward_uq(linear_hook, dist, 200, GRID, fq.make_rng(27))
+
+
+BATCH_DIST = InputDistribution([Normal(0, 1), Normal(0, 1)])
+BATCH_N = 300
+
+
+@settings(max_examples=15)
+@given(batch_size=st.integers(1, BATCH_N + 5))
+def test_forward_uq_batch_size_invariant(batch_size):
+    # An exact-model hook maps each sample to the same curve in any block,
+    # so everything but the running sums is bit-identical.
+    ref = forward_uq(linear_hook, BATCH_DIST, BATCH_N, GRID, fq.make_rng(28),
+                     batch_size=BATCH_N)
+    res = forward_uq(linear_hook, BATCH_DIST, BATCH_N, GRID, fq.make_rng(28),
+                     batch_size=batch_size)
+    for name in ("maxima", "minima", "kde_grid", "kde_max", "kde_min"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    np.testing.assert_allclose(res.mean, ref.mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.std, ref.std, rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def batch_surrogate():
+    X = fq.make_rng(2).uniform(-2, 2, (25, 2))
+    # Surrogate curves of a sample depend on its block only through BLAS
+    # summation order, to about cond(A) * eps relative to the curve scale;
+    # a nugget of 0.1 keeps the kernel systems well conditioned.
+    cfg = fq.FitConfig(reducer="pca", n_starts=3, budget=100, fix_nugget=0.1)
+    sur = fq.fit_surrogate(fq.ResponseEnsemble(X, linear_hook(X), GRID), cfg, fq.make_rng(3))
+    ref = forward_uq(sur, BATCH_DIST, BATCH_N, rng=fq.make_rng(28), batch_size=BATCH_N)
+    return sur, ref
+
+
+@settings(max_examples=10)
+@given(batch_size=st.integers(1, BATCH_N + 5))
+def test_forward_uq_surrogate_batch_size_invariant(batch_surrogate, batch_size):
+    sur, ref = batch_surrogate
+    res = forward_uq(sur, BATCH_DIST, BATCH_N, rng=fq.make_rng(28), batch_size=batch_size)
+    for name in ("maxima", "minima", "kde_grid", "kde_max", "kde_min", "mean", "std"):
+        expected = getattr(ref, name)
+        np.testing.assert_allclose(getattr(res, name), expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max(), err_msg=name)
+
+
 def test_forward_uq_validation():
     dist = InputDistribution([Normal(0, 1)])
     with pytest.raises(ValueError):
@@ -172,6 +252,93 @@ def test_kde_standard_normal_peak():
 def test_kde_identical_samples_error():
     with pytest.raises(ValueError):
         kde_pdf(np.full(10, 3.0), np.array([3.0]))
+
+
+def dense_kde(samples, eval_points):
+    """The all-pairs Gaussian KDE that kde_pdf replaced, kept as its oracle:
+    one (points x samples) matrix of terms, summed along each row."""
+    samples = np.asarray(samples, dtype=float)
+    eval_points = np.asarray(eval_points, dtype=float)
+    h = silverman_bandwidth(samples)
+    z = (eval_points[:, None] - samples[None, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * math.sqrt(2 * math.pi))
+
+
+def assert_matches_dense(samples, eval_points):
+    windowed = kde_pdf(samples, eval_points)
+    dense = dense_kde(samples, eval_points)
+    np.testing.assert_allclose(windowed, dense, rtol=1e-12, atol=0)
+    assert np.array_equal(windowed == 0.0, dense == 0.0)
+
+
+def test_kde_reach_covers_every_nonzero_term():
+    assert np.exp(-0.5 * (0.999 * KDE_REACH) ** 2) == 0.0
+    # ...and is no wider than double precision needs.
+    assert np.exp(-0.5 * (0.995 * KDE_REACH) ** 2) > 0.0
+
+
+def test_kde_matches_dense_on_heavy_tails():
+    # Most (point, sample) pairs lie outside the window, as for the
+    # benchmark's per-curve extremes.
+    x = fq.make_rng(29).standard_cauchy(4000)
+    h = silverman_bandwidth(x)
+    grid = np.linspace(x.min() - 6 * h, x.max() + 6 * h, 512)
+    assert_matches_dense(x, grid)
+    assert_matches_dense(x, np.linspace(-5.0, 5.0, 301))
+
+
+kde_values = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, 0.25, 1.0]),
+)
+
+
+@settings(max_examples=200)
+@given(
+    base=st.lists(kde_values, min_size=2, max_size=60),
+    repeats=st.integers(1, 4),
+    scale=st.sampled_from([1e-6, 1.0, 1e4]),
+    shift=st.sampled_from([0.0, 3.0, -1e8]),
+    points=st.lists(st.floats(-1e7, 1e7), max_size=30),
+)
+def test_kde_windowed_equals_dense(base, repeats, scale, shift, points):
+    samples = shift + scale * np.repeat(np.array(base), repeats)
+    try:
+        h = silverman_bandwidth(samples)
+    except ValueError:
+        with pytest.raises(ValueError):
+            kde_pdf(samples, np.array([shift]))
+        return
+    eval_points = np.concatenate([
+        shift + scale * np.array(points),
+        samples[:10],
+        np.linspace(samples.min() - 40 * h, samples.max() + 40 * h, 41),
+    ])
+    assert_matches_dense(samples, eval_points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kde_rejects_non_finite(bad):
+    x = fq.make_rng(30).normal(size=50)
+    with pytest.raises(ValueError, match="1 non-finite samples"):
+        kde_pdf(np.append(x, bad), np.array([0.0]))
+    with pytest.raises(ValueError, match="2 non-finite evaluation points"):
+        kde_pdf(x, np.array([0.0, bad, 1.0, bad]))
+
+
+def test_kde_memory_linear_in_samples():
+    # The dense form holds several 512 x 100,000 float64 matrices (> 1 GB).
+    x = fq.make_rng(31).standard_normal(100_000)
+    grid = np.linspace(x.min(), x.max(), 512)
+    tracemalloc.start()
+    try:
+        dens = kde_pdf(x, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(dens > 0.0)
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +623,22 @@ def test_posterior_summary_empty_errors():
                           burn_in=0.0, acceptance_rate=0.0, names=("x",))
     with pytest.raises(ValueError):
         posterior_summary(ps)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_observations_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "obs.csv"
+    save_observations(path, T, fq.make_rng(32).normal(size=(3, T.size)))
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = bad
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_observations(path)
+    message = str(info.value)
+    assert str(path) in message
+    assert "data row 5, column 3 (obs2)" in message
 
 
 def test_observations_roundtrip(tmp_path):
