@@ -23,6 +23,7 @@ from . import bench, uq
 from .core import (
     FLOAT_FMT,
     ResponseEnsemble,
+    check_nodes,
     derive_seed,
     load_ensemble,
     make_rng,
@@ -232,6 +233,7 @@ def _fit_report(sur: LatentSurrogate, seed: int, elapsed: float) -> dict:
                 "sigma_z2": mod.sigma_z2,
                 "theta": mod.theta.tolist(),
                 "sigma_n2": mod.sigma_n2,
+                **mod.search,
             }
             for mod in sur.models
         ],
@@ -376,13 +378,7 @@ def _check_observation_nodes(path, times, grid) -> None:
         raise ValueError(
             f"observations file {path}: {times.size} time nodes, model grid has {grid.n_t}"
         )
-    off = np.flatnonzero(np.abs(times - grid.nodes) > 1e-6 * grid.dt)
-    if off.size:
-        j = off[0]
-        raise ValueError(
-            f"observations file {path}: time node {j + 1} is {_fmt(times[j])}, "
-            f"model grid has {_fmt(grid.nodes[j])}"
-        )
+    check_nodes(f"observations file {path}", times, grid, "model grid")
 
 
 def _calibration_model(model, names, fixed: dict, calibrated):

@@ -12,12 +12,16 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor
 
 # Counter-based generator fixed for the whole toolkit so every stochastic
 # result replays from a single seed.
 GENERATOR_NAME = "philox"
 
 FLOAT_FMT = "%.10g"
+
+# Relative jitter ladder tried before declaring a symmetric matrix singular.
+JITTERS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -175,6 +179,43 @@ def model_nrmse(truth, pred) -> float:
     return float(np.mean(rms / spans))
 
 
+def cho_with_jitter(A):
+    """Lower Cholesky factor of a symmetric matrix, in cho_factor form.
+
+    Tries each relative jitter on the JITTERS ladder in turn, adding
+    jitter * max|diag A| to the diagonal, and returns (factor, absolute
+    jitter added) for the first that factorizes.  Raises LinAlgError when
+    none does.
+    """
+    scale = np.abs(np.diag(A)).max()
+    for rel in JITTERS:
+        try:
+            return cho_factor(A + rel * scale * np.eye(A.shape[0]), lower=True), rel * scale
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError(
+        f"singular even after jitter up to {JITTERS[-1]:.0e} * max|diag| = "
+        f"{JITTERS[-1] * scale:.3e}"
+    )
+
+
+def check_nodes(where: str, times, grid: TimeGrid, grid_name: str) -> None:
+    """Raise ValueError naming `where` and the first of `times` that is
+    more than 1e-6 dt away from the grid's node.
+
+    The tolerance also admits the rounding of FLOAT_FMT's 10 significant
+    digits, so that nodes this package wrote always pass.
+    """
+    tol = 1e-6 * grid.dt + 1e-9 * max(abs(grid.t0), abs(grid.te))
+    off = np.flatnonzero(np.abs(times - grid.nodes) > tol)
+    if off.size:
+        j = off[0]
+        raise ValueError(
+            f"{where}: time node {j + 1} is {FLOAT_FMT % times[j]}, "
+            f"{grid_name} has {FLOAT_FMT % grid.nodes[j]}"
+        )
+
+
 def latin_hypercube(n: int, p: int, bounds, rng: np.random.Generator):
     """Latin hypercube design: one sample in each of n equal strata per dim.
 
@@ -252,11 +293,16 @@ def save_ensemble(ens: ResponseEnsemble, responses_path, inputs_path) -> None:
 
 
 def load_ensemble(responses_path, inputs_path) -> ResponseEnsemble:
-    """Read an ensemble written by save_ensemble."""
+    """Read an ensemble written by save_ensemble.
+
+    The time nodes must be uniform: check_nodes against the grid through
+    the first and last node.
+    """
     resp = np.loadtxt(responses_path, delimiter=",", ndmin=2)
     times, curves = resp[0], resp[1:]
     with open(inputs_path, "r", encoding="utf-8") as fh:
         names = tuple(fh.readline().strip().split(","))
     inputs = np.loadtxt(inputs_path, delimiter=",", skiprows=1, ndmin=2)
     grid = TimeGrid(float(times[0]), float(times[-1]), times.size)
+    check_nodes(f"responses file {responses_path}", times, grid, "uniform grid")
     return ResponseEnsemble(inputs, curves, grid, input_names=names)

@@ -1,6 +1,6 @@
 """Ordinary Kriging with a homoscedastic nugget: Gaussian kernel,
-marginal-likelihood hyperparameter estimation with an analytically
-profiled mean, and mean/variance prediction.
+marginal-likelihood hyperparameter estimation by a gradient search with the
+mean and the process variance profiled out, and mean/variance prediction.
 
 Inputs are mapped to the unit hypercube and targets standardized before
 fitting; the hyperparameter search ranges assume that scaling.
@@ -13,19 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
-from .core import latin_hypercube
+from .core import cho_with_jitter, latin_hypercube
 
 THETA_BOUNDS = (1e-4, 1e4)
 SIGMA_Z2_BOUNDS = (1e-4, 1e2)
 SIGMA_N2_BOUNDS = (1e-8, 1e1)
+# Box of the searched ratio g = sigma_n2 / sigma_z2 when the nugget is free.
+NUGGET_RATIO_BOUNDS = (
+    SIGMA_N2_BOUNDS[0] / SIGMA_Z2_BOUNDS[1],
+    SIGMA_N2_BOUNDS[1] / SIGMA_Z2_BOUNDS[0],
+)
 DEFAULT_N_STARTS = 10
 DEFAULT_BUDGET = 400
-
-_JITTERS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
-
 
 def kernel_eval(sigma_z2: float, theta, x, x2) -> float:
     """Gaussian kernel sigma_z2 * exp(-(x-x2)' diag(theta) (x-x2))."""
@@ -38,16 +41,6 @@ def _kernel_matrix(sigma_z2, theta, A, B=None):
     As = np.atleast_2d(A) * root
     Bs = As if B is None else np.atleast_2d(B) * root
     return sigma_z2 * np.exp(-cdist(As, Bs, "sqeuclidean"))
-
-
-def _cho_with_jitter(A):
-    scale = np.abs(np.diag(A)).max()
-    for jitter in _JITTERS:
-        try:
-            return cho_factor(A + jitter * scale * np.eye(A.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("kernel matrix is not positive definite")
 
 
 def log_marginal_likelihood(X, y, mu, sigma_z2, theta, sigma_n2) -> float:
@@ -90,6 +83,8 @@ class KrigingModel:
     the optimized hyperparameters, and the cached factorization used by
     prediction.  sigma_z2 and sigma_n2 live on the standardized scale;
     noise_variance_raw reports the nugget on the original target scale.
+    `search` holds fit_kriging's search record; it is empty for a model
+    rebuilt from a file.
     """
 
     input_lo: np.ndarray
@@ -104,6 +99,7 @@ class KrigingModel:
     sigma_n2: float
     _cho: tuple = field(repr=False)
     _alpha: np.ndarray = field(repr=False)
+    search: dict = field(default_factory=dict, repr=False)
 
     @property
     def noise_variance_raw(self) -> float:
@@ -137,11 +133,67 @@ def _profiled_mu(cho, y):
     return float(w @ y / (w @ ones))
 
 
-def _log_bounds(p, fix_nugget):
-    bounds = [np.log10(THETA_BOUNDS)] * p + [np.log10(SIGMA_Z2_BOUNDS)]
-    if fix_nugget is None:
-        bounds.append(np.log10(SIGMA_N2_BOUNDS))
-    return np.array(bounds)
+def _squared_differences(Xn):
+    """(p, N*N) per-dimension squared differences between the rows of Xn,
+    each row a flattened (N, N) matrix D_d."""
+    return ((Xn.T[:, :, None] - Xn.T[:, None, :]) ** 2).reshape(Xn.shape[1], -1)
+
+
+def _log10_gradient(Q, K, D, theta, sigma_n2):
+    """d(-LML)/d log10 of (theta_1..theta_p, sigma_n2, sigma_z2) at fixed mu.
+
+    Each entry is (ln 10 / 2) tr(Q dA/d ln psi), with Q = A^-1 - alpha alpha'
+    and alpha = A^-1 r (Rasmussen & Williams 2006, eq. 5.9).  For
+    A = K + sigma_n2 I and K = sigma_z2 exp(-sum_d theta_d D_d):
+    dA/d ln theta_d = -theta_d K o D_d, dA/d ln sigma_n2 = sigma_n2 I and
+    dA/d ln sigma_z2 = K.  The GLS mean is stationary, so it adds no term
+    (envelope theorem).  D is _squared_differences.
+    """
+    W = Q * K
+    d_theta = -theta * (D @ W.ravel())
+    return 0.5 * math.log(10.0) * np.append(d_theta, [sigma_n2 * np.trace(Q), W.sum()])
+
+
+def _neg_lml(D, y, theta, sigma_z2, nugget):
+    """-LML of targets y under the GLS mean, its _log10_gradient, and sigma_z2.
+
+    With sigma_z2=None the nugget is the ratio g = sigma_n2 / sigma_z2 and
+    sigma_z2 is profiled out: clip(r'C^-1 r / N, SIGMA_Z2_BOUNDS) with
+    C = E + g I, E = exp(-sum_d theta_d D_d).  Otherwise the nugget is
+    sigma_n2 and A = sigma_z2 E + sigma_n2 I.  One Cholesky factorization
+    serves the value and the gradient; LinAlgError when it fails.
+    """
+    n = y.size
+    E = np.exp(-(theta @ D)).reshape(n, n)
+    scale = 1.0 if sigma_z2 is None else sigma_z2
+    M = scale * E
+    M.flat[:: n + 1] += nugget
+    L, info = dpotrf(M, lower=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("kernel matrix is not positive definite")
+    w, v = dpotrs(L, np.column_stack([np.ones(n), y]), lower=1)[0].T
+    mu = float(w @ y / w.sum())
+    r = y - mu
+    beta = v - mu * w  # M^-1 r
+    quad = float(r @ beta)
+    # A = s M: s is the profiled sigma_z2, or 1 when M is already A.
+    s = float(np.clip(quad / n, *SIGMA_Z2_BOUNDS)) if sigma_z2 is None else 1.0
+    logdet = n * math.log(s) + 2.0 * np.sum(np.log(np.diag(L)))
+    value = 0.5 * quad / s + 0.5 * logdet + 0.5 * n * math.log(2 * math.pi)
+    # dpotri fills the lower triangle of M^-1; the upper one is zero.
+    M_inv = dpotri(L, lower=1)[0]
+    Q = M_inv + M_inv.T
+    Q.flat[:: n + 1] *= 0.5
+    Q -= np.outer(beta, beta / s)
+    Q /= s
+    grad = _log10_gradient(Q, s * scale * E, D, theta, s * nugget)
+    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+        raise np.linalg.LinAlgError("non-finite likelihood")
+    return value, grad, s * scale
+
+
+class _BudgetSpent(Exception):
+    """A start has used its evaluation budget."""
 
 
 def fit_kriging(
@@ -155,20 +207,34 @@ def fit_kriging(
 ) -> KrigingModel:
     """Fit an ordinary Kriging model with nugget by maximum likelihood.
 
-    The global mean is profiled analytically (its optimum is closed-form),
-    and the remaining hyperparameters are searched in log10 space by a
-    derivative-free simplex descent from n_starts Latin-hypercube starts.
+    The global mean is profiled by generalized least squares.  With a free
+    nugget the search runs over log10 theta and log10 g, g = sigma_n2 /
+    sigma_z2, with sigma_z2 profiled in closed form (the concentrated
+    likelihood); sigma_n2 = g sigma_z2 is then clamped into
+    SIGMA_N2_BOUNDS.  L-BFGS-B with the analytic gradient runs inside the
+    log10 boxes from n_starts Latin-hypercube starts.  A start whose first
+    kernel matrix does not factorize fails; one that reaches a matrix that
+    does not factorize ends at its best point so far.
 
     Parameters
     ----------
     X : (N, p) raw training inputs.
     y : (N,) training targets.
     rng : generator driving the multi-start design.
+    n_starts : number of starts.
+    budget : most likelihood evaluations (value and gradient) per start.
     fix_nugget : float, optional
         Pin the nugget variance (on the standardized scale) instead of
-        estimating it; 0.0 gives an interpolating model.
+        estimating it; theta and sigma_z2 are then searched.  0.0 gives an
+        interpolating model (g = 0), with sigma_z2 profiled.
     input_bounds : (lo, hi) arrays, optional
         Normalization bounds; defaults to the per-dimension training range.
+
+    The returned model's `search` records the search: -LML at the returned
+    hyperparameters, likelihood evaluations, failed starts, the winning
+    start, the parameters at a bound or clamped to one, the jitter of the
+    final factorization and the nugget share sigma_n2/(sigma_z2+sigma_n2).
+    Raises LinAlgError when every start fails.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -190,49 +256,89 @@ def fit_kriging(
         y_scale = 1.0
     ys = (y - y_offset) / y_scale
 
-    bounds = _log_bounds(p, fix_nugget)
+    D = _squared_differences(Xn)
+    names = [f"theta[{d}]" for d in range(p)]
+    box = [THETA_BOUNDS] * p
+    keep = list(range(p))
+    if fix_nugget is None:
+        names.append("nugget_ratio")
+        box.append(NUGGET_RATIO_BOUNDS)
+        keep.append(p)
+    elif fix_nugget != 0.0:
+        names.append("sigma_z2")
+        box.append(SIGMA_Z2_BOUNDS)
+        keep.append(p + 1)
+    bounds = np.log10(box)
 
-    def unpack(z):
-        z = np.clip(z, bounds[:, 0], bounds[:, 1])
+    def evaluate(z):
         theta = 10.0 ** z[:p]
-        sigma_z2 = 10.0 ** z[p]
-        sigma_n2 = fix_nugget if fix_nugget is not None else 10.0 ** z[p + 1]
-        return theta, sigma_z2, sigma_n2
+        if fix_nugget is None:
+            return _neg_lml(D, ys, theta, None, 10.0 ** z[p])
+        if fix_nugget == 0.0:
+            return _neg_lml(D, ys, theta, None, 0.0)
+        return _neg_lml(D, ys, theta, 10.0 ** z[p], fix_nugget)
 
-    def negative_lml(z):
-        theta, sigma_z2, sigma_n2 = unpack(z)
-        A = _kernel_matrix(sigma_z2, theta, Xn)
-        A[np.diag_indices_from(A)] += sigma_n2
+    def search(z0):
+        """Best (value, z, sigma_z2) one start evaluated, or None."""
+        best, used = None, 0
+
+        def objective(z):
+            nonlocal best, used
+            if used == budget:
+                raise _BudgetSpent
+            used += 1
+            value, grad, sigma_z2 = evaluate(z)
+            if best is None or value < best[0]:
+                best = (value, z.copy(), sigma_z2)
+            return value, grad[keep]
+
+        # L-BFGS-B checks maxfun only between iterations, so a line search
+        # can overrun it; objective() enforces the budget exactly.
         try:
-            cho = cho_factor(A, lower=True)
-        except np.linalg.LinAlgError:
-            # Large finite sentinel keeps the simplex well-defined.
-            return 1e300
-        mu = _profiled_mu(cho, ys)
-        r = ys - mu
-        logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-        return float(0.5 * r @ cho_solve(cho, r) + 0.5 * logdet)
+            minimize(objective, z0, jac=True, method="L-BFGS-B", bounds=bounds,
+                     options={"maxfun": budget})
+        except (np.linalg.LinAlgError, _BudgetSpent):
+            pass
+        return best, used
 
-    starts = latin_hypercube(n_starts, bounds.shape[0], bounds, rng)
-    best_z, best_val = None, math.inf
-    for z0 in starts:
-        res = minimize(
-            negative_lml,
-            z0,
-            method="Nelder-Mead",
-            options={"maxfev": budget, "maxiter": budget, "xatol": 1e-4, "fatol": 1e-8},
+    evaluations, failed, best, best_start = 0, 0, None, -1
+    for i, z0 in enumerate(latin_hypercube(n_starts, len(box), bounds, rng)):
+        found, used = search(z0)
+        evaluations += used
+        if found is None:
+            failed += 1
+        elif best is None or found[0] < best[0]:
+            best, best_start = found, i
+    if best is None:
+        raise np.linalg.LinAlgError(
+            f"all {n_starts} hyperparameter starts failed: the kernel matrix "
+            "at each start is not positive definite"
         )
-        if res.fun < best_val:
-            best_val, best_z = float(res.fun), res.x
-    if best_z is None or best_val >= 1e300:
-        raise np.linalg.LinAlgError("no hyperparameter start produced a PD kernel")
 
-    theta, sigma_z2, sigma_n2 = unpack(best_z)
+    _, z, sigma_z2 = best
+    theta = 10.0 ** z[:p]
+    on_bound = [name for name, zi, (b_lo, b_hi) in zip(names, z, bounds)
+                if min(zi - b_lo, b_hi - zi) <= 1e-9]
+    if fix_nugget is None or fix_nugget == 0.0:
+        if sigma_z2 in SIGMA_Z2_BOUNDS:
+            on_bound.append("sigma_z2")
+    if fix_nugget is None:
+        sigma_n2 = float(np.clip(10.0 ** z[p] * sigma_z2, *SIGMA_N2_BOUNDS))
+        if sigma_n2 in SIGMA_N2_BOUNDS:
+            on_bound.append("sigma_n2")
+    else:
+        sigma_n2 = float(fix_nugget)
+
     A = _kernel_matrix(sigma_z2, theta, Xn)
     A[np.diag_indices_from(A)] += sigma_n2
-    cho = _cho_with_jitter(A)
+    try:
+        cho, jitter = cho_with_jitter(A)
+    except np.linalg.LinAlgError as err:
+        raise np.linalg.LinAlgError(f"kernel matrix is {err}") from None
     mu = _profiled_mu(cho, ys)
-    alpha = cho_solve(cho, ys - mu)
+    r = ys - mu
+    alpha = cho_solve(cho, r)
+    neg_lml = 0.5 * r @ alpha + np.sum(np.log(np.diag(cho[0]))) + 0.5 * n * math.log(2 * math.pi)
     return KrigingModel(
         input_lo=lo,
         input_hi=hi,
@@ -243,7 +349,16 @@ def fit_kriging(
         mu=mu,
         sigma_z2=float(sigma_z2),
         theta=np.asarray(theta, dtype=float),
-        sigma_n2=float(sigma_n2),
+        sigma_n2=sigma_n2,
         _cho=cho,
         _alpha=alpha,
+        search={
+            "neg_lml": float(neg_lml),
+            "evaluations": evaluations,
+            "failed_starts": failed,
+            "best_start": best_start,
+            "on_bound": on_bound,
+            "jitter": float(jitter),
+            "nugget_share": sigma_n2 / (sigma_z2 + sigma_n2),
+        },
     )

@@ -10,34 +10,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix, roughness_matrix
+from .core import cho_with_jitter
 
 # tau grid spans 1e-6 .. 1e6; 25 points give half-decade resolution.
 TAU_GRID_SIZE = 25
 DEFAULT_DELTA_R = 0.05
 DEFAULT_NB0 = {FOURIER: 11, BSPLINE: 8}
 
-# Relative jitter ladder tried before declaring the normal equations singular.
-_JITTERS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
-
 
 class SingularSystemError(np.linalg.LinAlgError):
     """Raised when (H'H + tau R) cannot be factorized even with jitter."""
-
-
-def _cho_with_jitter(A: np.ndarray):
-    scale = np.abs(np.diag(A)).max()
-    for jitter in _JITTERS:
-        try:
-            return cho_factor(A + jitter * scale * np.eye(A.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            continue
-    raise SingularSystemError(
-        "penalized normal equations are singular even after jitter up to "
-        f"{_JITTERS[-1]:.0e} * max|diag| = {_JITTERS[-1] * scale:.3e}"
-    )
 
 
 class PenalizedSolver:
@@ -49,7 +34,10 @@ class PenalizedSolver:
         self.H = H
         self.tau = float(tau)
         self._HtH = H.T @ H
-        self._cho = _cho_with_jitter(self._HtH + tau * R)
+        try:
+            self._cho, _ = cho_with_jitter(self._HtH + tau * R)
+        except np.linalg.LinAlgError as err:
+            raise SingularSystemError(f"penalized normal equations are {err}") from None
 
     def coefficients(self, centered: np.ndarray) -> np.ndarray:
         """Solve for the coefficient matrix C (n_b x N) of centered rows."""

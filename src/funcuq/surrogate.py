@@ -14,9 +14,9 @@ import numpy as np
 
 from . import fpca
 from .basis import BSPLINE, FOURIER
-from .core import ResponseEnsemble, TimeGrid, make_rng, model_nrmse, write_atomic
+from .core import ResponseEnsemble, TimeGrid, cho_with_jitter, make_rng, model_nrmse, write_atomic
 from .fpca import FunctionalReducer, select_m
-from .kriging import KrigingModel, _cho_with_jitter, _kernel_matrix, fit_kriging
+from .kriging import KrigingModel, _kernel_matrix, fit_kriging
 from scipy.linalg import cho_solve
 
 FORMAT_VERSION = "funcuq-surrogate-v1"
@@ -364,51 +364,94 @@ def save_surrogate(s: LatentSurrogate, path) -> None:
     write_atomic(path, [json.dumps(surrogate_to_dict(s), sort_keys=True, separators=(",", ":"))])
 
 
-def _rebuild_kriging(d: dict) -> KrigingModel:
-    Xn = np.asarray(d["X_norm"], dtype=float)
-    ys = np.asarray(d["y_std"], dtype=float)
-    theta = np.asarray(d["theta"], dtype=float)
-    A = _kernel_matrix(d["sigma_z2"], theta, Xn)
-    A[np.diag_indices_from(A)] += d["sigma_n2"]
-    cho = _cho_with_jitter(A)
-    alpha = cho_solve(cho, ys - d["mu"])
+def _numbers(doc: dict, where: str, key: str, shape: tuple = ()):
+    """doc[key] as a finite float array of `shape` (None: any length), or
+    a float for shape (); ValueError naming `where.key` otherwise."""
+    name = f"{where}.{key}" if where else key
+    try:
+        value = np.asarray(doc[key], dtype=float)
+    except KeyError:
+        raise ValueError(f"model file: {name} is missing") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"model file: {name} is not an array of numbers") from None
+    if value.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(value.shape, shape)
+    ):
+        want = tuple("any" if w is None else w for w in shape)
+        raise ValueError(f"model file: {name} has shape {value.shape}, expected {want}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"model file: {name} has a non-finite value")
+    return float(value) if shape == () else value
+
+
+def _count(doc: dict, where: str, key: str) -> int:
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(
+            f"model file: {where}.{key} must be a nonnegative integer, got {value!r}"
+        )
+    return value
+
+
+def _rebuild_kriging(d: dict, where: str, p: int) -> KrigingModel:
+    ys = _numbers(d, where, "y_std", (None,))
+    Xn = _numbers(d, where, "X_norm", (ys.size, p))
+    theta = _numbers(d, where, "theta", (p,))
+    mu, sigma_z2, sigma_n2 = (_numbers(d, where, k) for k in ("mu", "sigma_z2", "sigma_n2"))
+    A = _kernel_matrix(sigma_z2, theta, Xn)
+    A[np.diag_indices_from(A)] += sigma_n2
+    try:
+        cho, _ = cho_with_jitter(A)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"model file: {where} has a kernel matrix that is {err}") from None
+    alpha = cho_solve(cho, ys - mu)
     return KrigingModel(
-        input_lo=np.asarray(d["input_lo"], dtype=float),
-        input_hi=np.asarray(d["input_hi"], dtype=float),
+        input_lo=_numbers(d, where, "input_lo", (p,)),
+        input_hi=_numbers(d, where, "input_hi", (p,)),
         X_norm=Xn,
         y_std=ys,
-        y_offset=d["y_offset"],
-        y_scale=d["y_scale"],
-        mu=d["mu"],
-        sigma_z2=d["sigma_z2"],
+        y_offset=_numbers(d, where, "y_offset"),
+        y_scale=_numbers(d, where, "y_scale"),
+        mu=mu,
+        sigma_z2=sigma_z2,
         theta=theta,
-        sigma_n2=d["sigma_n2"],
+        sigma_n2=sigma_n2,
         _cho=cho,
         _alpha=alpha,
     )
 
 
 def surrogate_from_dict(doc: dict) -> LatentSurrogate:
+    """Rebuild a surrogate from surrogate_to_dict's description.
+
+    Every array must be finite and of the shape the rest of the file
+    implies; an error names the offending key, e.g. `models[2].theta`.
+    """
     if doc.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported model-file format {doc.get('format')!r}")
-    grid = TimeGrid(doc["grid"]["t0"], doc["grid"]["te"], doc["grid"]["n_t"])
+    g = doc["grid"]
+    grid = TimeGrid(_numbers(g, "grid", "t0"), _numbers(g, "grid", "te"), _count(g, "grid", "n_t"))
     red = doc["reducer"]
+    m = _count(red, "reducer", "m")
+    mean_curve = _numbers(red, "reducer", "mean_curve", (grid.n_t,))
+    eigenvalues = _numbers(red, "reducer", "eigenvalues", (None,))
+    variance_fraction = _numbers(red, "reducer", "variance_fraction")
     if red["kind"] == "pca":
         reducer = PcaReducer(
             grid=grid,
-            mean_curve=np.asarray(red["mean_curve"], dtype=float),
-            components=np.asarray(red["components"], dtype=float).reshape(
-                grid.n_t, red["m"]
-            ),
-            eigenvalues=np.asarray(red["eigenvalues"], dtype=float),
-            m=red["m"],
-            variance_fraction=red["variance_fraction"],
+            mean_curve=mean_curve,
+            components=_numbers(red, "reducer", "components", (grid.n_t, m)),
+            eigenvalues=eigenvalues,
+            m=m,
+            variance_fraction=variance_fraction,
         )
     else:
         from .basis import BasisSystem, design_matrix, gram_matrix, roughness_matrix
         from .smoothing import PenalizedSolver
 
         b = red["basis"]
+        n_b = _count(b, "reducer.basis", "n_b")
+        tau = _numbers(red, "reducer", "tau")
         mirror = red["mirror"]
         if mirror:
             n_fit = 2 * grid.n_t - 2
@@ -417,7 +460,7 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
         else:
             nodes = grid.nodes
             interval = (grid.t0, grid.te)
-        sys = BasisSystem(b["kind"], b["n_b"], *interval, order=b["order"])
+        sys = BasisSystem(b["kind"], n_b, *interval, order=_count(b, "reducer.basis", "order"))
         H = design_matrix(sys, nodes)
         R = roughness_matrix(sys)
         W = gram_matrix(sys)
@@ -425,28 +468,26 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
         reducer = FunctionalReducer(
             grid=grid,
             basis=sys,
-            tau=red["tau"],
+            tau=tau,
             mirror=mirror,
-            mean_curve=np.asarray(red["mean_curve"], dtype=float),
+            mean_curve=mean_curve,
             H=H,
             R=R,
             W=W,
             W_half=W_half,
             W_half_inv=W_half_inv,
-            B=np.asarray(red["B"], dtype=float).reshape(b["n_b"], red["m"]),
-            eigenvalues=np.asarray(red["eigenvalues"], dtype=float),
-            m=red["m"],
-            variance_fraction=red["variance_fraction"],
-            _solver=PenalizedSolver(H, R, red["tau"]),
+            B=_numbers(red, "reducer", "B", (n_b, m)),
+            eigenvalues=eigenvalues,
+            m=m,
+            variance_fraction=variance_fraction,
+            _solver=PenalizedSolver(H, R, tau),
         )
-    models = [_rebuild_kriging(d) for d in doc["models"]]
-    return LatentSurrogate(
-        reducer,
-        models,
-        np.asarray(doc["input_lo"], dtype=float),
-        np.asarray(doc["input_hi"], dtype=float),
-        doc.get("metadata", {}),
-    )
+    input_lo = _numbers(doc, "", "input_lo", (None,))
+    input_hi = _numbers(doc, "", "input_hi", input_lo.shape)
+    models = [
+        _rebuild_kriging(d, f"models[{j}]", input_lo.size) for j, d in enumerate(doc["models"])
+    ]
+    return LatentSurrogate(reducer, models, input_lo, input_hi, doc.get("metadata", {}))
 
 
 def load_surrogate(path) -> LatentSurrogate:

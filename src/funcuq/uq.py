@@ -146,8 +146,12 @@ class ForwardUqResult:
 
 
 def silverman_bandwidth(samples) -> float:
-    """0.9 min(std, IQR/1.34) n^(-1/5); errors on zero spread."""
+    """0.9 min(std, IQR/1.34) n^(-1/5); errors on zero spread or on
+    non-finite samples."""
     samples = np.asarray(samples, dtype=float)
+    bad = int(np.count_nonzero(~np.isfinite(samples)))
+    if bad:
+        raise ValueError(f"{bad} of {samples.size} samples are not finite")
     if np.unique(samples).size < 2:
         raise ValueError("need at least 2 distinct samples")
     sd = samples.std(ddof=1)

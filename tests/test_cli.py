@@ -64,6 +64,26 @@ def test_fit_writes_model_and_report(tmp_path, capsys):
     assert sur.m == report["m"]
 
 
+def test_fit_report_records_each_search(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    search_keys = {"neg_lml", "evaluations", "failed_starts", "best_start", "on_bound",
+                   "jitter", "nugget_share"}
+    for entry in report["kriging"]:
+        assert search_keys <= set(entry)
+        assert 1 <= entry["evaluations"] <= 2 * 60
+        assert 0 <= entry["best_start"] < 2
+        share = entry["sigma_n2"] / (entry["sigma_z2"] + entry["sigma_n2"])
+        assert entry["nugget_share"] == pytest.approx(share, rel=1e-12)
+    # The model file keeps its keys: the search record is not part of it.
+    doc = json.loads((out / "model.json").read_text())
+    assert set(doc["models"][0]) == {"input_lo", "input_hi", "X_norm", "y_std", "y_offset",
+                                     "y_scale", "mu", "sigma_z2", "theta", "sigma_n2"}
+
+
 def test_fit_deterministic_report_numbers(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import funcuq as fq
-from funcuq.core import RandomSource, derive_seed, mirror_rows, write_atomic
+from funcuq.core import (
+    JITTERS,
+    RandomSource,
+    cho_with_jitter,
+    derive_seed,
+    mirror_rows,
+    write_atomic,
+)
 
 
 def test_time_grid_nodes_uniform():
@@ -216,3 +223,38 @@ def test_write_atomic_leaves_no_temp_file(tmp_path):
         write_atomic(path, ["a,b", 3])
     assert path.read_text() == "a,b\n1,2\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_load_ensemble_rejects_non_uniform_nodes(tmp_path):
+    rp, ip = tmp_path / "responses.csv", tmp_path / "inputs.csv"
+    rp.write_text("0,0.1,1\n1,2,3\n4,5,6\n")
+    ip.write_text("x1\n0.5\n0.7\n")
+    expected = r"responses\.csv: time node 2 is 0\.1, uniform grid has 0\.5"
+    with pytest.raises(ValueError, match=expected):
+        fq.load_ensemble(rp, ip)
+    # Nodes within 1e-6 dt of the uniform grid load.
+    rp.write_text("0,0.5000000001,1\n1,2,3\n4,5,6\n")
+    assert fq.load_ensemble(rp, ip).grid.n_t == 3
+
+
+def test_ensemble_roundtrip_on_offset_grid(tmp_path):
+    # 1000 + j/300 printed to 10 significant digits is off by up to 5e-7,
+    # more than 1e-6 dt; the node check must still accept its own files.
+    grid = fq.TimeGrid(1000.0, 1001.0, 301)
+    ens = fq.ResponseEnsemble(np.zeros((2, 1)), np.ones((2, 301)), grid)
+    rp, ip = tmp_path / "responses.csv", tmp_path / "inputs.csv"
+    fq.save_ensemble(ens, rp, ip)
+    assert fq.load_ensemble(rp, ip).grid == grid
+
+
+def test_cho_with_jitter_reports_the_jitter():
+    A = np.array([[4.0, 2.0], [2.0, 3.0]])
+    cho, jitter = cho_with_jitter(A)
+    assert jitter == 0.0
+    assert np.allclose(np.tril(cho[0]) @ np.tril(cho[0]).T, A, rtol=0, atol=1e-14)
+    # Rank one: the first jitter that factorizes is reported in absolute terms.
+    ones = np.ones((3, 3))
+    cho, jitter = cho_with_jitter(ones)
+    assert jitter in [rel * 1.0 for rel in JITTERS[1:]]
+    with pytest.raises(np.linalg.LinAlgError, match="singular even after jitter"):
+        cho_with_jitter(-np.eye(2))

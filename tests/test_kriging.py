@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import funcuq as fq
 from funcuq.kriging import (
+    NUGGET_RATIO_BOUNDS,
     SIGMA_N2_BOUNDS,
     SIGMA_Z2_BOUNDS,
     THETA_BOUNDS,
+    _neg_lml,
+    _squared_differences,
     fit_kriging,
     kernel_eval,
     log_marginal_likelihood,
@@ -191,3 +196,165 @@ def test_fit_validation():
         fit_kriging(np.zeros((1, 2)), np.zeros(1), fq.make_rng(0))
     with pytest.raises(ValueError):
         fit_kriging(np.zeros((4, 2)), np.zeros(3), fq.make_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# The likelihood search: objective, gradient and search record
+
+
+def search_problem(seed, n, p):
+    rng = fq.make_rng(seed)
+    X = rng.random((n, p))
+    y = np.sin(3 * X[:, 0]) + X[:, -1] ** 2 + 0.1 * rng.normal(size=n)
+    return X, (y - y.mean()) / y.std()
+
+
+def gls_mu(X, y, sigma_z2, theta, sigma_n2):
+    n = len(y)
+    D = sum(theta[d] * np.subtract.outer(X[:, d], X[:, d]) ** 2 for d in range(X.shape[1]))
+    A = sigma_z2 * np.exp(-D) + sigma_n2 * np.eye(n)
+    w = np.linalg.solve(A, np.ones(n))
+    return w @ y / w.sum()
+
+
+def well_conditioned(D, z, case, limit=1e8):
+    """The search's kernel matrix at z has condition number below limit."""
+    p = D.shape[0]
+    n = int(round(np.sqrt(D.shape[1])))
+    E = np.exp(-(10.0 ** z[:p] @ D)).reshape(n, n)
+    nugget = {"free": 10.0 ** z[-1], "zero": 0.0, "fixed": 0.05}[case]
+    return np.linalg.cond(E + nugget * np.eye(n)) < limit
+
+
+def objective(D, y, z, case):
+    """_neg_lml in the search's log10 coordinates for each nugget case."""
+    p = D.shape[0]
+    theta = 10.0 ** z[:p]
+    if case == "free":
+        return _neg_lml(D, y, theta, None, 10.0 ** z[p])
+    if case == "zero":
+        return _neg_lml(D, y, theta, None, 0.0)
+    return _neg_lml(D, y, theta, 10.0 ** z[p], 0.05)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    p=st.integers(1, 3),
+    log_theta=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+    log_extra=st.floats(-3.0, 0.5),
+    case=st.sampled_from(["free", "zero", "fixed"]),
+)
+def test_gradient_matches_central_differences(seed, n, p, log_theta, log_extra, case):
+    X, y = search_problem(seed, n, p)
+    D = _squared_differences(X)
+    z = np.array(log_theta[:p] + ([] if case == "zero" else [log_extra]))
+    assume(well_conditioned(D, z, case))
+    _, grad, _ = objective(D, y, z, case)
+    # The searched entries: theta, then the nugget (g) or sigma_z2.
+    grad = grad[[*range(p), *{"free": [p], "zero": [], "fixed": [p + 1]}[case]]]
+    h = 1e-6
+    fd = np.array([
+        (objective(D, y, z + h * e, case)[0] - objective(D, y, z - h * e, case)[0]) / (2 * h)
+        for e in np.eye(z.size)
+    ])
+    assert np.abs(grad - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-3)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    log_theta=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+    log_g=st.floats(-4.0, 1.0),
+)
+def test_objective_is_lml_at_profiled_sigma_z2(seed, n, log_theta, log_g):
+    X, y = search_problem(seed, n, 2)
+    D = _squared_differences(X)
+    assume(well_conditioned(D, np.append(log_theta, log_g), "free", limit=1e5))
+    theta, g = 10.0 ** np.array(log_theta), 10.0**log_g
+    value, _, sigma_z2 = _neg_lml(D, y, theta, None, g)
+    mu = gls_mu(X, y, sigma_z2, theta, g * sigma_z2)
+    expected = -log_marginal_likelihood(X, y, mu, sigma_z2, theta, g * sigma_z2)
+    assert value == pytest.approx(expected, abs=1e-10)
+
+
+def test_profiled_sigma_z2_maximizes_likelihood():
+    X, y = search_problem(3, 10, 2)
+    theta, g = np.array([2.0, 5.0]), 1e-2
+    value, _, sigma_z2 = _neg_lml(_squared_differences(X), y, theta, None, g)
+    assert SIGMA_Z2_BOUNDS[0] < sigma_z2 < SIGMA_Z2_BOUNDS[1]
+    for factor in (0.9, 1.1):
+        scaled = factor * sigma_z2
+        other, _, _ = _neg_lml(_squared_differences(X), y, theta, scaled, g * scaled)
+        assert other > value
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    case=st.sampled_from(["free", "zero", "fixed"]),
+)
+def test_likelihood_invariant_to_row_permutation(seed, n, case):
+    X, y = search_problem(seed, n, 3)
+    perm = fq.make_rng(seed).permutation(n)
+    theta = np.array([1.0, 3.0, 10.0])
+    got = log_marginal_likelihood(X[perm], y[perm], 0.2, 1.3, theta, 0.01)
+    assert got == pytest.approx(log_marginal_likelihood(X, y, 0.2, 1.3, theta, 0.01), rel=1e-12)
+    z = np.log10([1.0, 3.0, 10.0, 0.1])[: 3 if case == "zero" else 4]
+    a_val, a_grad, a_sz2 = objective(_squared_differences(X), y, z, case)
+    b_val, b_grad, b_sz2 = objective(_squared_differences(X[perm]), y[perm], z, case)
+    assert b_val == pytest.approx(a_val, rel=1e-12)
+    assert np.allclose(b_grad, a_grad, rtol=1e-9, atol=1e-9 * np.abs(a_grad).max())
+    assert b_sz2 == pytest.approx(a_sz2, rel=1e-12)
+
+
+def test_search_record():
+    X, y = search_problem(21, 15, 2)
+    model = fit_kriging(X, y, fq.make_rng(22), n_starts=3, budget=40)
+    rec = model.search
+    assert 3 <= rec["evaluations"] <= 3 * 40
+    assert rec["failed_starts"] == 0
+    assert rec["best_start"] in (0, 1, 2)
+    assert rec["jitter"] == 0.0
+    expected = -log_marginal_likelihood(
+        model.X_norm, model.y_std, model.mu, model.sigma_z2, model.theta, model.sigma_n2
+    )
+    assert rec["neg_lml"] == pytest.approx(expected, rel=1e-12)
+    share = model.sigma_n2 / (model.sigma_z2 + model.sigma_n2)
+    assert rec["nugget_share"] == pytest.approx(share, rel=1e-12)
+
+
+def test_budget_caps_evaluations_per_start():
+    X, y = search_problem(23, 15, 2)
+    model = fit_kriging(X, y, fq.make_rng(24), n_starts=2, budget=5)
+    assert model.search["evaluations"] <= 10
+
+
+def test_every_start_failing_raises_with_count():
+    # Identical inputs make the noiseless kernel matrix all ones: singular
+    # at every theta.
+    X = np.zeros((5, 2))
+    y = np.arange(5.0)
+    with pytest.raises(np.linalg.LinAlgError, match="all 3 hyperparameter starts failed"):
+        fit_kriging(X, y, fq.make_rng(25), n_starts=3, budget=20, fix_nugget=0.0)
+
+
+def test_clamped_nugget_stays_in_its_box():
+    # A noiseless smooth target drives the nugget ratio to its lower edge,
+    # so sigma_n2 = g sigma_z2 is clamped up to SIGMA_N2_BOUNDS[0].
+    X = np.linspace(0, 1, 20)[:, None]
+    y = np.sin(5 * X[:, 0]) + 2.0
+    model = fit_kriging(X, y, fq.make_rng(2))
+    assert "sigma_n2" in model.search["on_bound"]
+    assert model.sigma_n2 == SIGMA_N2_BOUNDS[0]
+    assert np.all((model.theta >= THETA_BOUNDS[0]) & (model.theta <= THETA_BOUNDS[1]))
+    assert SIGMA_Z2_BOUNDS[0] <= model.sigma_z2 <= SIGMA_Z2_BOUNDS[1]
+    assert NUGGET_RATIO_BOUNDS == pytest.approx((1e-10, 1e5), rel=1e-12)
+
+
+def test_fixed_nugget_searches_sigma_z2():
+    X, y = search_problem(26, 12, 2)
+    model = fit_kriging(X, y, fq.make_rng(27), n_starts=3, budget=60, fix_nugget=0.05)
+    assert model.sigma_n2 == 0.05
+    assert SIGMA_Z2_BOUNDS[0] <= model.sigma_z2 <= SIGMA_Z2_BOUNDS[1]
+    assert "sigma_n2" not in model.search["on_bound"]

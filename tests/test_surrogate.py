@@ -1,3 +1,7 @@
+import copy
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,8 @@ from funcuq.surrogate import (
     fit_surrogate,
     load_surrogate,
     save_surrogate,
+    surrogate_from_dict,
+    surrogate_to_dict,
 )
 
 GRID = fq.TimeGrid(0.0, 1.0, 51)
@@ -254,3 +260,61 @@ def test_model_count_matches_m():
     for mod in s.models:
         assert np.array_equal(mod.input_lo, s.input_lo)
         assert np.array_equal(mod.input_hi, s.input_hi)
+
+
+@pytest.fixture(scope="module")
+def three_mode_doc():
+    """JSON round trip of a kfdr-b surrogate with three score models."""
+    X = fq.make_rng(5).uniform(0.0, 1.0, (25, 3))
+    Y = sum(
+        np.sin((k + 1) * 3 * X[:, k : k + 1]) / (k + 1) * np.sin((k + 1) * np.pi * T)[None, :]
+        for k in range(3)
+    )
+    s = fit_surrogate(
+        fq.ResponseEnsemble(X, Y, GRID), FitConfig(n_starts=2, budget=20), fq.make_rng(1)
+    )
+    assert s.m == 3
+    return json.loads(json.dumps(surrogate_to_dict(s)))
+
+
+def test_model_file_loads_unchanged(three_mode_doc):
+    back = surrogate_from_dict(copy.deepcopy(three_mode_doc))
+    assert surrogate_to_dict(back) == three_mode_doc
+
+
+@pytest.mark.parametrize(
+    "path, key, value",
+    [
+        (("reducer", "mean_curve", 7), "reducer.mean_curve", float("nan")),
+        (("reducer", "B", 3, 1), "reducer.B", float("nan")),
+        (("models", 2, "mu"), "models[2].mu", float("nan")),
+        (("models", 2, "theta", 1), "models[2].theta", float("nan")),
+        (("models", 1, "X_norm", 0, 0), "models[1].X_norm", float("inf")),
+        (("input_hi", 0), "input_hi", float("-inf")),
+    ],
+)
+def test_model_file_rejects_non_finite(three_mode_doc, path, key, value):
+    doc = copy.deepcopy(three_mode_doc)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(f"model file: {key} has a non-finite")):
+        surrogate_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("reducer.mean_curve", lambda doc: doc["reducer"]["mean_curve"].pop()),
+        ("reducer.B", lambda doc: doc["reducer"]["B"].pop()),
+        ("models[2].theta", lambda doc: doc["models"][2]["theta"].append(1.0)),
+        ("models[0].X_norm", lambda doc: doc["models"][0]["X_norm"][4].pop()),
+        ("models[1].y_std", lambda doc: doc["models"][1].pop("y_std")),
+    ],
+)
+def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
+    doc = copy.deepcopy(three_mode_doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(f"model file: {key} ")):
+        surrogate_from_dict(doc)

@@ -227,6 +227,13 @@ def test_silverman_bandwidth_formula():
     assert silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
 
 
+def test_silverman_bandwidth_rejects_non_finite():
+    with pytest.raises(ValueError, match="1 of 5 samples are not finite"):
+        silverman_bandwidth([np.nan, 1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="2 of 4 samples are not finite"):
+        silverman_bandwidth([np.inf, 1.0, -np.inf, 3.0])
+
+
 def test_kde_far_from_cluster_vanishes():
     x = np.array([0.0, 0.01, -0.02, 0.005, -0.01])
     dens = kde_pdf(x, np.array([50.0]))
