@@ -368,7 +368,21 @@ def cmd_forward(args) -> int:
             for v, pm, pn in zip(result.kde_grid, result.kde_max, result.kde_min)
         ],
     )
-    print(f"forward UQ with {result.n_mcs} samples written to {out_dir}")
+    outside = result.n_outside_by_input
+    report = {
+        "n_mcs": result.n_mcs,
+        "n_outside": result.n_outside,
+        "n_outside_by_input": None if outside is None else {
+            entry.get("name", f"x{j}"): int(count)
+            for j, (entry, count) in enumerate(zip(entries, outside))
+        },
+    }
+    write_atomic(
+        os.path.join(out_dir, "forward_report.json"),
+        [json.dumps(report, sort_keys=True, indent=2)],
+    )
+    where = "" if result.n_outside is None else f" ({result.n_outside} outside the training box)"
+    print(f"forward UQ with {result.n_mcs} samples{where} written to {out_dir}")
     return 0
 
 

@@ -88,10 +88,7 @@ class FunctionalReducer:
     mirror: bool
     mean_curve: np.ndarray
     H: np.ndarray = field(repr=False)
-    R: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
-    W_half: np.ndarray = field(repr=False)
-    W_half_inv: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray
     m: int
@@ -249,10 +246,7 @@ def fit_reducer(
         mirror=mirror,
         mean_curve=mean_curve,
         H=H,
-        R=R,
         W=W,
-        W_half=W_half,
-        W_half_inv=W_half_inv,
         B=B,
         eigenvalues=lam,
         m=m,

@@ -36,11 +36,22 @@ def kernel_eval(sigma_z2: float, theta, x, x2) -> float:
     return float(sigma_z2 * np.exp(-np.sum(np.asarray(theta) * d * d)))
 
 
-def _kernel_matrix(sigma_z2, theta, A, B=None):
+def _kernel_matrix(sigma_z2, theta, A, B=None, out=None):
+    """Gaussian kernel between the rows of A and of B (default A).
+
+    Written in place into `out`, a C-contiguous float (len(A), len(B))
+    array, when one is given; each step is an elementwise operation of
+    sigma_z2 * exp(-cdist(...)) in its order, so the entries are the same
+    bits either way.
+    """
     root = np.sqrt(np.asarray(theta, dtype=float))
     As = np.atleast_2d(A) * root
     Bs = As if B is None else np.atleast_2d(B) * root
-    return sigma_z2 * np.exp(-cdist(As, Bs, "sqeuclidean"))
+    K = cdist(As, Bs, "sqeuclidean", out=out)
+    np.negative(K, out=K)
+    np.exp(K, out=K)
+    K *= sigma_z2
+    return K
 
 
 def log_marginal_likelihood(X, y, mu, sigma_z2, theta, sigma_n2) -> float:
@@ -117,7 +128,12 @@ class KrigingModel:
         clamped at zero from below, then rescaled by the target variance.
         """
         Xn = normalize_inputs(X_star, self.input_lo, self.input_hi)
-        Ks = _kernel_matrix(self.sigma_z2, self.theta, self.X_norm, Xn)
+        return self._predict_normalized(Xn, with_var)
+
+    def _predict_normalized(self, Xn, with_var: bool, out=None):
+        """predict_batch at normalized rows Xn; the (N_train, len(Xn))
+        cross-kernel is built in `out` when one is given."""
+        Ks = _kernel_matrix(self.sigma_z2, self.theta, self.X_norm, Xn, out=out)
         mean = self.mu + Ks.T @ self._alpha
         mean = mean * self.y_scale + self.y_offset
         if not with_var:

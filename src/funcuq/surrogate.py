@@ -16,7 +16,7 @@ from . import fpca
 from .basis import BSPLINE, FOURIER
 from .core import ResponseEnsemble, TimeGrid, cho_with_jitter, make_rng, model_nrmse, write_atomic
 from .fpca import FunctionalReducer, select_m
-from .kriging import KrigingModel, _kernel_matrix, fit_kriging
+from .kriging import KrigingModel, _kernel_matrix, fit_kriging, normalize_inputs
 from scipy.linalg import cho_solve
 
 FORMAT_VERSION = "funcuq-surrogate-v1"
@@ -132,6 +132,8 @@ class LatentSurrogate:
                 and np.array_equal(mod.input_hi, input_hi)
             ):
                 raise ValueError("score models disagree on input normalization")
+            if mod.X_norm.shape != models[0].X_norm.shape:
+                raise ValueError("score models disagree on the number of training inputs")
         self.reducer = reducer
         self.models = list(models)
         self.input_lo = np.asarray(input_lo, dtype=float)
@@ -148,12 +150,19 @@ class LatentSurrogate:
         return self.reducer.m
 
     def predict_scores(self, X_star, with_var: bool = True):
-        """Latent predictive means (and variances) for raw input rows."""
-        X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-        means = np.empty((X_star.shape[0], self.m))
-        var = np.empty((X_star.shape[0], self.m)) if with_var else None
+        """Latent predictive means (and variances) for raw input rows.
+
+        The inputs are normalized once for all score models, which share
+        the normalization, and every model builds its cross-kernel in one
+        shared buffer.
+        """
+        Xn = normalize_inputs(X_star, self.input_lo, self.input_hi)
+        means = np.empty((Xn.shape[0], self.m))
+        var = np.empty((Xn.shape[0], self.m)) if with_var else None
+        n_train = self.models[0].X_norm.shape[0] if self.models else 0
+        kernel = np.empty((n_train, Xn.shape[0]))
         for j, mod in enumerate(self.models):
-            mj, vj = mod.predict_batch(X_star, with_var=with_var)
+            mj, vj = mod._predict_normalized(Xn, with_var, out=kernel)
             means[:, j] = mj
             if with_var:
                 var[:, j] = vj
@@ -393,8 +402,8 @@ def _count(doc: dict, where: str, key: str) -> int:
     return value
 
 
-def _rebuild_kriging(d: dict, where: str, p: int) -> KrigingModel:
-    ys = _numbers(d, where, "y_std", (None,))
+def _rebuild_kriging(d: dict, where: str, p: int, n: int | None) -> KrigingModel:
+    ys = _numbers(d, where, "y_std", (n,))
     Xn = _numbers(d, where, "X_norm", (ys.size, p))
     theta = _numbers(d, where, "theta", (p,))
     mu, sigma_z2, sigma_n2 = (_numbers(d, where, k) for k in ("mu", "sigma_z2", "sigma_n2"))
@@ -462,9 +471,6 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
             interval = (grid.t0, grid.te)
         sys = BasisSystem(b["kind"], n_b, *interval, order=_count(b, "reducer.basis", "order"))
         H = design_matrix(sys, nodes)
-        R = roughness_matrix(sys)
-        W = gram_matrix(sys)
-        W_half, W_half_inv = fpca._matrix_sqrt(W)
         reducer = FunctionalReducer(
             grid=grid,
             basis=sys,
@@ -472,21 +478,20 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
             mirror=mirror,
             mean_curve=mean_curve,
             H=H,
-            R=R,
-            W=W,
-            W_half=W_half,
-            W_half_inv=W_half_inv,
+            W=gram_matrix(sys),
             B=_numbers(red, "reducer", "B", (n_b, m)),
             eigenvalues=eigenvalues,
             m=m,
             variance_fraction=variance_fraction,
-            _solver=PenalizedSolver(H, R, tau),
+            _solver=PenalizedSolver(H, roughness_matrix(sys), tau),
         )
     input_lo = _numbers(doc, "", "input_lo", (None,))
     input_hi = _numbers(doc, "", "input_hi", input_lo.shape)
-    models = [
-        _rebuild_kriging(d, f"models[{j}]", input_lo.size) for j, d in enumerate(doc["models"])
-    ]
+    models = []
+    for j, d in enumerate(doc["models"]):
+        # Every score model is trained on the same inputs.
+        n_train = models[0].y_std.size if models else None
+        models.append(_rebuild_kriging(d, f"models[{j}]", input_lo.size, n_train))
     return LatentSurrogate(reducer, models, input_lo, input_hi, doc.get("metadata", {}))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FLOAT_FMT, write_atomic
+from .surrogate import LatentSurrogate
 
 DEFAULT_N_MCS = 100_000
 DEFAULT_WALKERS = 100
@@ -143,6 +144,10 @@ class ForwardUqResult:
     kde_max: np.ndarray = field(repr=False)
     kde_min: np.ndarray = field(repr=False)
     n_mcs: int
+    # Samples with any coordinate, and per input the samples with that
+    # coordinate, outside the surrogate's training box; None for hooks.
+    n_outside: int | None = None
+    n_outside_by_input: np.ndarray | None = field(default=None, repr=False)
 
 
 def silverman_bandwidth(samples) -> float:
@@ -152,7 +157,7 @@ def silverman_bandwidth(samples) -> float:
     bad = int(np.count_nonzero(~np.isfinite(samples)))
     if bad:
         raise ValueError(f"{bad} of {samples.size} samples are not finite")
-    if np.unique(samples).size < 2:
+    if samples.size < 2 or samples.min() == samples.max():
         raise ValueError("need at least 2 distinct samples")
     sd = samples.std(ddof=1)
     q75, q25 = np.percentile(samples, [75, 25])
@@ -170,7 +175,7 @@ def kde_pdf(samples, eval_points) -> np.ndarray:
     of it; every term outside that run is exactly 0.0 in double
     precision.  Only the order of summation differs from summing over all
     samples.  Costs O(points x samples in the window) time and O(samples)
-    memory.
+    memory: every window is evaluated in the same two buffers.
     """
     samples = np.asarray(samples, dtype=float)
     eval_points = np.asarray(eval_points, dtype=float)
@@ -184,16 +189,16 @@ def kde_pdf(samples, eval_points) -> np.ndarray:
     starts = np.searchsorted(ordered, eval_points - reach, side="left")
     stops = np.searchsorted(ordered, eval_points + reach, side="right")
     sums = np.empty(eval_points.size)
+    width = int((stops - starts).max(initial=0))
+    z_buf, term_buf = np.empty(width), np.empty(width)
     for i, (x, start, stop) in enumerate(zip(eval_points, starts, stops)):
-        z = (x - ordered[start:stop]) / h
-        sums[i] = np.exp(-0.5 * z * z).sum()
+        # exp(-0.5 * z * z) with z = (x - samples) / h, step by step.
+        z = np.subtract(x, ordered[start:stop], out=z_buf[: stop - start])
+        z /= h
+        term = np.multiply(-0.5, z, out=term_buf[: stop - start])
+        term *= z
+        sums[i] = np.exp(term, out=term).sum()
     return sums / (samples.size * h * math.sqrt(2 * math.pi))
-
-
-def _predict_curves(model, X) -> np.ndarray:
-    if hasattr(model, "predict_mean_curves"):
-        return model.predict_mean_curves(X)
-    return np.atleast_2d(np.asarray(model(X), dtype=float))
 
 
 def forward_uq(
@@ -210,14 +215,16 @@ def forward_uq(
     The model is either a fitted LatentSurrogate or a vectorized callable
     mapping an (n, p) input block to (n, n_t) response curves.  For a
     surrogate, the mean curve is assembled from the averaged latent means
-    with a single basis multiplication; the standard deviation uses the
-    population 1/N convention over the per-sample predictive mean curves.
+    with a single basis multiplication, and the samples outside its
+    training box are counted; the standard deviation uses the population
+    1/N convention over the per-sample predictive mean curves.  Blocks of
+    batch_size samples are evaluated in one reused curve buffer.
     """
     if n_mcs < 2:
         raise ValueError("need at least 2 Monte Carlo samples")
     if rng is None:
         raise ValueError("an explicit generator is required")
-    is_surrogate = hasattr(model, "predict_mean_curves")
+    is_surrogate = isinstance(model, LatentSurrogate)
     if grid is None and is_surrogate:
         grid = model.grid
     if grid is None:
@@ -225,6 +232,11 @@ def forward_uq(
     n_t = grid.n_t
 
     X = dist.sample(rng, n_mcs)
+    n_outside = n_outside_by_input = None
+    if is_surrogate:
+        outside = (X < model.input_lo) | (X > model.input_hi)
+        n_outside = int(np.count_nonzero(outside.any(axis=1)))
+        n_outside_by_input = np.count_nonzero(outside, axis=0)
     # Accumulate around the first curve so the variance of nearly
     # degenerate inputs is not lost to cancellation.
     ref = None
@@ -233,25 +245,33 @@ def forward_uq(
     score_sum = None
     maxima = np.empty(n_mcs)
     minima = np.empty(n_mcs)
+    buf = np.empty((min(batch_size, n_mcs), n_t))
     for start in range(0, n_mcs, batch_size):
         block = X[start : start + batch_size]
+        rows = buf[: block.shape[0]]
         if is_surrogate:
             scores, _ = model.predict_scores(block, with_var=False)
             if score_sum is None:
                 score_sum = np.zeros(scores.shape[1])
             score_sum += scores.sum(axis=0)
-            curves = model.reducer.mean_curve + scores @ model._phi.T
+            curves = np.matmul(scores, model._phi.T, out=rows)
+            curves += model.reducer.mean_curve
         else:
-            curves = _predict_curves(model, block)
-            if curves.shape[1] != n_t:
-                raise ValueError("model hook returned curves of wrong length")
-        if ref is None:
-            ref = curves[0].copy()
-        shifted = curves - ref
-        shift_sum += shifted.sum(axis=0)
-        shift_sumsq += (shifted**2).sum(axis=0)
+            # The hook's array is the caller's: it is only read.
+            curves = np.asarray(model(block), dtype=float)
+            if curves.shape != rows.shape:
+                raise ValueError(
+                    f"model hook returned curves of shape {curves.shape}, "
+                    f"expected {rows.shape}"
+                )
         maxima[start : start + block.shape[0]] = curves.max(axis=1)
         minima[start : start + block.shape[0]] = curves.min(axis=1)
+        if ref is None:
+            ref = curves[0].copy()
+        shifted = np.subtract(curves, ref, out=rows)
+        shift_sum += shifted.sum(axis=0)
+        np.square(shifted, out=shifted)
+        shift_sumsq += shifted.sum(axis=0)
     bad = np.count_nonzero(~(np.isfinite(maxima) & np.isfinite(minima)))
     if bad:
         raise ValueError(f"{bad} of {n_mcs} Monte Carlo samples gave non-finite responses")
@@ -291,6 +311,8 @@ def forward_uq(
         kde_max=kde_max,
         kde_min=kde_min,
         n_mcs=n_mcs,
+        n_outside=n_outside,
+        n_outside_by_input=n_outside_by_input,
     )
 
 

@@ -189,6 +189,9 @@ def test_forward_exact_model(tmp_path):
     assert np.all(table[:, 2] >= 0.0)
     kde = np.loadtxt(out / "extremes_kde.csv", delimiter=",", skiprows=1)
     assert kde.shape == (101, 3)
+    # An exact model has no training box.
+    report = json.loads((out / "forward_report.json").read_text())
+    assert report == {"n_mcs": 200, "n_outside": None, "n_outside_by_input": None}
 
 
 def test_forward_deterministic_bytes(tmp_path):
@@ -207,7 +210,7 @@ def test_forward_deterministic_bytes(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_forward_with_model_file(tmp_path):
+def test_forward_with_model_file(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
     fit_dir = tmp_path / "fit"
@@ -222,6 +225,13 @@ def test_forward_with_model_file(tmp_path):
     table = np.loadtxt(out / "mean_std.csv", delimiter=",", skiprows=1)
     assert table.shape == (401, 3)
     assert np.all(np.isfinite(table))
+    report = json.loads((out / "forward_report.json").read_text())
+    assert list(report) == ["n_mcs", "n_outside", "n_outside_by_input"]
+    assert report["n_mcs"] == 500
+    by_input = report["n_outside_by_input"]
+    assert sorted(by_input) == sorted(d["name"] for d in DUFFING_DISTS)
+    assert max(by_input.values()) <= report["n_outside"] <= min(500, sum(by_input.values()))
+    assert f"({report['n_outside']} outside the training box)" in capsys.readouterr().out
 
 
 def test_forward_wrong_distribution_names(tmp_path):

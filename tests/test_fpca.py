@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import funcuq as fq
+from funcuq import fpca
 from funcuq.fpca import fit_reducer, select_m
 
 
@@ -94,7 +95,8 @@ def test_eigenvalue_trace_identity():
     red, _ = fit_reducer(ens, kind="fourier", mirror=False, tau_override=0.0, n_b0=7)
     H = red.H
     C = np.linalg.solve(H.T @ H, H.T @ (ens.responses - red.mean_curve).T)
-    M = red.W_half @ C @ C.T @ red.W_half / (ens.n - 1)
+    W_half = fpca._matrix_sqrt(red.W)[0]
+    M = W_half @ C @ C.T @ W_half / (ens.n - 1)
     assert red.eigenvalues.sum() == pytest.approx(np.trace(M), rel=1e-10)
 
 

@@ -311,6 +311,9 @@ def test_model_file_rejects_non_finite(three_mode_doc, path, key, value):
         ("models[2].theta", lambda doc: doc["models"][2]["theta"].append(1.0)),
         ("models[0].X_norm", lambda doc: doc["models"][0]["X_norm"][4].pop()),
         ("models[1].y_std", lambda doc: doc["models"][1].pop("y_std")),
+        # One training row fewer than models[0]: the score models share inputs.
+        ("models[2].y_std",
+         lambda doc: [doc["models"][2][key].pop() for key in ("y_std", "X_norm")]),
     ],
 )
 def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
@@ -318,3 +321,18 @@ def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(f"model file: {key} ")):
         surrogate_from_dict(doc)
+
+
+@pytest.mark.parametrize("rows", [1, 37])
+def test_predict_scores_equals_each_model(three_mode_doc, rows):
+    # Normalizing once and sharing one kernel buffer changes no bit.
+    s = surrogate_from_dict(copy.deepcopy(three_mode_doc))
+    X = fq.make_rng(12).uniform(-0.2, 1.2, (rows, 3))
+    means, var = s.predict_scores(X)
+    means_only, none = s.predict_scores(X, with_var=False)
+    assert none is None
+    for j, mod in enumerate(s.models):
+        mj, vj = mod.predict_batch(X)
+        assert np.array_equal(means[:, j], mj)
+        assert np.array_equal(var[:, j], vj)
+        assert np.array_equal(means_only[:, j], mod.predict_batch(X, with_var=False)[0])

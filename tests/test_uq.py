@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import funcuq as fq
 from funcuq import uq
+from funcuq.kriging import normalize_inputs
 from funcuq.uq import (
     KDE_REACH,
     InputDistribution,
@@ -206,6 +208,114 @@ def test_forward_uq_surrogate_batch_size_invariant(batch_surrogate, batch_size):
                                    atol=1e-12 * np.abs(expected).max(), err_msg=name)
 
 
+def reference_scores(sur, X):
+    """Latent means with a fresh array for every step, as each score model
+    computed them before the shared kernel buffer."""
+    scores = np.empty((X.shape[0], sur.m))
+    for j, mod in enumerate(sur.models):
+        root = np.sqrt(mod.theta)
+        Xn = normalize_inputs(X, mod.input_lo, mod.input_hi)
+        Ks = mod.sigma_z2 * np.exp(-cdist(mod.X_norm * root, Xn * root, "sqeuclidean"))
+        scores[:, j] = (mod.mu + Ks.T @ mod._alpha) * mod.y_scale + mod.y_offset
+    return scores
+
+
+def allocating_forward(model, dist, n_mcs, grid, rng, batch_size, kde_points=512):
+    """forward_uq with a fresh array for every intermediate, as first
+    written: the reference its buffered loop must equal bit for bit."""
+    is_surrogate = isinstance(model, fq.LatentSurrogate)
+    n_t = grid.n_t
+    X = dist.sample(rng, n_mcs)
+    ref = None
+    shift_sum, shift_sumsq = np.zeros(n_t), np.zeros(n_t)
+    score_sum = np.zeros(model.m) if is_surrogate else None
+    maxima, minima = np.empty(n_mcs), np.empty(n_mcs)
+    for start in range(0, n_mcs, batch_size):
+        block = X[start : start + batch_size]
+        if is_surrogate:
+            scores = reference_scores(model, block)
+            score_sum += scores.sum(axis=0)
+            curves = model.reducer.mean_curve + scores @ model._phi.T
+        else:
+            curves = model(block)
+        if ref is None:
+            ref = curves[0].copy()
+        shifted = curves - ref
+        shift_sum += shifted.sum(axis=0)
+        shift_sumsq += (shifted**2).sum(axis=0)
+        maxima[start : start + block.shape[0]] = curves.max(axis=1)
+        minima[start : start + block.shape[0]] = curves.min(axis=1)
+    if is_surrogate:
+        mean = model.reducer.mean_curve + model._phi @ (score_sum / n_mcs)
+    else:
+        mean = ref + shift_sum / n_mcs
+    mu_shift = mean - ref
+    var = shift_sumsq / n_mcs - 2.0 * mu_shift * (shift_sum / n_mcs) + mu_shift**2
+    h_max, h_min = silverman_bandwidth(maxima), silverman_bandwidth(minima)
+    lo = min(maxima.min() - 6 * h_max, minima.min() - 6 * h_min)
+    hi = max(maxima.max() + 6 * h_max, minima.max() + 6 * h_min)
+    kde_grid = np.linspace(lo, hi, kde_points)
+    return {
+        "mean": mean,
+        "std": np.sqrt(np.clip(var, 0.0, None)),
+        "maxima": maxima,
+        "minima": minima,
+        "kde_grid": kde_grid,
+        "kde_max": windowed_kde_reference(maxima, kde_grid),
+        "kde_min": windowed_kde_reference(minima, kde_grid),
+    }
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 128, BATCH_N, BATCH_N + 5])
+@pytest.mark.parametrize("kind", ["surrogate", "hook"])
+def test_forward_uq_equals_allocating_reference(batch_surrogate, kind, batch_size):
+    # 7 and 128 leave a partial last block of the 300 samples.
+    model = batch_surrogate[0] if kind == "surrogate" else linear_hook
+    res = forward_uq(model, BATCH_DIST, BATCH_N, GRID, fq.make_rng(28), batch_size=batch_size)
+    ref = allocating_forward(model, BATCH_DIST, BATCH_N, GRID, fq.make_rng(28), batch_size)
+    for name, expected in ref.items():
+        assert np.array_equal(getattr(res, name), expected), name
+
+
+def test_forward_uq_surrogate_memory_bounded():
+    # A block of 4096 curves on 401 nodes is 13 MB.  The loop reuses one
+    # curve buffer and one kernel buffer (peak 18.1 MiB); fresh arrays for
+    # every step peaked at 53.3 MiB.
+    grid = fq.TimeGrid(0.0, 1.0, 401)
+    X = fq.make_rng(2).uniform(-2, 2, (30, 2))
+    Y = X[:, 0:1] * grid.nodes[None, :] + X[:, 1:2] * np.sin(3 * grid.nodes)[None, :]
+    cfg = fq.FitConfig(reducer="pca", n_starts=1, budget=30, fix_nugget=0.1)
+    sur = fq.fit_surrogate(fq.ResponseEnsemble(X, Y, grid), cfg, fq.make_rng(3))
+    tracemalloc.start()
+    try:
+        res = forward_uq(sur, BATCH_DIST, 100_000, rng=fq.make_rng(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(res.std)) and res.kde_max.size == 512
+    assert peak < 32 * 2**20
+
+
+def test_forward_uq_counts_samples_outside_training_box():
+    # The training inputs span exactly [0, 1]^2.
+    X = np.vstack([[0.0, 0.0], [1.0, 1.0], fq.make_rng(5).uniform(0, 1, (20, 2))])
+    cfg = fq.FitConfig(reducer="pca", n_starts=2, budget=30, fix_nugget=0.1)
+    sur = fq.fit_surrogate(fq.ResponseEnsemble(X, linear_hook(X), GRID), cfg, fq.make_rng(6))
+    assert np.array_equal(sur.input_lo, [0.0, 0.0]) and np.array_equal(sur.input_hi, [1.0, 1.0])
+    # Each coordinate leaves [0, 1] with probability 1/2, a sample with 3/4.
+    dist = InputDistribution([Uniform(-0.5, 1.5), Uniform(-0.5, 1.5)])
+    n = 4000
+    res = forward_uq(sur, dist, n, rng=fq.make_rng(7))
+    draws = dist.sample(fq.make_rng(7), n)
+    outside = (draws < 0.0) | (draws > 1.0)
+    assert res.n_outside == np.count_nonzero(outside.any(axis=1))
+    assert np.array_equal(res.n_outside_by_input, outside.sum(axis=0))
+    assert res.n_outside / n == pytest.approx(0.75, abs=0.03)
+    np.testing.assert_allclose(res.n_outside_by_input / n, 0.5, atol=0.03)
+    hook = forward_uq(linear_hook, dist, 100, GRID, fq.make_rng(7))
+    assert hook.n_outside is None and hook.n_outside_by_input is None
+
+
 def test_forward_uq_validation():
     dist = InputDistribution([Normal(0, 1)])
     with pytest.raises(ValueError):
@@ -259,6 +369,9 @@ def test_kde_standard_normal_peak():
 def test_kde_identical_samples_error():
     with pytest.raises(ValueError):
         kde_pdf(np.full(10, 3.0), np.array([3.0]))
+    for samples in ([], [3.0], np.full(10, 3.0)):
+        with pytest.raises(ValueError, match="need at least 2 distinct samples"):
+            silverman_bandwidth(samples)
 
 
 def dense_kde(samples, eval_points):
@@ -271,8 +384,24 @@ def dense_kde(samples, eval_points):
     return np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * math.sqrt(2 * math.pi))
 
 
+def windowed_kde_reference(samples, eval_points):
+    """kde_pdf with fresh arrays for every window, as first written: the
+    reference its buffered loop must equal bit for bit."""
+    h = silverman_bandwidth(samples)
+    ordered = np.sort(samples)
+    reach = KDE_REACH * h
+    starts = np.searchsorted(ordered, eval_points - reach, side="left")
+    stops = np.searchsorted(ordered, eval_points + reach, side="right")
+    sums = np.empty(eval_points.size)
+    for i, (x, start, stop) in enumerate(zip(eval_points, starts, stops)):
+        z = (x - ordered[start:stop]) / h
+        sums[i] = np.exp(-0.5 * z * z).sum()
+    return sums / (samples.size * h * math.sqrt(2 * math.pi))
+
+
 def assert_matches_dense(samples, eval_points):
     windowed = kde_pdf(samples, eval_points)
+    assert np.array_equal(windowed, windowed_kde_reference(samples, eval_points))
     dense = dense_kde(samples, eval_points)
     np.testing.assert_allclose(windowed, dense, rtol=1e-12, atol=0)
     assert np.array_equal(windowed == 0.0, dense == 0.0)
