@@ -3,7 +3,6 @@ reduction in a functional basis space, with forward Monte Carlo and
 Bayesian inverse uncertainty quantification on top."""
 
 from .core import (
-    RandomSource,
     ResponseEnsemble,
     TimeGrid,
     center_ensemble,
@@ -11,21 +10,18 @@ from .core import (
     latin_hypercube,
     load_ensemble,
     make_rng,
-    mirror_periodic,
     model_nrmse,
     nrmse_curve,
     save_ensemble,
 )
 from .basis import BasisSystem, bspline_basis, design_matrix, eval_basis, eval_basis_d2, fourier_basis, gram_matrix, roughness_matrix
 from .smoothing import fit_coefficients, gcv, select_nb, select_tau
-from .fpca import FunctionalReducer, fit_reducer, select_m
-from .kriging import KrigingModel, fit_kriging, kernel_eval, log_marginal_likelihood
+from .fpca import Reducer, fit_pca_reducer, fit_reducer, select_m
+from .kriging import KrigingModel, fit_kriging, log_marginal_likelihood
 from .surrogate import (
     FitConfig,
     LatentSurrogate,
-    PcaReducer,
     cross_validate,
-    fit_pca_baseline,
     fit_surrogate,
     load_surrogate,
     save_surrogate,

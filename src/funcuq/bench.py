@@ -6,8 +6,6 @@ with optional additive output noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ResponseEnsemble, TimeGrid, latin_hypercube, make_rng

@@ -239,7 +239,7 @@ def _fit_report(sur: LatentSurrogate, seed: int, elapsed: float) -> dict:
         ],
         "timing_s": elapsed,
     }
-    if hasattr(reducer, "basis"):
+    if reducer.basis is not None:
         report["n_b"] = reducer.basis.n_b
         report["tau"] = reducer.tau
         report["basis_kind"] = reducer.basis.kind

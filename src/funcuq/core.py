@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor
 
-# Counter-based generator fixed for the whole toolkit so every stochastic
-# result replays from a single seed.
-GENERATOR_NAME = "philox"
-
 FLOAT_FMT = "%.10g"
 
 # Relative jitter ladder tried before declaring a symmetric matrix singular.
@@ -25,7 +21,8 @@ JITTERS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Build the toolkit-wide Philox generator for a seed."""
+    """Build the toolkit-wide generator for a seed: counter-based Philox,
+    so every stochastic result replays from a single seed."""
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
@@ -38,22 +35,6 @@ def derive_seed(master: int, label: str) -> int:
     """
     digest = hashlib.sha256(f"{int(master)}/{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-@dataclass(frozen=True)
-class RandomSource:
-    """A seed and the fixed generator algorithm; same seed, same stream."""
-
-    seed: int
-    algorithm: str = GENERATOR_NAME
-
-    def generator(self) -> np.random.Generator:
-        if self.algorithm != GENERATOR_NAME:
-            raise ValueError(f"unsupported generator algorithm {self.algorithm!r}")
-        return make_rng(self.seed)
-
-    def derive(self, label: str) -> "RandomSource":
-        return RandomSource(derive_seed(self.seed, label), self.algorithm)
 
 
 @dataclass(frozen=True)
@@ -245,23 +226,25 @@ def latin_hypercube(n: int, p: int, bounds, rng: np.random.Generator):
     return out
 
 
-def mirror_periodic(curve):
-    """Reflect a sampled curve about its endpoint to one full period.
+def mirror_rows(curves):
+    """Reflect each sampled curve (row) about its endpoint to one full period.
 
     [y_1..y_n] becomes [y_1..y_n, y_{n-1}..y_2]; appending the first sample
     after the last closes a continuous periodic extension with period
     2 (te - t0) and no repeated samples.
     """
-    curve = np.asarray(curve, dtype=float)
-    if curve.ndim != 1 or curve.size < 2:
-        raise ValueError("need a 1-D curve with at least 2 samples")
-    return np.concatenate([curve, curve[-2:0:-1]])
-
-
-def mirror_rows(curves):
-    """Apply mirror_periodic to every row of a 2-D array."""
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     return np.concatenate([curves, curves[:, -2:0:-1]], axis=1)
+
+
+def fit_nodes(grid: TimeGrid, mirror: bool):
+    """(nodes, interval) on which curves of `grid` are fitted: the grid
+    itself, or with `mirror` the 2 n_t - 2 nodes of mirror_rows' period
+    and the basis interval [t0, t0 + 2 (te - t0)]."""
+    if mirror:
+        nodes = grid.t0 + grid.dt * np.arange(2 * grid.n_t - 2)
+        return nodes, (grid.t0, grid.t0 + 2.0 * grid.span)
+    return grid.nodes, (grid.t0, grid.te)
 
 
 def write_atomic(path, lines) -> None:

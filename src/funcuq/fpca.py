@@ -1,10 +1,12 @@
-"""Functional principal component analysis of curve ensembles.
+"""Dimension reduction of curve ensembles: functional principal component
+analysis, and plain PCA as the baseline.
 
-Curves are projected onto a basis by penalized least squares, the
-coefficient-space covariance eigenproblem is symmetrized through the Gram
-matrix square root, and the leading eigenpairs give an orthonormal set of
-latent functions.  A fitted reducer maps curves to low-dimensional score
-vectors and back.
+In the functional reduction, curves are fitted to a basis by penalized
+least squares, the coefficient-space covariance eigenproblem is symmetrized
+through the Gram matrix square root, and the leading eigenpairs give an
+orthonormal set of latent functions.  Either fitter returns a Reducer and
+the training curves' score vectors; a curve is rebuilt from its scores as
+the mean curve plus the latent functions times the scores.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix, gram_matrix, roughness_matrix
-from .core import ResponseEnsemble, TimeGrid, mirror_periodic, mirror_rows
-from .smoothing import PenalizedSolver, effective_nb, select_nb, select_tau
+from .core import ResponseEnsemble, TimeGrid, fit_nodes, mirror_rows
+from .smoothing import effective_nb, fit_coefficients, select_nb, select_tau
 
 VARIANCE_TARGET = 0.99
 
@@ -58,76 +60,43 @@ def _fix_signs(B: np.ndarray) -> np.ndarray:
     return B
 
 
-@dataclass
-class FunctionalReducer:
-    """Fitted dimension-reduction state for curve ensembles.
+@dataclass(frozen=True, eq=False)
+class Reducer:
+    """A fitted reduction: a curve is mean_curve + phi @ scores.
 
     Attributes
     ----------
     grid : TimeGrid
         Grid of the original curves.
-    basis : BasisSystem
-    tau : float
-        Smoothing parameter used for the coefficient fits.
-    mirror : bool
-        Whether curves are reflected to a full period before fitting
-        (used with Fourier bases on non-periodic data).
     mean_curve : ndarray (n_t,)
-    B : ndarray (n_b, m)
-        Basis coordinates of the retained latent functions; B' W B = I.
-    eigenvalues : ndarray (n_b,)
+    phi : ndarray (n_t, m)
+        The retained latent functions sampled on the grid.
+    eigenvalues : ndarray
         Full spectrum, sorted descending, nonnegative.
     m : int
         Retained latent dimension.
     variance_fraction : float
+    description : dict
+        The JSON-ready fields from which a model file rebuilds phi:
+        {"kind": "fdr", "basis": {"kind", "n_b", "order"}, "tau", "mirror",
+        "B"} with B (n_b, m) the basis coordinates of phi on the fitted
+        nodes (B' W B = I), or {"kind": "pca", "components"} with
+        components = phi.
+    basis : BasisSystem or None
+        Basis of a functional reduction; None for PCA.
+    tau : float or None
+        Smoothing parameter of a functional reduction; None for PCA.
     """
 
     grid: TimeGrid
-    basis: BasisSystem
-    tau: float
-    mirror: bool
     mean_curve: np.ndarray
-    H: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray
     m: int
     variance_fraction: float
-    _solver: PenalizedSolver = field(repr=False)
-
-    @property
-    def kind(self) -> str:
-        return self.basis.kind
-
-    @property
-    def _fit_mean(self) -> np.ndarray:
-        return mirror_periodic(self.mean_curve) if self.mirror else self.mean_curve
-
-    def basis_curves(self) -> np.ndarray:
-        """Latent functions sampled on the original grid; shape (n_t, m)."""
-        return (self.H @ self.B)[: self.grid.n_t]
-
-    def project(self, y_star) -> np.ndarray:
-        """Score vector of a new curve on the reducer's grid."""
-        y_star = np.asarray(y_star, dtype=float)
-        if y_star.shape != (self.grid.n_t,):
-            raise ValueError(f"expected curve of length {self.grid.n_t}")
-        z = mirror_periodic(y_star) if self.mirror else y_star
-        c = self._solver.coefficients_single(z - self._fit_mean)
-        return self.B.T @ (self.W @ c)
-
-    def project_rows(self, curves) -> np.ndarray:
-        curves = np.atleast_2d(np.asarray(curves, dtype=float))
-        z = mirror_rows(curves) if self.mirror else curves
-        C = self._solver.coefficients(z - self._fit_mean)
-        return (self.B.T @ (self.W @ C)).T
-
-    def reconstruct(self, xi) -> np.ndarray:
-        """Curve on the original grid from a score vector."""
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.m,):
-            raise ValueError(f"expected score vector of length {self.m}")
-        return self.mean_curve + self.basis_curves() @ xi
+    description: dict = field(repr=False)
+    basis: BasisSystem | None = None
+    tau: float | None = None
 
 
 def fit_reducer(
@@ -164,7 +133,7 @@ def fit_reducer(
 
     Returns
     -------
-    (reducer, scores) : FunctionalReducer and the (N, m) training scores.
+    (reducer, scores) : Reducer and the (N, m) training scores.
     """
     if ensemble.n < 2:
         raise ValueError("need at least 2 curves")
@@ -172,13 +141,7 @@ def fit_reducer(
         mirror = kind == FOURIER
     grid = ensemble.grid
     Y = mirror_rows(ensemble.responses) if mirror else ensemble.responses
-    if mirror:
-        n_fit = 2 * grid.n_t - 2
-        nodes = grid.t0 + grid.dt * np.arange(n_fit)
-        interval = (grid.t0, grid.t0 + 2.0 * grid.span)
-    else:
-        nodes = grid.nodes
-        interval = (grid.t0, grid.te)
+    nodes, interval = fit_nodes(grid, mirror)
     mean_fit = Y.mean(axis=0)
     centered = Y - mean_fit
 
@@ -209,8 +172,7 @@ def fit_reducer(
         H = design_matrix(sys, nodes)
         R = roughness_matrix(sys)
 
-    solver = PenalizedSolver(H, R, tau)
-    C = solver.coefficients(centered)
+    C = fit_coefficients(H, R, tau, centered)
     W = gram_matrix(sys)
     W_half, W_half_inv = _matrix_sqrt(W)
 
@@ -238,19 +200,55 @@ def fit_reducer(
         variance_fraction = float(lam[:m].sum() / total)
         scores = (B.T @ (W @ C)).T
 
-    mean_curve = mean_fit[: grid.n_t]
-    reducer = FunctionalReducer(
+    reducer = Reducer(
         grid=grid,
-        basis=sys,
-        tau=float(tau),
-        mirror=mirror,
-        mean_curve=mean_curve,
-        H=H,
-        W=W,
-        B=B,
+        mean_curve=mean_fit[: grid.n_t],
+        phi=(H @ B)[: grid.n_t],
         eigenvalues=lam,
         m=m,
         variance_fraction=variance_fraction,
-        _solver=solver,
+        description={
+            "kind": "fdr",
+            "basis": {"kind": sys.kind, "n_b": sys.n_b, "order": sys.order},
+            "tau": float(tau),
+            "mirror": bool(mirror),
+            "B": B.tolist(),
+        },
+        basis=sys,
+        tau=float(tau),
+    )
+    return reducer, scores
+
+
+def fit_pca_reducer(ensemble: ResponseEnsemble):
+    """PCA of the centered response matrix via SVD: Euclidean-orthonormal
+    components covering 99% of the variance.  Returns (reducer, scores)."""
+    if ensemble.n < 2:
+        raise ValueError("need at least 2 curves")
+    Y = ensemble.responses
+    mean_curve = Y.mean(axis=0)
+    centered = Y - mean_curve
+    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
+    lam = svals**2 / (ensemble.n - 1)
+    total = lam.sum()
+    scale = float(np.max(np.abs(Y))) if Y.size else 0.0
+    if total <= 1e-14 * max(1.0, scale**2):
+        m = 0
+        components = np.zeros((ensemble.grid.n_t, 0))
+        variance_fraction = 1.0
+        scores = np.zeros((ensemble.n, 0))
+    else:
+        m = select_m(np.clip(lam, 0.0, None))
+        components = _fix_signs(Vt[:m].T.copy())
+        variance_fraction = float(lam[:m].sum() / total)
+        scores = centered @ components
+    reducer = Reducer(
+        grid=ensemble.grid,
+        mean_curve=mean_curve,
+        phi=components,
+        eigenvalues=np.clip(lam, 0.0, None),
+        m=m,
+        variance_fraction=variance_fraction,
+        description={"kind": "pca", "components": components.tolist()},
     )
     return reducer, scores

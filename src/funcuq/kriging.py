@@ -30,11 +30,6 @@ NUGGET_RATIO_BOUNDS = (
 DEFAULT_N_STARTS = 10
 DEFAULT_BUDGET = 400
 
-def kernel_eval(sigma_z2: float, theta, x, x2) -> float:
-    """Gaussian kernel sigma_z2 * exp(-(x-x2)' diag(theta) (x-x2))."""
-    d = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
-    return float(sigma_z2 * np.exp(-np.sum(np.asarray(theta) * d * d)))
-
 
 def _kernel_matrix(sigma_z2, theta, A, B=None, out=None):
     """Gaussian kernel between the rows of A and of B (default A).
@@ -115,11 +110,6 @@ class KrigingModel:
     @property
     def noise_variance_raw(self) -> float:
         return self.sigma_n2 * self.y_scale**2
-
-    def predict(self, x_star):
-        """Predictive mean and variance at one raw input point."""
-        mean, var = self.predict_batch(np.atleast_2d(x_star))
-        return float(mean[0]), float(var[0])
 
     def predict_batch(self, X_star, with_var: bool = True):
         """Predictive means (and variances) at raw input rows.

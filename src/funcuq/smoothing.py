@@ -7,8 +7,6 @@ error stagnates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.linalg import cho_solve
 
@@ -32,7 +30,6 @@ class PenalizedSolver:
         if tau < 0.0:
             raise ValueError("tau must be nonnegative")
         self.H = H
-        self.tau = float(tau)
         self._HtH = H.T @ H
         try:
             self._cho, _ = cho_with_jitter(self._HtH + tau * R)
@@ -43,22 +40,9 @@ class PenalizedSolver:
         """Solve for the coefficient matrix C (n_b x N) of centered rows."""
         return cho_solve(self._cho, self.H.T @ np.atleast_2d(centered).T)
 
-    def coefficients_single(self, curve: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho, self.H.T @ np.asarray(curve, dtype=float))
-
     def trace_smoother(self) -> float:
         """trace(H (H'H + tau R)^-1 H') without forming the n_t x n_t matrix."""
         return float(np.trace(cho_solve(self._cho, self._HtH)))
-
-
-@dataclass
-class SmoothingFit:
-    """Penalized fit of an ensemble: parameter, coefficients, GCV score."""
-
-    tau: float
-    coeffs: np.ndarray
-    gcv_value: float
-    solver: PenalizedSolver = field(repr=False)
 
 
 def fit_coefficients(H, R, tau, centered) -> np.ndarray:
@@ -70,18 +54,6 @@ def fit_coefficients(H, R, tau, centered) -> np.ndarray:
     return PenalizedSolver(H, R, tau).coefficients(centered)
 
 
-def _fit_with_gcv(H, R, tau, centered) -> SmoothingFit:
-    solver = PenalizedSolver(H, R, tau)
-    centered = np.atleast_2d(centered)
-    C = solver.coefficients(centered)
-    n_obs = H.shape[0]
-    sse = float(np.sum((centered.T - H @ C) ** 2))
-    denom = n_obs - solver.trace_smoother()
-    if abs(denom) < 1e-12 * max(1.0, n_obs):
-        return SmoothingFit(tau, C, math.inf, solver)
-    return SmoothingFit(tau, C, n_obs / denom**2 * sse, solver)
-
-
 def gcv(tau, H, R, centered) -> float:
     """Generalized cross-validation score for one smoothing parameter.
 
@@ -91,7 +63,15 @@ def gcv(tau, H, R, centered) -> float:
     of freedom of one curve's smoother, so it is compared against the
     same curve's observation count.
     """
-    return _fit_with_gcv(H, R, tau, centered).gcv_value
+    solver = PenalizedSolver(H, R, tau)
+    centered = np.atleast_2d(centered)
+    C = solver.coefficients(centered)
+    n_obs = H.shape[0]
+    sse = float(np.sum((centered.T - H @ C) ** 2))
+    denom = n_obs - solver.trace_smoother()
+    if abs(denom) < 1e-12 * max(1.0, n_obs):
+        return math.inf
+    return n_obs / denom**2 * sse
 
 
 def tau_grid(n_tau: int = TAU_GRID_SIZE) -> np.ndarray:
@@ -180,10 +160,9 @@ def select_nb(
         R = roughness_matrix(sys)
         if tau_override is not None:
             tau = tau_override
-            C = PenalizedSolver(H, R, tau).coefficients(centered)
         else:
             tau = select_tau(H, R, centered, n_tau)
-            C = _fit_with_gcv(H, R, tau, centered).coeffs
+        C = fit_coefficients(H, R, tau, centered)
         delta = _mean_projection_nrmse(centered, (H @ C).T)
         if trace is not None:
             trace.append({"n_b": nb_eff, "tau": tau, "delta": delta})

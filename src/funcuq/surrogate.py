@@ -5,19 +5,28 @@ variance prediction, cross-validation, and a versioned text model file.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from . import fpca
-from .basis import BSPLINE, FOURIER
-from .core import ResponseEnsemble, TimeGrid, cho_with_jitter, make_rng, model_nrmse, write_atomic
-from .fpca import FunctionalReducer, select_m
+from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix
+from .core import (
+    ResponseEnsemble,
+    TimeGrid,
+    cho_with_jitter,
+    fit_nodes,
+    make_rng,
+    model_nrmse,
+    write_atomic,
+)
+from .fpca import Reducer
 from .kriging import KrigingModel, _kernel_matrix, fit_kriging, normalize_inputs
-from scipy.linalg import cho_solve
 
 FORMAT_VERSION = "funcuq-surrogate-v1"
 
@@ -48,73 +57,6 @@ class FitConfig:
             raise ValueError(f"reducer must be one of {REDUCERS}, got {self.reducer!r}")
 
 
-@dataclass
-class PcaReducer:
-    """Plain PCA of response vectors: baseline reducer with orthonormal
-    Euclidean components and 99% retained variance."""
-
-    grid: TimeGrid
-    mean_curve: np.ndarray
-    components: np.ndarray = field(repr=False)  # (n_t, m)
-    eigenvalues: np.ndarray
-    m: int
-    variance_fraction: float
-
-    def basis_curves(self) -> np.ndarray:
-        return self.components
-
-    def project(self, y_star) -> np.ndarray:
-        y_star = np.asarray(y_star, dtype=float)
-        if y_star.shape != (self.grid.n_t,):
-            raise ValueError(f"expected curve of length {self.grid.n_t}")
-        return self.components.T @ (y_star - self.mean_curve)
-
-    def project_rows(self, curves) -> np.ndarray:
-        curves = np.atleast_2d(np.asarray(curves, dtype=float))
-        return (curves - self.mean_curve) @ self.components
-
-    def reconstruct(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.m,):
-            raise ValueError(f"expected score vector of length {self.m}")
-        return self.mean_curve + self.components @ xi
-
-
-def fit_pca_reducer(ensemble: ResponseEnsemble):
-    """PCA of the centered response matrix via SVD; returns (reducer, scores)."""
-    if ensemble.n < 2:
-        raise ValueError("need at least 2 curves")
-    Y = ensemble.responses
-    mean_curve = Y.mean(axis=0)
-    centered = Y - mean_curve
-    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
-    lam = svals**2 / (ensemble.n - 1)
-    total = lam.sum()
-    scale = float(np.max(np.abs(Y))) if Y.size else 0.0
-    if total <= 1e-14 * max(1.0, scale**2):
-        reducer = PcaReducer(
-            grid=ensemble.grid,
-            mean_curve=mean_curve,
-            components=np.zeros((ensemble.grid.n_t, 0)),
-            eigenvalues=np.clip(lam, 0.0, None),
-            m=0,
-            variance_fraction=1.0,
-        )
-        return reducer, np.zeros((ensemble.n, 0))
-    m = select_m(np.clip(lam, 0.0, None))
-    components = fpca._fix_signs(Vt[:m].T.copy())
-    scores = centered @ components
-    reducer = PcaReducer(
-        grid=ensemble.grid,
-        mean_curve=mean_curve,
-        components=components,
-        eigenvalues=np.clip(lam, 0.0, None),
-        m=m,
-        variance_fraction=float(lam[:m].sum() / total),
-    )
-    return reducer, scores
-
-
 class LatentSurrogate:
     """A reducer plus one Kriging model per latent score.
 
@@ -123,7 +65,7 @@ class LatentSurrogate:
     images of the latent predictions.
     """
 
-    def __init__(self, reducer, models, input_lo, input_hi, metadata=None):
+    def __init__(self, reducer: Reducer, models, input_lo, input_hi, metadata=None):
         if len(models) != reducer.m:
             raise ValueError(f"need {reducer.m} score models, got {len(models)}")
         for mod in models:
@@ -139,7 +81,6 @@ class LatentSurrogate:
         self.input_lo = np.asarray(input_lo, dtype=float)
         self.input_hi = np.asarray(input_hi, dtype=float)
         self.metadata = dict(metadata or {})
-        self._phi = reducer.basis_curves()
 
     @property
     def grid(self) -> TimeGrid:
@@ -177,7 +118,8 @@ class LatentSurrogate:
         per-score variances.
         """
         means, var = self.predict_scores(X_star)
-        return self.reducer.mean_curve + means @ self._phi.T, var @ (self._phi**2).T
+        phi = self.reducer.phi
+        return self.reducer.mean_curve + means @ phi.T, var @ (phi**2).T
 
     def predict_curve(self, x_star):
         """predict_curves of the single input point x_star."""
@@ -187,7 +129,7 @@ class LatentSurrogate:
     def predict_mean_curves(self, X_star) -> np.ndarray:
         """Predictive mean curves for raw input rows; shape (M, n_t)."""
         means, _ = self.predict_scores(X_star, with_var=False)
-        return self.reducer.mean_curve + means @ self._phi.T
+        return self.reducer.mean_curve + means @ self.reducer.phi.T
 
     # A surrogate is a batched model: (n, p) inputs to (n, n_t) mean curves.
     __call__ = predict_mean_curves
@@ -211,7 +153,7 @@ def fit_surrogate(
     t_start = time.perf_counter()
     nb_trace: list = []
     if config.reducer == PCA:
-        reducer, scores = fit_pca_reducer(ensemble)
+        reducer, scores = fpca.fit_pca_reducer(ensemble)
     else:
         kind = FOURIER if config.reducer == KFDR_F else BSPLINE
         reducer, scores = fpca.fit_reducer(
@@ -250,22 +192,6 @@ def fit_surrogate(
     if nb_trace:
         metadata["nb_trace"] = nb_trace
     return LatentSurrogate(reducer, models, lo, hi, metadata)
-
-
-def fit_pca_baseline(
-    ensemble: ResponseEnsemble,
-    rng: np.random.Generator | None = None,
-    config: FitConfig | None = None,
-) -> LatentSurrogate:
-    """PCA-reducer surrogate with the same Kriging stage as the main path."""
-    base = config or FitConfig()
-    cfg = FitConfig(
-        reducer=PCA,
-        n_starts=base.n_starts,
-        budget=base.budget,
-        fix_nugget=base.fix_nugget,
-    )
-    return fit_surrogate(ensemble, cfg, rng)
 
 
 def cross_validate(
@@ -314,33 +240,14 @@ def surrogate_to_dict(s: LatentSurrogate) -> dict:
     Volatile metadata (timing) is dropped so that refitting with the same
     seed reproduces the file byte for byte.
     """
-    reducer = s.reducer
-    grid = {"t0": reducer.grid.t0, "te": reducer.grid.te, "n_t": reducer.grid.n_t}
-    if isinstance(reducer, PcaReducer):
-        red = {
-            "kind": "pca",
-            "mean_curve": _array(reducer.mean_curve),
-            "components": _array(reducer.components),
-            "eigenvalues": _array(reducer.eigenvalues),
-            "m": reducer.m,
-            "variance_fraction": reducer.variance_fraction,
-        }
-    else:
-        red = {
-            "kind": "fdr",
-            "basis": {
-                "kind": reducer.basis.kind,
-                "n_b": reducer.basis.n_b,
-                "order": reducer.basis.order,
-            },
-            "tau": reducer.tau,
-            "mirror": reducer.mirror,
-            "mean_curve": _array(reducer.mean_curve),
-            "B": _array(reducer.B),
-            "eigenvalues": _array(reducer.eigenvalues),
-            "m": reducer.m,
-            "variance_fraction": reducer.variance_fraction,
-        }
+    red = s.reducer
+    reducer = {
+        **copy.deepcopy(red.description),
+        "mean_curve": _array(red.mean_curve),
+        "eigenvalues": _array(red.eigenvalues),
+        "m": red.m,
+        "variance_fraction": red.variance_fraction,
+    }
     models = [
         {
             "input_lo": _array(mod.input_lo),
@@ -359,8 +266,8 @@ def surrogate_to_dict(s: LatentSurrogate) -> dict:
     metadata = {k: v for k, v in s.metadata.items() if k != "timing_s"}
     return {
         "format": FORMAT_VERSION,
-        "grid": grid,
-        "reducer": red,
+        "grid": {"t0": red.grid.t0, "te": red.grid.te, "n_t": red.grid.n_t},
+        "reducer": reducer,
         "models": models,
         "input_lo": _array(s.input_lo),
         "input_hi": _array(s.input_hi),
@@ -391,6 +298,20 @@ def _numbers(doc: dict, where: str, key: str, shape: tuple = ()):
     if not np.all(np.isfinite(value)):
         raise ValueError(f"model file: {name} has a non-finite value")
     return float(value) if shape == () else value
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
+
+
+def _field(doc: dict, where: str, key: str, kind: type):
+    """doc[key] if it is a `kind`; ValueError naming `where.key` otherwise."""
+    name = f"{where}.{key}" if where else key
+    if key not in doc:
+        raise ValueError(f"model file: {name} is missing")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"model file: {name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 def _count(doc: dict, where: str, key: str) -> int:
@@ -430,69 +351,84 @@ def _rebuild_kriging(d: dict, where: str, p: int, n: int | None) -> KrigingModel
     )
 
 
+def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
+    """The Reducer of a model file's reducer block.  A functional reducer's
+    latent functions are rebuilt from B alone, as the fitter built them."""
+    kind = _field(red, "reducer", "kind", str)
+    if kind not in ("fdr", "pca"):
+        raise ValueError(f"model file: reducer.kind must be 'fdr' or 'pca', got {kind!r}")
+    m = _count(red, "reducer", "m")
+    basis = tau = None
+    if kind == "pca":
+        phi = _numbers(red, "reducer", "components", (grid.n_t, m))
+        description = {"kind": kind, "components": phi.tolist()}
+    else:
+        b = _field(red, "reducer", "basis", dict)
+        spec = {
+            "kind": _field(b, "reducer.basis", "kind", str),
+            "n_b": _count(b, "reducer.basis", "n_b"),
+            "order": _count(b, "reducer.basis", "order"),
+        }
+        tau = _numbers(red, "reducer", "tau")
+        if tau < 0.0:
+            raise ValueError(f"model file: reducer.tau must be nonnegative, got {tau!r}")
+        mirror = _field(red, "reducer", "mirror", bool)
+        nodes, interval = fit_nodes(grid, mirror)
+        try:
+            basis = BasisSystem(spec["kind"], spec["n_b"], *interval, order=spec["order"])
+        except ValueError as err:
+            raise ValueError(f"model file: reducer.basis: {err}") from None
+        B = _numbers(red, "reducer", "B", (spec["n_b"], m))
+        # fit_reducer's expression: evaluating the basis on grid.nodes, or
+        # on the first n_t nodes only, changes phi in its last bits.
+        phi = (design_matrix(basis, nodes) @ B)[: grid.n_t]
+        description = {"kind": kind, "basis": spec, "tau": tau, "mirror": mirror, "B": B.tolist()}
+    return Reducer(
+        grid=grid,
+        mean_curve=_numbers(red, "reducer", "mean_curve", (grid.n_t,)),
+        phi=phi,
+        eigenvalues=_numbers(red, "reducer", "eigenvalues", (None,)),
+        m=m,
+        variance_fraction=_numbers(red, "reducer", "variance_fraction"),
+        description=description,
+        basis=basis,
+        tau=tau,
+    )
+
+
 def surrogate_from_dict(doc: dict) -> LatentSurrogate:
     """Rebuild a surrogate from surrogate_to_dict's description.
 
-    Every array must be finite and of the shape the rest of the file
-    implies; an error names the offending key, e.g. `models[2].theta`.
+    Every field must be present and of its type, and every array finite
+    and of the shape the rest of the file implies; an error names the
+    offending key, e.g. `models[2].theta`.
     """
     if doc.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported model-file format {doc.get('format')!r}")
-    g = doc["grid"]
+    g = _field(doc, "", "grid", dict)
     grid = TimeGrid(_numbers(g, "grid", "t0"), _numbers(g, "grid", "te"), _count(g, "grid", "n_t"))
-    red = doc["reducer"]
-    m = _count(red, "reducer", "m")
-    mean_curve = _numbers(red, "reducer", "mean_curve", (grid.n_t,))
-    eigenvalues = _numbers(red, "reducer", "eigenvalues", (None,))
-    variance_fraction = _numbers(red, "reducer", "variance_fraction")
-    if red["kind"] == "pca":
-        reducer = PcaReducer(
-            grid=grid,
-            mean_curve=mean_curve,
-            components=_numbers(red, "reducer", "components", (grid.n_t, m)),
-            eigenvalues=eigenvalues,
-            m=m,
-            variance_fraction=variance_fraction,
-        )
-    else:
-        from .basis import BasisSystem, design_matrix, gram_matrix, roughness_matrix
-        from .smoothing import PenalizedSolver
-
-        b = red["basis"]
-        n_b = _count(b, "reducer.basis", "n_b")
-        tau = _numbers(red, "reducer", "tau")
-        mirror = red["mirror"]
-        if mirror:
-            n_fit = 2 * grid.n_t - 2
-            nodes = grid.t0 + grid.dt * np.arange(n_fit)
-            interval = (grid.t0, grid.t0 + 2.0 * grid.span)
-        else:
-            nodes = grid.nodes
-            interval = (grid.t0, grid.te)
-        sys = BasisSystem(b["kind"], n_b, *interval, order=_count(b, "reducer.basis", "order"))
-        H = design_matrix(sys, nodes)
-        reducer = FunctionalReducer(
-            grid=grid,
-            basis=sys,
-            tau=tau,
-            mirror=mirror,
-            mean_curve=mean_curve,
-            H=H,
-            W=gram_matrix(sys),
-            B=_numbers(red, "reducer", "B", (n_b, m)),
-            eigenvalues=eigenvalues,
-            m=m,
-            variance_fraction=variance_fraction,
-            _solver=PenalizedSolver(H, roughness_matrix(sys), tau),
-        )
+    reducer = _rebuild_reducer(_field(doc, "", "reducer", dict), grid)
     input_lo = _numbers(doc, "", "input_lo", (None,))
     input_hi = _numbers(doc, "", "input_hi", input_lo.shape)
+    entries = _field(doc, "", "models", list)
+    if len(entries) != reducer.m:
+        raise ValueError(
+            f"model file: models has {len(entries)} entries, expected m = {reducer.m}"
+        )
     models = []
-    for j, d in enumerate(doc["models"]):
+    for j, d in enumerate(entries):
         # Every score model is trained on the same inputs.
         n_train = models[0].y_std.size if models else None
         models.append(_rebuild_kriging(d, f"models[{j}]", input_lo.size, n_train))
-    return LatentSurrogate(reducer, models, input_lo, input_hi, doc.get("metadata", {}))
+    metadata = _field(doc, "", "metadata", dict) if "metadata" in doc else {}
+    if "input_names" in metadata:
+        names = _field(metadata, "metadata", "input_names", list)
+        if len(names) != input_lo.size:
+            raise ValueError(
+                f"model file: metadata.input_names has {len(names)} names, "
+                f"expected {input_lo.size}"
+            )
+    return LatentSurrogate(reducer, models, input_lo, input_hi, metadata)
 
 
 def load_surrogate(path) -> LatentSurrogate:

@@ -254,7 +254,7 @@ def forward_uq(
             if score_sum is None:
                 score_sum = np.zeros(scores.shape[1])
             score_sum += scores.sum(axis=0)
-            curves = np.matmul(scores, model._phi.T, out=rows)
+            curves = np.matmul(scores, model.reducer.phi.T, out=rows)
             curves += model.reducer.mean_curve
         else:
             # The hook's array is the caller's: it is only read.
@@ -277,7 +277,7 @@ def forward_uq(
         raise ValueError(f"{bad} of {n_mcs} Monte Carlo samples gave non-finite responses")
 
     if is_surrogate:
-        mean = model.reducer.mean_curve + model._phi @ (score_sum / n_mcs)
+        mean = model.reducer.mean_curve + model.reducer.phi @ (score_sum / n_mcs)
     else:
         mean = ref + shift_sum / n_mcs
     mu_shift = mean - ref

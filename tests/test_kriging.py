@@ -13,7 +13,6 @@ from funcuq.kriging import (
     _neg_lml,
     _squared_differences,
     fit_kriging,
-    kernel_eval,
     log_marginal_likelihood,
     normalize_inputs,
 )
@@ -33,15 +32,16 @@ def dense_lml(X, y, mu, sigma_z2, theta, sigma_n2):
 
 
 def test_kernel_zero_distance():
-    assert kernel_eval(2.5, [1.0, 3.0], [0.2, 0.4], [0.2, 0.4]) == 2.5
+    assert _kernel_matrix(2.5, [1.0, 3.0], [[0.2, 0.4]], [[0.2, 0.4]])[0, 0] == 2.5
 
 
 def test_kernel_unit_case():
-    assert kernel_eval(1.0, [1.0], [1.0], [0.0]) == pytest.approx(np.exp(-1), rel=1e-12)
+    val = _kernel_matrix(1.0, [1.0], [[1.0]], [[0.0]])[0, 0]
+    assert val == pytest.approx(np.exp(-1), rel=1e-12)
 
 
 def test_kernel_weighted_case():
-    val = kernel_eval(1.0, [2.0, 3.0], [1.0, 1.0], [0.0, 0.0])
+    val = _kernel_matrix(1.0, [2.0, 3.0], [[1.0, 1.0]], [[0.0, 0.0]])[0, 0]
     assert val == pytest.approx(np.exp(-5.0), rel=1e-12)
 
 
@@ -98,8 +98,8 @@ def test_fit_constant_target():
     X = np.linspace(0, 1, 10)[:, None]
     y = np.full(10, 3.7)
     model = fit_kriging(X, y, fq.make_rng(1), n_starts=4, budget=100)
-    mean, var = model.predict([[0.31]])
-    assert mean[0] if isinstance(mean, np.ndarray) else mean == pytest.approx(3.7, abs=1e-6)
+    mean, _ = model.predict_batch([[0.31]])
+    assert mean[0] == pytest.approx(3.7, abs=1e-6)
     means, _ = model.predict_batch(np.linspace(0, 1, 7)[:, None])
     assert np.allclose(means, 3.7, atol=1e-6)
 
@@ -141,7 +141,7 @@ def test_far_field_reverts_to_mean():
     y = np.sin(20 * X[:, 0])
     model = fit_kriging(X, y, fq.make_rng(6), n_starts=5, budget=200)
     far = np.array([[1e3]])
-    mean, var = model.predict(far)
+    (mean,), (var,) = model.predict_batch(far)
     mu_raw = model.mu * model.y_scale + model.y_offset
     sz2_raw = model.sigma_z2 * model.y_scale**2
     assert mean == pytest.approx(mu_raw, abs=0.01 * max(1.0, abs(mu_raw)))
@@ -153,7 +153,7 @@ def test_two_point_closed_form_oracle():
     y = np.array([1.0, 3.0])
     model = fit_kriging(X, y, fq.make_rng(7), n_starts=3, budget=100)
     x_star = np.array([0.3])
-    mean, var = model.predict(x_star)
+    (mean,), (var,) = model.predict_batch(x_star[None, :])
     # Dense 2x2 formula in the standardized space.
     theta, sz2, sn2 = model.theta, model.sigma_z2, model.sigma_n2
     Xn = model.X_norm

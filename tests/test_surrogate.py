@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import funcuq as fq
+from funcuq import fpca
 from funcuq.surrogate import (
     FitConfig,
     cross_validate,
-    fit_pca_baseline,
-    fit_pca_reducer,
     fit_surrogate,
     load_surrogate,
     save_surrogate,
@@ -52,20 +51,28 @@ def test_refit_same_seed_identical_file_bytes(tmp_path):
 
 
 def test_save_load_roundtrip(tmp_path):
+    # The loader rebuilds phi and each Kriging factorization by the fitter's
+    # own expressions, so a loaded surrogate predicts the same bits.
     ens = make_linear_ensemble()
+    X = fq.make_rng(1).uniform(0.1, 0.9, (5, 2))
     for reducer in ("kfdr-b", "kfdr-f", "pca"):
         cfg = FitConfig(reducer=reducer, n_starts=3, budget=100)
         s = fit_surrogate(ens, cfg, fq.make_rng(4))
         path = tmp_path / f"{reducer}.json"
         save_surrogate(s, path)
         back = load_surrogate(path)
-        X = fq.make_rng(1).uniform(0.1, 0.9, (5, 2))
-        assert np.allclose(
-            s.predict_mean_curves(X), back.predict_mean_curves(X), rtol=1e-12, atol=1e-13
-        )
-        mc, vc = s.predict_curve(X[0])
-        mc2, vc2 = back.predict_curve(X[0])
-        assert np.allclose(vc, vc2, rtol=1e-10, atol=1e-15)
+        assert np.array_equal(back.reducer.phi, s.reducer.phi)
+        assert np.array_equal(back.predict_mean_curves(X), s.predict_mean_curves(X))
+        for got, want in zip(back.predict_curves(X), s.predict_curves(X)):
+            assert np.array_equal(got, want)
+        assert surrogate_to_dict(back) == surrogate_to_dict(s)
+        # perfbench/traced.py reads reducer.basis and reducer.tau of a loaded
+        # kfdr-b model; a pca reducer has neither.
+        if reducer == "pca":
+            assert back.reducer.basis is None and back.reducer.tau is None
+        else:
+            assert isinstance(back.reducer.basis, fq.BasisSystem)
+            assert back.reducer.tau == s.reducer.tau >= 0.0
 
 
 def test_duffing_end_to_end_records_m():
@@ -83,8 +90,9 @@ def test_duffing_fourier_pipeline_mirrors():
     cfg = FitConfig(reducer="kfdr-f", nb_override=201, tau_override=0.0,
                     n_starts=2, budget=60)
     s = fit_surrogate(ens, cfg, fq.make_rng(36))
-    assert s.reducer.mirror
-    assert s.reducer.H.shape[0] == 2 * ens.grid.n_t - 2
+    assert s.reducer.description["mirror"]
+    # The basis spans the reflected period.
+    assert s.reducer.basis.te == pytest.approx(ens.grid.t0 + 2 * ens.grid.span)
     mean, var = s.predict_curve(ens.inputs[0])
     assert mean.shape == (ens.grid.n_t,)
     assert np.all(var >= 0.0)
@@ -111,7 +119,7 @@ def test_predict_curves_matches_row_loop():
     X_new = fq.make_rng(33).uniform(-0.2, 1.2, (40, 2))
     means, var = s.predict_curves(X_new)
     assert means.shape == var.shape == (40, GRID.n_t)
-    phi = s.reducer.basis_curves()
+    phi = s.reducer.phi
     score_means, score_var = s.predict_scores(X_new)
     for i, x in enumerate(X_new):
         # The per-row curve formula, on the batched latent predictions.
@@ -129,10 +137,12 @@ def test_training_point_prediction_matches_roundtrip():
     ens = make_linear_ensemble()
     cfg = FitConfig(reducer="kfdr-b", fix_nugget=0.0, n_starts=4, budget=150)
     s = fit_surrogate(ens, cfg, fq.make_rng(8))
-    red = s.reducer
+    # The same reducer again, for the training curves' projections.
+    red, scores = fpca.fit_reducer(ens, kind="bspline")
+    assert np.array_equal(red.phi, s.reducer.phi)
     for i in (0, 7, 19):
         mean, _ = s.predict_curve(ens.inputs[i])
-        target = red.reconstruct(red.project(ens.responses[i]))
+        target = red.mean_curve + red.phi @ scores[i]
         assert fq.nrmse_curve(target, mean) <= 1e-6
 
 
@@ -144,7 +154,7 @@ def test_rank_one_variance_identity():
     x = np.array([0.4, 0.6])
     _, var_curve = s.predict_curve(x)
     _, score_var = s.predict_scores(x[None])
-    phi = s.reducer.basis_curves()[:, 0]
+    phi = s.reducer.phi[:, 0]
     assert np.allclose(var_curve, score_var[0, 0] * phi**2, rtol=1e-10, atol=1e-18)
 
 
@@ -155,15 +165,15 @@ def test_predict_mean_is_affine_in_scores():
     xi1 = np.full(red.m, 0.3)
     xi2 = -1.2 * np.ones(red.m)
     a, b = 0.7, 0.3
-    lhs = red.reconstruct(a * xi1 + b * xi2)
-    rhs = a * red.reconstruct(xi1) + b * red.reconstruct(xi2)
+    lhs = red.mean_curve + red.phi @ (a * xi1 + b * xi2)
+    rhs = a * (red.mean_curve + red.phi @ xi1) + b * (red.mean_curve + red.phi @ xi2)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_pca_single_mode_exact():
-    reducer, scores = fit_pca_reducer(make_linear_ensemble())
+    reducer, scores = fpca.fit_pca_reducer(make_linear_ensemble())
     assert reducer.m == 1
-    rec = reducer.reconstruct(scores[0])
+    rec = reducer.mean_curve + reducer.phi @ scores[0]
     assert fq.nrmse_curve(make_linear_ensemble().responses[0], rec) <= 1e-8
 
 
@@ -171,19 +181,19 @@ def test_pca_eigenvalues_match_dense_covariance():
     rng = fq.make_rng(14)
     Y = rng.normal(size=(25, 1)) * np.sin(2 * np.pi * T) + rng.normal(size=(25, 1)) * T
     ens = fq.ResponseEnsemble(rng.normal(size=(25, 2)), Y + 1.0, GRID)
-    reducer, _ = fit_pca_reducer(ens)
+    reducer, _ = fpca.fit_pca_reducer(ens)
     centered = ens.responses - ens.responses.mean(axis=0)
     lam_dense = np.linalg.eigvalsh(centered.T @ centered / (ens.n - 1))[::-1]
     k = min(reducer.m + 3, lam_dense.size)
     assert np.allclose(reducer.eigenvalues[:k], lam_dense[:k], atol=1e-8 * lam_dense[0])
     assert reducer.variance_fraction >= 0.99
-    ortho = reducer.components.T @ reducer.components
+    ortho = reducer.phi.T @ reducer.phi
     assert np.abs(ortho - np.eye(reducer.m)).max() <= 1e-10
 
 
 def test_pca_baseline_uses_same_kriging_stage():
     ens = make_linear_ensemble()
-    s = fit_pca_baseline(ens, fq.make_rng(4), FitConfig(n_starts=3, budget=100))
+    s = fit_surrogate(ens, FitConfig(reducer="pca", n_starts=3, budget=100), fq.make_rng(4))
     assert s.metadata["reducer"] == "pca"
     rng = fq.make_rng(20)
     X_test = rng.uniform(0.1, 0.9, (50, 2))
@@ -196,11 +206,13 @@ def test_reconstruction_bounds_prediction_error():
     cfg = FitConfig(reducer="kfdr-b", nb_override=201, tau_override=0.0,
                     n_starts=2, budget=60)
     s = fit_surrogate(ens, cfg, fq.make_rng(32))
-    red = s.reducer
+    # The same reducer again, for the training curves' projections.
+    red, scores = fpca.fit_reducer(ens, kind="bspline", nb_override=201, tau_override=0.0)
+    assert np.array_equal(red.phi, s.reducer.phi)
     rec_err, pred_err = [], []
     for i in range(ens.n):
         y = ens.responses[i]
-        rec = red.reconstruct(red.project(y))
+        rec = red.mean_curve + red.phi @ scores[i]
         mean, _ = s.predict_curve(ens.inputs[i])
         rec_err.append(fq.nrmse_curve(y, rec))
         pred_err.append(fq.nrmse_curve(y, mean))
@@ -320,6 +332,34 @@ def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
     doc = copy.deepcopy(three_mode_doc)
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(f"model file: {key} ")):
+        surrogate_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "message, edit",
+    [
+        ("grid is missing", lambda doc: doc.pop("grid")),
+        ("models is missing", lambda doc: doc.pop("models")),
+        ("models has 2 entries, expected m = 3", lambda doc: doc["models"].pop()),
+        ("reducer.kind is missing", lambda doc: doc["reducer"].pop("kind")),
+        ("reducer.mirror is missing", lambda doc: doc["reducer"].pop("mirror")),
+        ("reducer.basis is missing", lambda doc: doc["reducer"].pop("basis")),
+        ("reducer.kind must be 'fdr' or 'pca'",
+         lambda doc: doc["reducer"].update(kind="foo")),
+        ("reducer.mirror must be true or false",
+         lambda doc: doc["reducer"].update(mirror="no")),
+        ("reducer.basis: unknown basis kind",
+         lambda doc: doc["reducer"]["basis"].update(kind="spline")),
+        ("reducer.tau must be nonnegative", lambda doc: doc["reducer"].update(tau=-0.5)),
+        ("metadata must be an object", lambda doc: doc.update(metadata=[])),
+        ("metadata.input_names has 2 names, expected 3",
+         lambda doc: doc["metadata"]["input_names"].pop()),
+    ],
+)
+def test_model_file_rejects_bad_fields(three_mode_doc, message, edit):
+    doc = copy.deepcopy(three_mode_doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(f"model file: {message}")):
         surrogate_from_dict(doc)
 
 

@@ -235,7 +235,7 @@ def allocating_forward(model, dist, n_mcs, grid, rng, batch_size, kde_points=512
         if is_surrogate:
             scores = reference_scores(model, block)
             score_sum += scores.sum(axis=0)
-            curves = model.reducer.mean_curve + scores @ model._phi.T
+            curves = model.reducer.mean_curve + scores @ model.reducer.phi.T
         else:
             curves = model(block)
         if ref is None:
@@ -246,7 +246,7 @@ def allocating_forward(model, dist, n_mcs, grid, rng, batch_size, kde_points=512
         maxima[start : start + block.shape[0]] = curves.max(axis=1)
         minima[start : start + block.shape[0]] = curves.min(axis=1)
     if is_surrogate:
-        mean = model.reducer.mean_curve + model._phi @ (score_sum / n_mcs)
+        mean = model.reducer.mean_curve + model.reducer.phi @ (score_sum / n_mcs)
     else:
         mean = ref + shift_sum / n_mcs
     mu_shift = mean - ref
