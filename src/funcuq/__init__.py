@@ -5,16 +5,14 @@ Bayesian inverse uncertainty quantification on top."""
 from .core import (
     ResponseEnsemble,
     TimeGrid,
-    center_ensemble,
     derive_seed,
     latin_hypercube,
     load_ensemble,
     make_rng,
     model_nrmse,
-    nrmse_curve,
     save_ensemble,
 )
-from .basis import BasisSystem, bspline_basis, design_matrix, eval_basis, eval_basis_d2, fourier_basis, gram_matrix, roughness_matrix
+from .basis import BasisSystem, design_matrix, gram_matrix, roughness_matrix
 from .smoothing import fit_coefficients, gcv, select_nb, select_tau
 from .fpca import Reducer, fit_pca_reducer, fit_reducer, select_m
 from .kriging import KrigingModel, fit_kriging, log_marginal_likelihood
@@ -40,11 +38,6 @@ from .uq import (
     log_posterior_block,
     posterior_summary,
 )
-from .bench import (
-    boucwen_response,
-    duffing_response,
-    generate_dataset,
-    rk4_integrate,
-)
+from .bench import generate_dataset, rk4_integrate
 
 __version__ = "0.1.0"

@@ -111,24 +111,6 @@ class BasisSystem:
         return out
 
 
-def fourier_basis(n_b: int, t0: float, te: float) -> BasisSystem:
-    return BasisSystem(FOURIER, n_b, t0, te)
-
-
-def bspline_basis(n_b: int, t0: float, te: float, order: int = 4) -> BasisSystem:
-    return BasisSystem(BSPLINE, n_b, t0, te, order=order)
-
-
-def eval_basis(sys: BasisSystem, t: float) -> np.ndarray:
-    """Basis values at a single point; shape (n_b,)."""
-    return sys.evaluate(t)[0]
-
-
-def eval_basis_d2(sys: BasisSystem, t: float) -> np.ndarray:
-    """Second derivatives of all basis functions at a single point."""
-    return sys.evaluate_d2(t)[0]
-
-
 def design_matrix(sys: BasisSystem, grid) -> np.ndarray:
     """H[i, j] = eta_j(t_i) on the grid nodes (TimeGrid or node array)."""
     nodes = grid.nodes if hasattr(grid, "nodes") else np.asarray(grid, dtype=float)

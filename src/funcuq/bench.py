@@ -98,12 +98,6 @@ def duffing_batch(params, grid: TimeGrid = DUFFING_GRID,
     return traj[:, :, 0].T
 
 
-def duffing_response(alpha, beta, c, y0, grid: TimeGrid = DUFFING_GRID,
-                     substeps: int = DEFAULT_SUBSTEPS):
-    """Single Duffing displacement curve y(t) with y(0) = y0, y'(0) = 0."""
-    return duffing_batch([[alpha, beta, c, y0]], grid, substeps)[0]
-
-
 def boucwen_excitation_coeffs(seed: int = BOUCWEN_EXCITATION_SEED):
     """The fixed standard-normal series coefficients (2 x 150 values)."""
     return make_rng(seed).standard_normal(2 * BOUCWEN_SERIES_TERMS)
@@ -144,12 +138,6 @@ def boucwen_batch(params, grid: TimeGrid = BOUCWEN_GRID,
     state0 = np.stack([y0, np.zeros_like(y0), np.zeros_like(y0)], axis=-1)
     traj = rk4_integrate(rhs, state0, grid, substeps)
     return traj[:, :, 0].T
-
-
-def boucwen_response(m, c, k, alpha, y0, grid: TimeGrid = BOUCWEN_GRID,
-                     substeps: int = DEFAULT_SUBSTEPS, theta=None):
-    """Single Bouc-Wen displacement curve with y(0) = y0, y'(0) = z(0) = 0."""
-    return boucwen_batch([[m, c, k, alpha, y0]], grid, substeps, theta)[0]
 
 
 def generate_dataset(

@@ -51,7 +51,7 @@ DEFAULT_CONFIG = {
         "substeps": bench.DEFAULT_SUBSTEPS,
     },
     "basis": {"kind": "bspline", "n_b0": None, "order": 4, "mirror": None},
-    "smoothing": {"n_tau": 25, "delta_r": 0.05, "n_b0": None, "tau_override": None},
+    "smoothing": {"n_tau": 25, "delta_r": 0.05, "tau_override": None},
     "kriging": {"n_starts": 10, "budget": 400, "fix_nugget": None},
     "surrogate": {"reducer": "kfdr-b"},
     "study": {
@@ -93,13 +93,28 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path=None) -> dict:
+    """The defaults, overridden by the JSON config at path.  An unknown
+    section or section key (keys below that level, e.g. inverse.fixed's
+    parameter names, are not checked), a section that is not an object and
+    a non-boolean basis.mirror fail, naming the file and the key."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path, "r", encoding="utf-8") as fh:
         user = json.load(fh)
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
+        raise ValueError(f"config {path}: unknown sections {sorted(unknown)}")
+    for section, value in user.items():
+        if not isinstance(DEFAULT_CONFIG[section], dict):
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config {path}: {section} must be an object")
+        for key in value:
+            if key not in DEFAULT_CONFIG[section]:
+                raise ValueError(f"config {path}: unknown key {section}.{key}")
+    mirror = user.get("basis", {}).get("mirror")
+    if mirror is not None and not isinstance(mirror, bool):
+        raise ValueError(f"config {path}: basis.mirror must be true, false or null, got {mirror!r}")
     return _merge(DEFAULT_CONFIG, user)
 
 
@@ -112,12 +127,9 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _fit_config(cfg: dict) -> FitConfig:
-    n_b0 = cfg["smoothing"]["n_b0"]
-    if n_b0 is None:
-        n_b0 = cfg["basis"]["n_b0"]
     return FitConfig(
         reducer=cfg["surrogate"]["reducer"],
-        n_b0=n_b0,
+        n_b0=cfg["basis"]["n_b0"],
         order=cfg["basis"]["order"],
         delta_r=cfg["smoothing"]["delta_r"],
         n_tau=cfg["smoothing"]["n_tau"],
@@ -453,7 +465,6 @@ def cmd_inverse(args) -> int:
         burn_in=inv["burn_in"],
         rng=make_rng(derive_seed(seed, "inverse/mcmc")),
         names=calibrated + ["sigma"],
-        vectorize=True,
     )
     summary = uq.posterior_summary(samples)
     os.makedirs(out_dir, exist_ok=True)

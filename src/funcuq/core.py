@@ -115,36 +115,6 @@ class ResponseEnsemble:
         return self.inputs.shape[1]
 
 
-def center_ensemble(responses):
-    """Subtract the across-sample mean curve from every response row.
-
-    Returns
-    -------
-    mean_curve : ndarray of shape (n_t,)
-    centered : ndarray of shape (N, n_t)
-    """
-    responses = np.atleast_2d(np.asarray(responses, dtype=float))
-    if responses.shape[0] < 1 or responses.size == 0:
-        raise ValueError("empty ensemble")
-    mean_curve = responses.mean(axis=0)
-    return mean_curve, responses - mean_curve
-
-
-def nrmse_curve(y, y_hat) -> float:
-    """Range-normalized l2 error between one curve and its estimate.
-
-    Computes ||y - y_hat||_2 / (max y - min y); no 1/sqrt(n_t) factor.
-    """
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    if y.shape != y_hat.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
-    span = y.max() - y.min()
-    if span <= 0.0:
-        raise ValueError("curve has zero range; NRMSE undefined")
-    return float(np.linalg.norm(y - y_hat) / span)
-
-
 def model_nrmse(truth, pred) -> float:
     """Test-set error: per-curve RMS over time divided by curve range,
     averaged over all curves.

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix, gram_matrix, roughness_matrix
+from .basis import BSPLINE, FOURIER, BasisSystem, gram_matrix
 from .core import ResponseEnsemble, TimeGrid, fit_nodes, mirror_rows
-from .smoothing import effective_nb, fit_coefficients, select_nb, select_tau
+from .smoothing import effective_nb, fit_basis, select_nb
 
 VARIANCE_TARGET = 0.99
 
@@ -41,6 +41,18 @@ def select_m(eigenvalues) -> int:
         raise ValueError("all-zero spectrum; caller should handle m = 0")
     fractions = np.cumsum(lam) / total
     return int(np.searchsorted(fractions, VARIANCE_TARGET) + 1)
+
+
+def _retain(lam: np.ndarray, Y: np.ndarray):
+    """(m, variance_fraction) for a nonnegative descending spectrum of the
+    curves Y: no latent modes and fraction 1 when the curves are identical
+    (the total is roundoff at the data's scale), else select_m's count."""
+    total = lam.sum()
+    scale = float(np.max(np.abs(Y))) if Y.size else 0.0
+    if total <= 1e-14 * max(1.0, scale**2):
+        return 0, 1.0
+    m = select_m(lam)
+    return m, float(lam[:m].sum() / total)
 
 
 def _matrix_sqrt(W: np.ndarray):
@@ -146,17 +158,12 @@ def fit_reducer(
     centered = Y - mean_fit
 
     if nb_override is not None:
-        n_b = effective_nb(kind, nb_override, order)
-        sys = BasisSystem(kind, n_b, *interval, order=order)
-        H = design_matrix(sys, nodes)
-        R = roughness_matrix(sys)
-        tau = (
-            tau_override
-            if tau_override is not None
-            else select_tau(H, R, centered, n_tau)
+        basis, H, tau, C = fit_basis(
+            kind, effective_nb(kind, nb_override, order), centered, nodes, interval,
+            order, n_tau, tau_override,
         )
     else:
-        n_b, tau = select_nb(
+        basis, H, tau, C = select_nb(
             kind,
             centered,
             nodes,
@@ -168,12 +175,8 @@ def fit_reducer(
             tau_override=tau_override,
             trace=nb_trace,
         )
-        sys = BasisSystem(kind, n_b, *interval, order=order)
-        H = design_matrix(sys, nodes)
-        R = roughness_matrix(sys)
 
-    C = fit_coefficients(H, R, tau, centered)
-    W = gram_matrix(sys)
+    W = gram_matrix(basis)
     W_half, W_half_inv = _matrix_sqrt(W)
 
     G = W_half @ C
@@ -185,20 +188,9 @@ def fit_reducer(
             f"covariance eigenvalue {lam.min():.3e} is too negative"
         )
     lam = np.clip(lam, 0.0, None)
-
-    total = lam.sum()
-    data_scale = float(np.max(np.abs(Y))) if Y.size else 0.0
-    if total <= 1e-14 * max(1.0, data_scale**2):
-        # All curves identical: constant-mean reducer with no latent modes.
-        m = 0
-        B = np.zeros((n_b, 0))
-        variance_fraction = 1.0
-        scores = np.zeros((ensemble.n, 0))
-    else:
-        m = select_m(lam)
-        B = _fix_signs(W_half_inv @ U[:, :m])
-        variance_fraction = float(lam[:m].sum() / total)
-        scores = (B.T @ (W @ C)).T
+    m, variance_fraction = _retain(lam, Y)
+    B = _fix_signs(W_half_inv @ U[:, :m])
+    scores = (B.T @ (W @ C)).T
 
     reducer = Reducer(
         grid=grid,
@@ -209,12 +201,12 @@ def fit_reducer(
         variance_fraction=variance_fraction,
         description={
             "kind": "fdr",
-            "basis": {"kind": sys.kind, "n_b": sys.n_b, "order": sys.order},
+            "basis": {"kind": basis.kind, "n_b": basis.n_b, "order": basis.order},
             "tau": float(tau),
             "mirror": bool(mirror),
             "B": B.tolist(),
         },
-        basis=sys,
+        basis=basis,
         tau=float(tau),
     )
     return reducer, scores
@@ -229,24 +221,15 @@ def fit_pca_reducer(ensemble: ResponseEnsemble):
     mean_curve = Y.mean(axis=0)
     centered = Y - mean_curve
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
-    lam = svals**2 / (ensemble.n - 1)
-    total = lam.sum()
-    scale = float(np.max(np.abs(Y))) if Y.size else 0.0
-    if total <= 1e-14 * max(1.0, scale**2):
-        m = 0
-        components = np.zeros((ensemble.grid.n_t, 0))
-        variance_fraction = 1.0
-        scores = np.zeros((ensemble.n, 0))
-    else:
-        m = select_m(np.clip(lam, 0.0, None))
-        components = _fix_signs(Vt[:m].T.copy())
-        variance_fraction = float(lam[:m].sum() / total)
-        scores = centered @ components
+    lam = np.clip(svals**2 / (ensemble.n - 1), 0.0, None)
+    m, variance_fraction = _retain(lam, Y)
+    components = _fix_signs(Vt[:m].T.copy())
+    scores = centered @ components
     reducer = Reducer(
         grid=ensemble.grid,
         mean_curve=mean_curve,
         phi=components,
-        eigenvalues=np.clip(lam, 0.0, None),
+        eigenvalues=lam,
         m=m,
         variance_fraction=variance_fraction,
         description={"kind": "pca", "components": components.tolist()},

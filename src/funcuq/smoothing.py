@@ -108,6 +108,22 @@ def _mean_projection_nrmse(centered: np.ndarray, fitted: np.ndarray) -> float:
     return float(out.mean())
 
 
+def fit_basis(kind: str, n_b: int, centered: np.ndarray, nodes: np.ndarray,
+              interval: tuple[float, float], order: int = 4,
+              n_tau: int = TAU_GRID_SIZE, tau_override: float | None = None):
+    """One fit of the centered curves to a basis of n_b functions on the
+    interval: its design matrix H on the nodes and roughness matrix R, tau
+    from the GCV grid (unless tau_override pins it), and the coefficients.
+
+    Returns (basis, H, tau, C), with C the (n_b, N) coefficient matrix.
+    """
+    basis = BasisSystem(kind, n_b, *interval, order=order)
+    H = design_matrix(basis, nodes)
+    R = roughness_matrix(basis)
+    tau = select_tau(H, R, centered, n_tau) if tau_override is None else tau_override
+    return basis, H, tau, fit_coefficients(H, R, tau, centered)
+
+
 def select_nb(
     kind: str,
     centered: np.ndarray,
@@ -123,9 +139,10 @@ def select_nb(
     """Grow the basis count until the mean projection NRMSE stagnates.
 
     Starting from n_b0, the count is increased by k * n_b0 in round k.
-    Each round reselects tau on the GCV grid (unless tau_override pins it)
-    and recomputes the training-set mean NRMSE; the loop stops when the
-    relative change between consecutive rounds falls below delta_r.
+    Each round is one fit_basis call, which reselects tau on the GCV grid
+    (unless tau_override pins it); the round's training-set mean NRMSE is
+    compared with the previous round's, and the loop stops when the
+    relative change falls below delta_r.
 
     Parameters
     ----------
@@ -141,7 +158,7 @@ def select_nb(
 
     Returns
     -------
-    (n_b, tau) : the selected basis count and smoothing parameter.
+    (basis, H, tau, C) : the fit_basis result of the selected round.
     """
     if delta_r <= 0.0:
         raise ValueError("delta_r must be positive")
@@ -149,41 +166,24 @@ def select_nb(
         n_b0 = DEFAULT_NB0[kind]
     if n_b0 < 2:
         raise ValueError("n_b0 must be at least 2")
-    t0, te = interval
     nodes = np.asarray(nodes, dtype=float)
     centered = np.atleast_2d(np.asarray(centered, dtype=float))
     cap = 4 * nodes.size
 
-    def round_fit(nb_eff: int):
-        sys = BasisSystem(kind, nb_eff, t0, te, order=order)
-        H = design_matrix(sys, nodes)
-        R = roughness_matrix(sys)
-        if tau_override is not None:
-            tau = tau_override
-        else:
-            tau = select_tau(H, R, centered, n_tau)
-        C = fit_coefficients(H, R, tau, centered)
-        delta = _mean_projection_nrmse(centered, (H @ C).T)
-        if trace is not None:
-            trace.append({"n_b": nb_eff, "tau": tau, "delta": delta})
-        return tau, delta
-
-    nb_raw = n_b0
-    nb_eff = effective_nb(kind, nb_raw, order)
-    tau, delta1 = round_fit(nb_eff)
-    if delta1 < 1e-12:
-        # Degenerate zero-error ensemble (e.g. constant curves): converged.
-        return nb_eff, tau
-    k = 1
+    nb_raw, k, previous = n_b0, 0, None
     while True:
-        nb_raw += k * n_b0
         nb_eff = effective_nb(kind, nb_raw, order)
-        if nb_eff > cap:
+        if k and nb_eff > cap:
             raise RuntimeError(
                 f"basis-count selection did not converge below {cap} functions"
             )
-        tau, delta2 = round_fit(nb_eff)
-        if delta2 < 1e-12 or abs(delta1 - delta2) / delta2 < delta_r:
-            return nb_eff, tau
-        delta1 = delta2
-        k += 1
+        fit = fit_basis(kind, nb_eff, centered, nodes, interval, order, n_tau, tau_override)
+        _, H, tau, C = fit
+        delta = _mean_projection_nrmse(centered, (H @ C).T)
+        if trace is not None:
+            trace.append({"n_b": nb_eff, "tau": tau, "delta": delta})
+        # A zero-error round (e.g. constant curves) has converged.
+        if delta < 1e-12 or (k and abs(previous - delta) / delta < delta_r):
+            return fit
+        previous, k = delta, k + 1
+        nb_raw += k * n_b0

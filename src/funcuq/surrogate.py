@@ -55,6 +55,8 @@ class FitConfig:
     def __post_init__(self):
         if self.reducer not in REDUCERS:
             raise ValueError(f"reducer must be one of {REDUCERS}, got {self.reducer!r}")
+        if self.mirror is not None and not isinstance(self.mirror, bool):
+            raise ValueError(f"mirror must be True, False or None, got {self.mirror!r}")
 
 
 class LatentSurrogate:

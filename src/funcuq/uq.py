@@ -212,7 +212,7 @@ def forward_uq(
 ) -> ForwardUqResult:
     """Propagate an input distribution through a response model.
 
-    The model is either a fitted LatentSurrogate or a vectorized callable
+    The model is either a fitted LatentSurrogate or a batched callable
     mapping an (n, p) input block to (n, n_t) response curves.  For a
     surrogate, the mean curve is assembled from the averaged latent means
     with a single basis multiplication, and the samples outside its
@@ -397,7 +397,6 @@ def ensemble_mcmc(
     rng: np.random.Generator | None = None,
     a: float = STRETCH_A,
     names=None,
-    vectorize: bool = False,
 ) -> PosteriorSamples:
     """Affine-invariant ensemble sampler with red-blue stretch moves.
 
@@ -408,10 +407,8 @@ def ensemble_mcmc(
     with z drawn from the 1/sqrt(z) density on [1/a, a], and is accepted
     with probability min(1, z^(d-1) exp(delta log posterior)).  All
     proposals of a half are scored in one logpost call (Foreman-Mackey et
-    al. 2013, section 2).  With vectorize=True, logpost maps an (n, d)
-    block to (n,) values; otherwise it maps one row to a float and the
-    sampler calls it on each row of the block.  The first burn_in
-    fraction of iterations is discarded.
+    al. 2013, section 2): logpost maps an (n, d) block to (n,) values.
+    The first burn_in fraction of iterations is discarded.
     """
     d = len(priors)
     if walkers < 2 * (d + 1):
@@ -424,10 +421,7 @@ def ensemble_mcmc(
         raise ValueError("an explicit generator is required")
 
     def logpost_block(block):
-        if vectorize:
-            values = np.asarray(logpost(block), dtype=float)
-        else:
-            values = np.array([logpost(row) for row in block], dtype=float)
+        values = np.asarray(logpost(block), dtype=float)
         if values.shape != (block.shape[0],):
             raise ValueError(f"logpost returned shape {values.shape} for {block.shape[0]} rows")
         return values

@@ -16,6 +16,7 @@ import pytest
 
 import funcuq as fq
 from funcuq import bench
+from funcuq.basis import BSPLINE, FOURIER
 from funcuq.cli import main as cli_main
 from funcuq.fpca import fit_reducer
 from funcuq.kriging import fit_kriging, log_marginal_likelihood
@@ -60,7 +61,7 @@ def test_criterion_1_fpca_oracle():
     t_start = time.perf_counter()
     rng = fq.make_rng(fq.derive_seed(MASTER_SEED, "acc1"))
     grid = fq.TimeGrid(0.0, 1.0, 161)
-    sys = fq.fourier_basis(9, 0.0, 1.0)
+    sys = fq.BasisSystem(FOURIER, 9, 0.0, 1.0)
     H = fq.design_matrix(sys, grid)
     coeffs = rng.normal(size=(50, 9))
     Y = coeffs @ H.T + 0.7
@@ -93,7 +94,7 @@ def test_criterion_2_variance_accounting():
     t = grid.nodes
     fits = []
 
-    sysF = fq.fourier_basis(9, 0.0, 2.0)
+    sysF = fq.BasisSystem(FOURIER, 9, 0.0, 2.0)
     Y1 = rng.normal(size=(40, 9)) @ fq.design_matrix(sysF, grid).T
     ens1 = fq.ResponseEnsemble(rng.normal(size=(40, 2)), Y1, grid)
     fits.append(fit_reducer(ens1, kind="fourier", mirror=False, tau_override=0.0, n_b0=9))
@@ -174,6 +175,11 @@ def test_criterion_4_forward_uq():
 # 5. Inverse UQ conjugate oracle
 
 
+def row_logpost(logpost):
+    """A block log posterior from one that scores a single row."""
+    return lambda block: np.array([logpost(row) for row in block], dtype=float)
+
+
 @report(5, "inverse UQ conjugate-posterior oracle")
 def test_criterion_5_inverse_uq():
     t_start = time.perf_counter()
@@ -198,7 +204,7 @@ def test_criterion_5_inverse_uq():
     std_post = 1.0 / math.sqrt(precision)
 
     samples = ensemble_mcmc(
-        logpost, [prior], walkers=100, iterations=2000, burn_in=0.5,
+        row_logpost(logpost), [prior], walkers=100, iterations=2000, burn_in=0.5,
         rng=fq.make_rng(fq.derive_seed(MASTER_SEED, "acc5/mcmc")),
     )
     draws = samples.draws[:, 0]
@@ -288,7 +294,7 @@ def test_criterion_8_solvers():
 
     linear = bench.rk4_integrate(linear_rhs, np.array([[y0, 0.0]]),
                                  bench.BOUCWEN_GRID)[:, 0, 0]
-    full = bench.boucwen_response(m, c, k, 1.0, y0)
+    full = bench.boucwen_batch([[m, c, k, 1.0, y0]])[0]
     assert np.abs(full - linear).max() <= 1e-6
 
     for alpha in (0.6, 0.9375, 1.4):
@@ -323,7 +329,7 @@ def test_criterion_9_determinism(tmp_path):
                     "n_mcs": 200, "kde_points": 64},
     }
     grid = bench.DUFFING_GRID
-    curve = bench.duffing_response(1.19, 1.82, 0.94, -3.3e-5, substeps=2)
+    curve = bench.duffing_batch([[1.19, 1.82, 0.94, -3.3e-5]], substeps=2)[0]
     rng = fq.make_rng(fq.derive_seed(MASTER_SEED, "acc9/obs"))
     obs = curve[None, :] + rng.normal(0, 1e-5, (2, grid.n_t))
     obs_path = tmp_path / "obs.csv"
@@ -369,7 +375,7 @@ def test_criterion_10_algorithm_fidelity():
     rng = fq.make_rng(fq.derive_seed(MASTER_SEED, "acc10"))
     grid = fq.TimeGrid(0.0, 1.0, 41)
     t = grid.nodes
-    sys = fq.fourier_basis(7, 0.0, 1.0)
+    sys = fq.BasisSystem(FOURIER, 7, 0.0, 1.0)
     H = fq.design_matrix(sys, grid)
     R = fq.roughness_matrix(sys)
     amps = rng.normal(size=(15, 1))
@@ -391,13 +397,14 @@ def test_criterion_10_algorithm_fidelity():
     centered = ens.responses - ens.responses.mean(axis=0)
     nodes = ens.grid.nodes
     trace: list = []
-    n_b_sel, tau_sel = select_nb(
+    basis_sel, _, tau_sel, _ = select_nb(
         "bspline", centered, nodes, (0.0, 2.0), n_b0=8, trace=trace
     )
+    n_b_sel = basis_sel.n_b
 
     def replay_round(nb_raw):
         nb_eff = effective_nb("bspline", nb_raw)
-        sys_r = fq.bspline_basis(nb_eff, 0.0, 2.0)
+        sys_r = fq.BasisSystem(BSPLINE, nb_eff, 0.0, 2.0)
         H_r = fq.design_matrix(sys_r, nodes)
         R_r = fq.roughness_matrix(sys_r)
         tau_r = fq.select_tau(H_r, R_r, centered, 25)

@@ -8,10 +8,10 @@ from funcuq.bench import (
     DUFFING_BOUNDS,
     DUFFING_GRID,
     boucwen_excitation,
+    boucwen_batch,
     boucwen_excitation_coeffs,
-    boucwen_response,
+    duffing_batch,
     duffing_excitation,
-    duffing_response,
     generate_dataset,
     rk4_integrate,
 )
@@ -71,26 +71,26 @@ def test_duffing_excitation_at_zero_is_alpha():
 
 
 def test_duffing_initial_condition_exact():
-    y = duffing_response(1.1, 2.0, 0.8, -7e-5)
+    y = duffing_batch([[1.1, 2.0, 0.8, -7e-5]])[0]
     assert y[0] == -7e-5
     assert y.shape == (DUFFING_GRID.n_t,)
 
 
 def test_duffing_reference_regression():
-    y = duffing_response(1.0, 2.0, 1.0, -5e-5)
+    y = duffing_batch([[1.0, 2.0, 1.0, -5e-5]])[0]
     assert abs(np.abs(y).max() - DUFFING_REF["max_abs"]) < 1e-6
     for idx in (100, 200, 400):
         assert y[idx] == pytest.approx(DUFFING_REF[idx], abs=1e-6)
 
 
 def test_duffing_step_refinement_converged():
-    y4 = duffing_response(1.0, 2.0, 1.0, -5e-5, substeps=4)
-    y16 = duffing_response(1.0, 2.0, 1.0, -5e-5, substeps=16)
+    y4 = duffing_batch([[1.0, 2.0, 1.0, -5e-5]], substeps=4)[0]
+    y16 = duffing_batch([[1.0, 2.0, 1.0, -5e-5]], substeps=16)[0]
     assert np.abs(y4 - y16).max() < 1e-6
 
 
 def test_boucwen_initial_conditions():
-    y = boucwen_response(6e4, 1e5, 5e6, 0.2, 0.013)
+    y = boucwen_batch([[6e4, 1e5, 5e6, 0.2, 0.013]])[0]
     assert y[0] == 0.013
     assert y.shape == (BOUCWEN_GRID.n_t,)
 
@@ -104,7 +104,7 @@ def test_boucwen_alpha_one_matches_linear_oscillator():
         return np.stack([s[..., 1], (force - c * s[..., 1] - k * s[..., 0]) / m], axis=-1)
 
     linear = rk4_integrate(linear_rhs, np.array([[y0, 0.0]]), BOUCWEN_GRID)[:, 0, 0]
-    full = boucwen_response(m, c, k, 1.0, y0)
+    full = boucwen_batch([[m, c, k, 1.0, y0]])[0]
     assert np.abs(full - linear).max() <= 1e-6
 
 

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import funcuq as fq
-from funcuq.cli import _calibration_model, main
+from funcuq.bench import duffing_batch
+from funcuq.cli import _calibration_model, load_config, main
 from funcuq.uq import Uniform, log_posterior, log_posterior_block, save_observations
 
 
@@ -139,7 +141,7 @@ def test_study_table_shape_and_determinism(tmp_path):
         cfg_path,
         study={"train_sizes": [10], "repetitions": 2, "test_size": 12,
                "noise_std": 0.0, "methods": ["kfdr-b", "pca"]},
-        smoothing={"tau_override": 0.0, "n_b0": 16},
+        basis={"n_b0": 16},
     )
     outs = []
     for name in ("s1", "s2"):
@@ -266,7 +268,7 @@ def make_inverse_config(tmp_path, observations_path, **inv_overrides):
 
 def write_duffing_observations(tmp_path, n_obs=3):
     grid = fq.TimeGrid(0.0, 2.0, 401)
-    curve = fq.duffing_response(1.19, 1.82, 0.94, -3.3e-5, substeps=2)
+    curve = duffing_batch([[1.19, 1.82, 0.94, -3.3e-5]], substeps=2)[0]
     rng = fq.make_rng(50)
     obs = curve[None, :] + rng.normal(0.0, 1e-5, (n_obs, grid.n_t))
     path = tmp_path / "obs.csv"
@@ -395,3 +397,31 @@ def test_unknown_config_section_rejected(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"modle": "duffing"}))
     assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"basis": {"mirror": "no"}}, "basis.mirror"),
+    ({"basis": {"mirror": 1}}, "basis.mirror"),
+    ({"kriging": {"n_start": 3}}, "kriging.n_start"),
+    ({"smoothing": {"n_b0": 16}}, "smoothing.n_b0"),
+    ({"basis": 16}, "basis"),
+], ids=["mirror string", "mirror integer", "key typo", "dropped key", "section not an object"])
+def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(override))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(cfg_path))}: .*\b{re.escape(key)}\b"):
+        load_config(cfg_path)
+    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_known_keys_and_free_parameter_names(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "basis": {"kind": "bspline", "mirror": False},
+        "inverse": {"fixed": {"any_parameter_name": 1.0}},
+    }))
+    cfg = load_config(cfg_path)
+    assert cfg["basis"]["mirror"] is False
+    assert cfg["inverse"]["fixed"] == {"any_parameter_name": 1.0}

@@ -35,48 +35,40 @@ def test_ensemble_shape_checks():
         fq.ResponseEnsemble(np.zeros((3, 2)), np.full((3, 5), np.nan), grid)
 
 
+# Centering: both fitters subtract the across-sample mean curve.
+
+
 def test_center_identical_rows():
     v = np.array([1.0, -2.0, 3.0])
-    mean, centered = fq.center_ensemble(np.tile(v, (4, 1)))
-    assert np.array_equal(mean, v)
-    assert np.all(centered == 0.0)
+    ens = fq.ResponseEnsemble(np.zeros((4, 1)), np.tile(v, (4, 1)), fq.TimeGrid(0.0, 1.0, 3))
+    red, scores = fq.fit_pca_reducer(ens)
+    assert np.array_equal(red.mean_curve, v)
+    assert red.m == 0 and scores.shape == (4, 0)
 
 
 def test_center_symmetry():
-    mean, centered = fq.center_ensemble([[0.0, 2.0], [2.0, 0.0]])
-    assert np.array_equal(mean, [1.0, 1.0])
-    assert np.array_equal(centered, [[-1.0, 1.0], [1.0, -1.0]])
+    curves = np.array([[0.0, 2.0], [2.0, 0.0]])
+    ens = fq.ResponseEnsemble([[0.0], [1.0]], curves, fq.TimeGrid(0.0, 1.0, 2))
+    red, scores = fq.fit_pca_reducer(ens)
+    assert np.array_equal(red.mean_curve, [1.0, 1.0])
+    assert np.allclose(scores @ red.phi.T, [[-1.0, 1.0], [1.0, -1.0]], rtol=0, atol=1e-15)
 
 
 def test_center_duffing_column_means():
     ens = fq.generate_dataset("duffing", 100, fq.make_rng(3))
-    _, centered = fq.center_ensemble(ens.responses)
     scale = np.abs(ens.responses).max()
-    assert np.abs(centered.mean(axis=0)).max() < 1e-12
-    assert np.abs(centered.mean(axis=0)).max() <= 1e-10 * scale
+    for red, scores in (fq.fit_pca_reducer(ens),
+                        fq.fit_reducer(ens, nb_override=120, tau_override=1e-6)):
+        assert np.array_equal(red.mean_curve, ens.responses.mean(axis=0))
+        assert np.abs(scores.mean(axis=0)).max() < 1e-12
+        assert np.abs(scores.mean(axis=0)).max() <= 1e-10 * scale
 
 
 def test_center_empty():
-    with pytest.raises(ValueError):
-        fq.center_ensemble(np.zeros((0, 4)))
-
-
-def test_nrmse_curve_values():
-    assert fq.nrmse_curve([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]) == 0.0
-    assert fq.nrmse_curve([0.0, 1.0], [0.0, 0.0]) == pytest.approx(1.0, abs=0)
-
-
-def test_nrmse_curve_matches_definition():
-    rng = fq.make_rng(11)
-    y = rng.normal(size=25)
-    y_hat = y + rng.normal(scale=0.3, size=25)
-    expected = np.sqrt(np.sum((y - y_hat) ** 2)) / (y.max() - y.min())
-    assert fq.nrmse_curve(y, y_hat) == pytest.approx(expected, abs=1e-14)
-
-
-def test_nrmse_curve_constant_errors():
-    with pytest.raises(ValueError):
-        fq.nrmse_curve([1.0, 1.0, 1.0], [1.0, 2.0, 1.0])
+    empty = fq.ResponseEnsemble(np.zeros((0, 1)), np.zeros((0, 4)), fq.TimeGrid(0.0, 1.0, 4))
+    for fit in (fq.fit_pca_reducer, fq.fit_reducer):
+        with pytest.raises(ValueError):
+            fit(empty)
 
 
 def test_model_nrmse_values():
@@ -108,8 +100,8 @@ def test_nrmse_shift_invariance():
     y = rng.normal(size=30)
     y_hat = y + rng.normal(scale=0.1, size=30)
     for c in (-3.7, 0.0, 11.0):
-        assert fq.nrmse_curve(y + c, y_hat + c) == pytest.approx(
-            fq.nrmse_curve(y, y_hat), rel=1e-12
+        assert fq.model_nrmse(y[None] + c, y_hat[None] + c) == pytest.approx(
+            fq.model_nrmse(y[None], y_hat[None]), rel=1e-12
         )
     assert fq.model_nrmse(y[None] + 5.0, y_hat[None] + 5.0) == pytest.approx(
         fq.model_nrmse(y[None], y_hat[None]), rel=1e-12

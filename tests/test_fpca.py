@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 import funcuq as fq
-from funcuq import fpca
+from funcuq import fpca, smoothing
+from funcuq.basis import FOURIER, BasisSystem
+from funcuq.core import fit_nodes, mirror_rows
 from funcuq.fpca import fit_reducer, select_m
+from funcuq.smoothing import effective_nb, select_nb, select_tau
 
 
 def project(red, curves):
@@ -23,10 +27,17 @@ def reconstruct(red, xi):
     return red.mean_curve + red.phi @ xi
 
 
+def nrmse_curve(y, y_hat) -> float:
+    """Range-normalized l2 error of one curve: ||y - y_hat|| / (max y - min y)."""
+    span = np.max(y) - np.min(y)
+    assert span > 0.0
+    return float(np.linalg.norm(np.asarray(y) - y_hat) / span)
+
+
 def make_ensemble(rng, n=40, n_b=7, grid=None, offset=0.3):
     """Curves lying exactly in the span of the first n_b Fourier functions."""
     grid = grid or fq.TimeGrid(0.0, 1.0, 101)
-    sys = fq.fourier_basis(n_b, grid.t0, grid.te)
+    sys = BasisSystem(FOURIER, n_b, grid.t0, grid.te)
     H = fq.design_matrix(sys, grid)
     coeffs = rng.normal(size=(n, n_b)) * np.linspace(2.0, 0.2, n_b)
     Y = coeffs @ H.T + offset
@@ -170,7 +181,7 @@ def test_roundtrip_on_in_span_data():
     # so project/reconstruct is exact on the training curves.
     rng = fq.make_rng(29)
     grid = fq.TimeGrid(0.0, 1.0, 101)
-    sys = fq.fourier_basis(7, 0.0, 1.0)
+    sys = BasisSystem(FOURIER, 7, 0.0, 1.0)
     H = fq.design_matrix(sys, grid)
     Y = rng.normal(size=(40, 7)) @ H.T + 0.3
     ens = fq.ResponseEnsemble(rng.normal(size=(40, 2)), Y, grid)
@@ -179,7 +190,7 @@ def test_roundtrip_on_in_span_data():
     for i in (0, 5, 17):
         y = ens.responses[i]
         rec = reconstruct(red, project(red, y)[0])
-        assert fq.nrmse_curve(y, rec) <= 1e-6
+        assert nrmse_curve(y, rec) <= 1e-6
 
 
 def test_reconstruct_zero_gives_mean():
@@ -212,7 +223,7 @@ def test_mirror_roundtrip_on_periodicized_data():
     assert red.description["mirror"]
     # The training scores are the projections of the training curves.
     rec = reconstruct(red, scores[3])
-    assert fq.nrmse_curve(Y[3], rec) <= 0.05
+    assert nrmse_curve(Y[3], rec) <= 0.05
     assert red.phi.shape == (grid.n_t, red.m)
 
 
@@ -235,3 +246,93 @@ def test_fit_reducer_needs_two_curves():
     ens = fq.ResponseEnsemble(np.zeros((1, 1)), np.ones((1, 11)), grid)
     with pytest.raises(ValueError):
         fit_reducer(ens)
+
+
+# ---------------------------------------------------------------------------
+# One basis fit per reduction
+
+
+def refit_reference(ens, kind, n_b0=None, tau_override=None, nb_override=None):
+    """(reducer arrays, scores) built by selecting n_b and tau first and then
+    fitting the basis, H, R and C once more at them, with the retention
+    rule written out for identical curves."""
+    mirror = kind == FOURIER
+    Y = mirror_rows(ens.responses) if mirror else ens.responses
+    nodes, interval = fit_nodes(ens.grid, mirror)
+    mean = Y.mean(axis=0)
+    centered = Y - mean
+    if nb_override is None:
+        trace: list = []
+        select_nb(kind, centered, nodes, interval, n_b0=n_b0,
+                  tau_override=tau_override, trace=trace)
+        n_b, tau = trace[-1]["n_b"], trace[-1]["tau"]
+    else:
+        n_b, tau = effective_nb(kind, nb_override), tau_override
+    basis = BasisSystem(kind, n_b, *interval)
+    H = fq.design_matrix(basis, nodes)
+    R = fq.roughness_matrix(basis)
+    if tau is None:
+        tau = select_tau(H, R, centered)
+    C = fq.fit_coefficients(H, R, tau, centered)
+    W = fq.gram_matrix(basis)
+    W_half, W_half_inv = fpca._matrix_sqrt(W)
+    G = W_half @ C
+    lam, U = eigh((G @ G.T) / (ens.n - 1))
+    lam, U = np.clip(lam[::-1], 0.0, None), U[:, ::-1]
+    if lam.sum() <= 1e-14 * max(1.0, np.abs(Y).max() ** 2):
+        B, scores = np.zeros((n_b, 0)), np.zeros((ens.n, 0))
+    else:
+        B = fpca._fix_signs(W_half_inv @ U[:, :select_m(lam)])
+        scores = (B.T @ (W @ C)).T
+    n_t = ens.grid.n_t
+    return {"phi": (H @ B)[:n_t], "B": B, "mean_curve": mean[:n_t], "eigenvalues": lam}, scores
+
+
+def duffing_ensemble(n=30):
+    """Duffing curves on every fourth node of their grid (101 nodes)."""
+    ens = fq.generate_dataset("duffing", n, fq.make_rng(31))
+    return fq.ResponseEnsemble(ens.inputs, ens.responses[:, ::4], fq.TimeGrid(0.0, 2.0, 101))
+
+
+FIT_PATHS = {
+    "kfdr-b growth": dict(kind="bspline", n_b0=45),
+    "kfdr-f mirrored growth": dict(kind="fourier"),
+    "nb_override": dict(kind="bspline", nb_override=120),
+    "nb_override, tau_override 0": dict(kind="bspline", nb_override=60, tau_override=0.0),
+}
+
+
+@pytest.mark.parametrize("identical", [False, True], ids=["duffing", "identical curves"])
+@pytest.mark.parametrize("path", sorted(FIT_PATHS))
+def test_reducer_equals_refit_at_selected_basis(path, identical):
+    ens = duffing_ensemble()
+    if identical:
+        ens = fq.ResponseEnsemble(ens.inputs, np.tile(ens.responses[0], (ens.n, 1)), ens.grid)
+    red, scores = fit_reducer(ens, **FIT_PATHS[path])
+    ref, ref_scores = refit_reference(ens, **FIT_PATHS[path])
+    assert (red.m == 0) == identical
+    assert np.array_equal(red.phi, ref["phi"])
+    assert np.array_equal(np.asarray(red.description["B"]).reshape(ref["B"].shape), ref["B"])
+    assert np.array_equal(scores, ref_scores)
+    assert np.array_equal(red.mean_curve, ref["mean_curve"])
+    assert np.array_equal(red.eigenvalues, ref["eigenvalues"])
+
+
+@pytest.mark.parametrize("path", sorted(FIT_PATHS))
+def test_one_coefficient_fit_per_round(monkeypatch, path):
+    calls, original = [], smoothing.fit_coefficients
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(smoothing, "fit_coefficients", counted)
+    # A coefficient fit of fit_reducer's own, through a name of fpca's,
+    # would count too.
+    monkeypatch.setattr(fpca, "fit_coefficients", counted, raising=False)
+    trace: list = []
+    red, _ = fit_reducer(duffing_ensemble(), nb_trace=trace, **FIT_PATHS[path])
+    rounds = 1 if "nb_override" in FIT_PATHS[path] else len(trace)
+    assert rounds >= 1
+    assert len(calls) == rounds
+    assert calls[-1] == red.tau

@@ -1,7 +1,9 @@
-"""Every name a funcuq module imports is used in that module."""
+"""Every name a funcuq module imports is used in that module, and every
+function or class it defines is read somewhere."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -31,3 +33,48 @@ def test_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+# Public names that nothing in the package or the benchmark calls, kept on
+# purpose for library users.
+DEAD_NAME_EXCEPTIONS = {
+    "cross_validate": "the seeded k-fold harness the README offers to library users",
+}
+
+
+def dead_names(modules: dict, perfbench: list) -> list:
+    """(module, name) of each module-level def/class of `modules` (file name
+    -> source) that no other module reads, its own module reads only in its
+    definition, and no `perfbench` source names as a word.  The package
+    __init__ is not a reader: it only re-exports."""
+    read = {}
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        read[module] = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read[module] |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    dead = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if any(name in names for names in read.values()):
+                continue
+            if any(re.search(rf"\b{name}\b", text) for text in perfbench):
+                continue
+            dead.append((module, name))
+    return dead
+
+
+def test_dead_name_check_finds_an_unread_function():
+    modules = {"a.py": "def used():\n    pass\n\ndef unused():\n    used()\n",
+               "b.py": "def named():\n    pass\n"}
+    assert dead_names(modules, ["b.named()"]) == [("a.py", "unused")]
+
+
+def test_every_module_level_name_is_read():
+    modules = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES}
+    perfbench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    dead = [(m, n) for m, n in dead_names(modules, perfbench) if n not in DEAD_NAME_EXCEPTIONS]
+    assert dead == []

@@ -5,6 +5,7 @@ import pytest
 
 import funcuq as fq
 from funcuq import smoothing
+from funcuq.basis import BSPLINE, FOURIER
 from funcuq.smoothing import (
     PenalizedSolver,
     SingularSystemError,
@@ -17,7 +18,7 @@ from funcuq.smoothing import (
 @pytest.fixture
 def fourier_setup():
     grid = fq.TimeGrid(0.0, 1.0, 41)
-    sys = fq.fourier_basis(7, 0.0, 1.0)
+    sys = fq.BasisSystem(FOURIER, 7, 0.0, 1.0)
     H = fq.design_matrix(sys, grid)
     R = fq.roughness_matrix(sys)
     return grid, sys, H, R
@@ -35,7 +36,7 @@ def test_fit_exact_representation(fourier_setup):
 def test_fit_square_interpolation():
     # Square collocation system: B-splines at as many nodes as functions.
     grid = fq.TimeGrid(0.0, 1.0, 8)
-    sys = fq.bspline_basis(8, 0.0, 1.0)
+    sys = fq.BasisSystem(BSPLINE, 8, 0.0, 1.0)
     H = fq.design_matrix(sys, grid)
     R = fq.roughness_matrix(sys)
     rng = fq.make_rng(0)
@@ -49,7 +50,7 @@ def test_fit_huge_tau_forces_affine():
     # so tau -> inf drives the fit to the straight-line least squares fit.
     grid = fq.TimeGrid(0.0, 1.0, 60)
     t = grid.nodes
-    sys = fq.bspline_basis(10, 0.0, 1.0)
+    sys = fq.BasisSystem(BSPLINE, 10, 0.0, 1.0)
     H = fq.design_matrix(sys, grid)
     R = fq.roughness_matrix(sys)
     rng = fq.make_rng(1)
@@ -117,7 +118,7 @@ def test_gcv_trace_guard():
     # Square invertible smoother: trace(S) equals the observation count,
     # which must trip the division guard.
     grid = fq.TimeGrid(0.0, 1.0, 8)
-    sys = fq.bspline_basis(8, 0.0, 1.0)
+    sys = fq.BasisSystem(BSPLINE, 8, 0.0, 1.0)
     H = fq.design_matrix(sys, grid)
     R = fq.roughness_matrix(sys)
     y = fq.make_rng(6).normal(size=(2, 8))
@@ -146,7 +147,7 @@ def test_select_tau_tie_breaks_small():
     # Curves exactly in the basis span with zero roughness interaction give
     # GCV values that are flat in tau; the smallest grid point must win.
     grid = fq.TimeGrid(0.0, 1.0, 21)
-    sys = fq.fourier_basis(3, 0.0, 1.0)
+    sys = fq.BasisSystem(FOURIER, 3, 0.0, 1.0)
     H = fq.design_matrix(sys, grid)
     R = np.zeros((3, 3))  # no penalty at all: GCV constant in tau
     Yc = (fq.make_rng(8).normal(size=(4, 3)) @ H.T)
@@ -163,16 +164,16 @@ def test_effective_nb():
 
 def test_select_nb_in_span_data():
     grid = fq.TimeGrid(0.0, 1.0, 101)
-    sys15 = fq.fourier_basis(15, 0.0, 1.0)
+    sys15 = fq.BasisSystem(FOURIER, 15, 0.0, 1.0)
     H15 = fq.design_matrix(sys15, grid)
     rng = fq.make_rng(9)
     Y = rng.normal(size=(12, 15)) @ H15.T
     Yc = Y - Y.mean(axis=0)
     trace: list = []
-    n_b, tau = select_nb(
+    basis, _, _, _ = select_nb(
         "fourier", Yc, grid.nodes, (0.0, 1.0), n_b0=5, tau_override=0.0, trace=trace
     )
-    assert n_b >= 15
+    assert basis.n_b >= 15
     assert trace[-1]["delta"] <= 1e-6
     # brute-force delta curve confirms the stop landed after stagnation
     deltas = [r["delta"] for r in trace]
@@ -202,10 +203,10 @@ def test_select_nb_constant_curves_converge_immediately():
     grid = fq.TimeGrid(0.0, 1.0, 31)
     Yc = np.zeros((5, 31))
     trace: list = []
-    n_b, tau = select_nb(
+    basis, _, _, _ = select_nb(
         "bspline", Yc, grid.nodes, (0.0, 1.0), n_b0=8, trace=trace
     )
-    assert n_b == 8
+    assert basis.n_b == 8
     assert len(trace) == 1
 
 

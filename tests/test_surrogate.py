@@ -21,6 +21,13 @@ GRID = fq.TimeGrid(0.0, 1.0, 51)
 T = GRID.nodes
 
 
+def nrmse_curve(y, y_hat) -> float:
+    """Range-normalized l2 error of one curve: ||y - y_hat|| / (max y - min y)."""
+    span = np.max(y) - np.min(y)
+    assert span > 0.0
+    return float(np.linalg.norm(np.asarray(y) - y_hat) / span)
+
+
 def linear_generator(X):
     """One latent mode with a linear score in x1, plus a fixed base curve."""
     return np.cos(2 * np.pi * T)[None, :] + (2.0 * X[:, 0:1]) * np.sin(2 * np.pi * T)[None, :]
@@ -143,7 +150,7 @@ def test_training_point_prediction_matches_roundtrip():
     for i in (0, 7, 19):
         mean, _ = s.predict_curve(ens.inputs[i])
         target = red.mean_curve + red.phi @ scores[i]
-        assert fq.nrmse_curve(target, mean) <= 1e-6
+        assert nrmse_curve(target, mean) <= 1e-6
 
 
 def test_rank_one_variance_identity():
@@ -174,7 +181,7 @@ def test_pca_single_mode_exact():
     reducer, scores = fpca.fit_pca_reducer(make_linear_ensemble())
     assert reducer.m == 1
     rec = reducer.mean_curve + reducer.phi @ scores[0]
-    assert fq.nrmse_curve(make_linear_ensemble().responses[0], rec) <= 1e-8
+    assert nrmse_curve(make_linear_ensemble().responses[0], rec) <= 1e-8
 
 
 def test_pca_eigenvalues_match_dense_covariance():
@@ -214,8 +221,8 @@ def test_reconstruction_bounds_prediction_error():
         y = ens.responses[i]
         rec = red.mean_curve + red.phi @ scores[i]
         mean, _ = s.predict_curve(ens.inputs[i])
-        rec_err.append(fq.nrmse_curve(y, rec))
-        pred_err.append(fq.nrmse_curve(y, mean))
+        rec_err.append(nrmse_curve(y, rec))
+        pred_err.append(nrmse_curve(y, mean))
     assert np.median(rec_err) <= np.median(pred_err) + 1e-12
 
 
@@ -263,6 +270,10 @@ def test_cross_validate_validation():
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(reducer="kfdr-x")
+    for mirror in ("no", 0, 1.0):
+        with pytest.raises(ValueError, match="mirror"):
+            FitConfig(mirror=mirror)
+    assert FitConfig(mirror=False).mirror is False
 
 
 def test_model_count_matches_m():

@@ -595,6 +595,11 @@ def test_log_posterior_block_observation_order_invariant(rows, perm):
 # Ensemble sampler
 
 
+def row_logpost(logpost):
+    """A block log posterior from one that scores a single row."""
+    return lambda block: np.array([logpost(row) for row in block], dtype=float)
+
+
 def test_stretch_z_density_oracle():
     rng = fq.make_rng(11)
     z = np.array([stretch_draw(rng) for _ in range(1_000_000)])
@@ -608,7 +613,7 @@ def test_stretch_z_density_oracle():
 
 def test_mcmc_standard_normal_target():
     ps = ensemble_mcmc(
-        lambda x: -0.5 * float(x[0]) ** 2,
+        row_logpost(lambda x: -0.5 * float(x[0]) ** 2),
         [Normal(0, 1)],
         walkers=100,
         iterations=2000,
@@ -634,7 +639,7 @@ def test_mcmc_defaults():
 
 def test_mcmc_burn_in_discard_count():
     ps = ensemble_mcmc(
-        lambda x: -0.5 * float(x[0]) ** 2,
+        row_logpost(lambda x: -0.5 * float(x[0]) ** 2),
         [Normal(0, 1)],
         walkers=10,
         iterations=40,
@@ -646,13 +651,13 @@ def test_mcmc_burn_in_discard_count():
 
 def test_mcmc_walker_minimum():
     with pytest.raises(ValueError):
-        ensemble_mcmc(lambda x: 0.0, [Normal(0, 1), Normal(0, 1)],
+        ensemble_mcmc(row_logpost(lambda x: 0.0), [Normal(0, 1), Normal(0, 1)],
                       walkers=5, iterations=10, rng=fq.make_rng(0))
 
 
 def test_mcmc_all_infinite_start_errors():
     with pytest.raises(ValueError):
-        ensemble_mcmc(lambda x: -math.inf, [Normal(0, 1)],
+        ensemble_mcmc(row_logpost(lambda x: -math.inf), [Normal(0, 1)],
                       walkers=8, iterations=10, rng=fq.make_rng(1))
 
 
@@ -662,31 +667,15 @@ def test_mcmc_draws_inside_uniform_support():
     def lp(x):
         return prior.logpdf(float(x[0]))
 
-    ps = ensemble_mcmc(lp, [prior], walkers=20, iterations=200, rng=fq.make_rng(14))
+    ps = ensemble_mcmc(row_logpost(lp), [prior], walkers=20, iterations=200,
+                       rng=fq.make_rng(14))
     assert ps.draws.min() >= 0.0 and ps.draws.max() <= 1.0
 
 
 def test_mcmc_deterministic():
-    a = ensemble_mcmc(lambda x: -0.5 * float(x[0]) ** 2, [Normal(0, 1)],
-                      walkers=12, iterations=50, rng=fq.make_rng(15))
-    b = ensemble_mcmc(lambda x: -0.5 * float(x[0]) ** 2, [Normal(0, 1)],
-                      walkers=12, iterations=50, rng=fq.make_rng(15))
-    assert np.array_equal(a.draws, b.draws)
-    assert a.acceptance_rate == b.acceptance_rate
-
-
-def test_mcmc_vectorize_bit_identical():
-    priors = [Normal(0, 1), Normal(0, 2)]
-
-    def lp_row(x):
-        return -0.5 * (x[0] ** 2 + 0.25 * x[1] ** 2)
-
-    def lp_block(X):
-        return -0.5 * (X[:, 0] ** 2 + 0.25 * X[:, 1] ** 2)
-
-    a = ensemble_mcmc(lp_row, priors, walkers=10, iterations=30, rng=fq.make_rng(21))
-    b = ensemble_mcmc(lp_block, priors, walkers=10, iterations=30, rng=fq.make_rng(21),
-                      vectorize=True)
+    lp = row_logpost(lambda x: -0.5 * float(x[0]) ** 2)
+    a = ensemble_mcmc(lp, [Normal(0, 1)], walkers=12, iterations=50, rng=fq.make_rng(15))
+    b = ensemble_mcmc(lp, [Normal(0, 1)], walkers=12, iterations=50, rng=fq.make_rng(15))
     assert np.array_equal(a.draws, b.draws)
     assert a.acceptance_rate == b.acceptance_rate
 
@@ -695,7 +684,7 @@ def test_mcmc_odd_walker_count_inside_support():
     priors = [Uniform(0.0, 1.0), Uniform(-2.0, 3.0)]
     dist = InputDistribution(priors)
     walkers = 2 * (len(priors) + 1) + 1
-    ps = ensemble_mcmc(dist.logpdf, priors, walkers=walkers, iterations=100,
+    ps = ensemble_mcmc(row_logpost(dist.logpdf), priors, walkers=walkers, iterations=100,
                        rng=fq.make_rng(22))
     assert ps.draws.shape == (50 * walkers, 2)
     for j, prior in enumerate(priors):
@@ -717,7 +706,7 @@ def test_mcmc_block_model_calls_bounded_and_in_support():
 
     iterations = 25
     ensemble_mcmc(lp, BLOCK_PRIORS[0] + [BLOCK_PRIORS[1]], walkers=16,
-                  iterations=iterations, rng=fq.make_rng(24), vectorize=True)
+                  iterations=iterations, rng=fq.make_rng(24))
     assert 1 < len(blocks) <= 1 + 2 * iterations
     rows = np.concatenate(blocks)
     assert rows.shape[0] < 16 * (1 + iterations)
