@@ -23,6 +23,7 @@ from . import bench, uq
 from .core import (
     FLOAT_FMT,
     ResponseEnsemble,
+    check_finite,
     check_nodes,
     derive_seed,
     load_ensemble,
@@ -162,13 +163,29 @@ def _load_training_data(cfg: dict, seed: int) -> ResponseEnsemble:
 _DIST_KINDS = {"normal": uq.Normal, "lognormal": uq.Lognormal, "uniform": uq.Uniform}
 
 
-def _build_marginal(entry: dict):
-    kind = entry.get("dist")
+def _build_marginal(path, key: str, entry, kind=None):
+    """The marginal of config entry `key`, of its "dist" kind unless `kind`
+    is given.  A missing, non-numeric or non-finite parameter, an unknown
+    kind and a value the distribution rejects fail, naming the config file
+    and the key."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"config {path}: {key} must be an object, got {entry!r}")
+    kind = kind or entry.get("dist")
     if kind not in _DIST_KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    if kind == "uniform":
-        return uq.Uniform(entry["lower"], entry["upper"])
-    return _DIST_KINDS[kind](entry["mean"], entry["std"])
+        raise ValueError(
+            f"config {path}: {key}.dist must be one of {sorted(_DIST_KINDS)}, got {kind!r}"
+        )
+    params = []
+    for name in ("lower", "upper") if kind == "uniform" else ("mean", "std"):
+        value = entry.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            what = "is missing" if name not in entry else f"must be a finite number, got {value!r}"
+            raise ValueError(f"config {path}: {key}.{name} {what}")
+        params.append(value)
+    try:
+        return _DIST_KINDS[kind](*params)
+    except ValueError as err:
+        raise ValueError(f"config {path}: {key}: {err}") from None
 
 
 def _check_names(given, expected, what: str) -> None:
@@ -208,14 +225,12 @@ def _forward_model(cfg: dict, section: str):
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
+    cfg, seed, out_dir = args.cfg, args.seed, args.out
     model = args.model or cfg["model"]
     if model is None:
         raise ValueError("generate needs --model or a model in the config")
     n = args.n if args.n is not None else cfg["dataset"]["n_train"]
     noise = args.noise if args.noise is not None else cfg["dataset"]["noise_std"]
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    out_dir = args.out or cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     ens = bench.generate_dataset(
         model, n, make_rng(derive_seed(seed, "data/train")), noise_std=noise,
@@ -259,9 +274,7 @@ def _fit_report(sur: LatentSurrogate, seed: int, elapsed: float) -> dict:
 
 
 def cmd_fit(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    out_dir = args.out or cfg["out_dir"]
+    cfg, seed, out_dir = args.cfg, args.seed, args.out
     ens = _load_training_data(cfg, seed)
     t0 = time.perf_counter()
     sur = fit_surrogate(ens, _fit_config(cfg), make_rng(derive_seed(seed, "fit")))
@@ -279,8 +292,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg["out_dir"]
+    cfg, out_dir = args.cfg, args.out
     model_path = args.model_file or cfg["forward"]["model_file"]
     inputs_path = args.inputs
     if not model_path or not inputs_path:
@@ -290,6 +302,12 @@ def cmd_predict(args) -> int:
             raise FileNotFoundError(f"file not found: {path}")
     sur = load_surrogate(model_path)
     X = np.loadtxt(inputs_path, delimiter=",", skiprows=1, ndmin=2)
+    check_finite("inputs", inputs_path, X)
+    if X.shape[1] != sur.input_lo.size:
+        raise ValueError(
+            f"inputs file {inputs_path}: {X.shape[1]} columns, the model has "
+            f"{sur.input_lo.size} inputs"
+        )
     means, var = sur.predict_curves(X)
     os.makedirs(out_dir, exist_ok=True)
     header = [_fmt(t) for t in sur.grid.nodes]
@@ -300,11 +318,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = load_config(args.config)
+    cfg, seed, out_dir = args.cfg, args.seed, args.out
     if cfg["model"] is None:
         raise ValueError("study needs a model in the config")
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    out_dir = args.out or cfg["out_dir"]
     st = cfg["study"]
     substeps = cfg["dataset"]["substeps"]
 
@@ -344,17 +360,18 @@ def cmd_study(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    out_dir = args.out or cfg["out_dir"]
+    cfg, seed, out_dir = args.cfg, args.seed, args.out
     fw = cfg["forward"]
     model, grid, names = _forward_model(cfg, "forward")
     entries = fw["distributions"]
     if not entries:
         raise ValueError("forward needs input distributions")
+    dist = uq.InputDistribution([
+        _build_marginal(args.config, f"forward.distributions[{j}]", e)
+        for j, e in enumerate(entries)
+    ])
     if names:
         _check_names([e.get("name") for e in entries], names, "distribution")
-    dist = uq.InputDistribution([_build_marginal(e) for e in entries])
     result = uq.forward_uq(
         model,
         dist,
@@ -428,9 +445,7 @@ def _calibration_model(model, names, fixed: dict, calibrated):
 
 
 def cmd_inverse(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    out_dir = args.out or cfg["out_dir"]
+    cfg, seed, out_dir = args.cfg, args.seed, args.out
     inv = cfg["inverse"]
     model, grid, names = _forward_model(cfg, "inverse")
     if not inv["observations"]:
@@ -443,16 +458,18 @@ def cmd_inverse(args) -> int:
     entries = inv["priors"]
     if not entries:
         raise ValueError("inverse needs calibration priors")
+    priors = [
+        _build_marginal(args.config, f"inverse.priors[{j}]", e) for j, e in enumerate(entries)
+    ]
     fixed = dict(inv["fixed"] or {})
     calibrated = [e.get("name") for e in entries]
     if names:
         _check_names(calibrated, [n for n in names if n not in fixed], "prior")
         model = _calibration_model(model, names, fixed, calibrated)
 
-    priors = [_build_marginal(e) for e in entries]
     if not inv["sigma_prior"]:
         raise ValueError("inverse needs a sigma_prior range")
-    sigma_prior = uq.Uniform(inv["sigma_prior"]["lower"], inv["sigma_prior"]["upper"])
+    sigma_prior = _build_marginal(args.config, "inverse.sigma_prior", inv["sigma_prior"], "uniform")
 
     def logpost(thetas):
         return uq.log_posterior_block(model, priors, sigma_prior, observations, thetas)
@@ -527,6 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Resolve the config and the --seed/--out overrides once for every command.
+        args.cfg = load_config(args.config)
+        args.seed = args.cfg["seed"] if args.seed is None else args.seed
+        args.out = args.out or args.cfg["out_dir"]
         return COMMANDS[args.command](args)
     except Exception as exc:  # surface module provenance, fail nonzero
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrf
 
 FLOAT_FMT = "%.10g"
 
@@ -131,34 +131,51 @@ def model_nrmse(truth, pred) -> float:
 
 
 def cho_with_jitter(A):
-    """Lower Cholesky factor of a symmetric matrix, in cho_factor form.
+    """Lower Cholesky factor L of a symmetric matrix as dpotrf returns it
+    (upper triangle zero), for dpotrs(L, b, lower=1).
 
     Tries each relative jitter on the JITTERS ladder in turn, adding
-    jitter * max|diag A| to the diagonal, and returns (factor, absolute
-    jitter added) for the first that factorizes.  Raises LinAlgError when
-    none does.
+    jitter * max|diag A| to the diagonal, and returns (L, absolute jitter
+    added) for the first that factorizes.  Raises LinAlgError when none
+    does, and ValueError on a NaN or inf, which dpotrf does not reject.
     """
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has a non-finite entry")
     scale = np.abs(np.diag(A)).max()
     for rel in JITTERS:
-        try:
-            return cho_factor(A + rel * scale * np.eye(A.shape[0]), lower=True), rel * scale
-        except np.linalg.LinAlgError:
-            continue
+        L, info = dpotrf(A + rel * scale * np.eye(A.shape[0]), lower=1)
+        if info == 0:
+            return L, rel * scale
     raise np.linalg.LinAlgError(
         f"singular even after jitter up to {JITTERS[-1]:.0e} * max|diag| = "
         f"{JITTERS[-1] * scale:.3e}"
     )
 
 
+def check_finite(what: str, path, data) -> None:
+    """Raise ValueError naming the `what` file at path, the data row (1 = first
+    after the header line) and the column (and its header) of a NaN or inf."""
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+        name = f" ({header[col]})" if col < len(header) else ""
+        raise ValueError(
+            f"{what} file {path}: data row {row + 1}, column {col + 1}{name} "
+            f"is {data[row, col]} ({bad.shape[0]} non-finite in the file)"
+        )
+
+
 def check_nodes(where: str, times, grid: TimeGrid, grid_name: str) -> None:
     """Raise ValueError naming `where` and the first of `times` that is
-    more than 1e-6 dt away from the grid's node.
+    NaN or more than 1e-6 dt away from the grid's node.
 
     The tolerance also admits the rounding of FLOAT_FMT's 10 significant
     digits, so that nodes this package wrote always pass.
     """
     tol = 1e-6 * grid.dt + 1e-9 * max(abs(grid.t0), abs(grid.te))
-    off = np.flatnonzero(np.abs(times - grid.nodes) > tol)
+    off = np.flatnonzero(~(np.abs(times - grid.nodes) <= tol))
     if off.size:
         j = off[0]
         raise ValueError(
@@ -253,9 +270,11 @@ def load_ensemble(responses_path, inputs_path) -> ResponseEnsemble:
     """
     resp = np.loadtxt(responses_path, delimiter=",", ndmin=2)
     times, curves = resp[0], resp[1:]
+    check_finite("responses", responses_path, curves)
     with open(inputs_path, "r", encoding="utf-8") as fh:
         names = tuple(fh.readline().strip().split(","))
     inputs = np.loadtxt(inputs_path, delimiter=",", skiprows=1, ndmin=2)
+    check_finite("inputs", inputs_path, inputs)
     grid = TimeGrid(float(times[0]), float(times[-1]), times.size)
     check_nodes(f"responses file {responses_path}", times, grid, "uniform grid")
     return ResponseEnsemble(inputs, curves, grid, input_names=names)

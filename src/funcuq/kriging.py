@@ -85,12 +85,12 @@ def normalize_inputs(X, lo, hi):
 class KrigingModel:
     """A fitted single-output Kriging model.
 
-    Stores normalized training inputs, the standardized target vector,
-    the optimized hyperparameters, and the cached factorization used by
-    prediction.  sigma_z2 and sigma_n2 live on the standardized scale;
-    noise_variance_raw reports the nugget on the original target scale.
-    `search` holds fit_kriging's search record; it is empty for a model
-    rebuilt from a file.
+    Stores the normalization bounds and normalized training inputs, the
+    standardized targets, the hyperparameters, and condition()'s factor L
+    and weights alpha.  sigma_z2 and sigma_n2 live on the standardized
+    scale; noise_variance_raw reports the nugget on the original target
+    scale.  `search` holds fit_kriging's search record; it is empty for a
+    model rebuilt from a file.
     """
 
     input_lo: np.ndarray
@@ -103,7 +103,7 @@ class KrigingModel:
     sigma_z2: float
     theta: np.ndarray
     sigma_n2: float
-    _cho: tuple = field(repr=False)
+    _L: np.ndarray = field(repr=False)
     _alpha: np.ndarray = field(repr=False)
     search: dict = field(default_factory=dict, repr=False)
 
@@ -128,15 +128,24 @@ class KrigingModel:
         mean = mean * self.y_scale + self.y_offset
         if not with_var:
             return mean, None
-        var = self.sigma_z2 - np.einsum("ij,ij->j", Ks, cho_solve(self._cho, Ks))
+        var = self.sigma_z2 - np.einsum("ij,ij->j", Ks, dpotrs(self._L, Ks, lower=1)[0])
         var = np.clip(var, 0.0, None) * self.y_scale**2
         return mean, var
 
 
-def _profiled_mu(cho, y):
-    ones = np.ones_like(y)
-    w = cho_solve(cho, ones)
-    return float(w @ y / (w @ ones))
+def condition(X_norm, y_std, sigma_z2, theta, sigma_n2, mu=None):
+    """(L, jitter, mu, alpha) of A = K + sigma_n2 I on normalized inputs:
+    cho_with_jitter's factor and jitter (its LinAlgError passes through),
+    mu as given or, when None, the GLS mean (1' A^-1 y) / (1' A^-1 1), and
+    alpha = A^-1 (y - mu)."""
+    A = _kernel_matrix(sigma_z2, theta, X_norm)
+    A[np.diag_indices_from(A)] += sigma_n2
+    L, jitter = cho_with_jitter(A)
+    if mu is None:
+        ones = np.ones_like(y_std)
+        w = dpotrs(L, ones, lower=1)[0]
+        mu = float(w @ y_std / (w @ ones))
+    return L, jitter, mu, dpotrs(L, y_std - mu, lower=1)[0]
 
 
 def _squared_differences(Xn):
@@ -209,7 +218,6 @@ def fit_kriging(
     n_starts: int = DEFAULT_N_STARTS,
     budget: int = DEFAULT_BUDGET,
     fix_nugget: float | None = None,
-    input_bounds: tuple | None = None,
 ) -> KrigingModel:
     """Fit an ordinary Kriging model with nugget by maximum likelihood.
 
@@ -224,7 +232,7 @@ def fit_kriging(
 
     Parameters
     ----------
-    X : (N, p) raw training inputs.
+    X : (N, p) raw training inputs, normalized by their per-column range.
     y : (N,) training targets.
     rng : generator driving the multi-start design.
     n_starts : number of starts.
@@ -233,8 +241,6 @@ def fit_kriging(
         Pin the nugget variance (on the standardized scale) instead of
         estimating it; theta and sigma_z2 are then searched.  0.0 gives an
         interpolating model (g = 0), with sigma_z2 profiled.
-    input_bounds : (lo, hi) arrays, optional
-        Normalization bounds; defaults to the per-dimension training range.
 
     The returned model's `search` records the search: -LML at the returned
     hyperparameters, likelihood evaluations, failed starts, the winning
@@ -250,10 +256,7 @@ def fit_kriging(
     if y.shape != (n,):
         raise ValueError("target length does not match inputs")
 
-    if input_bounds is None:
-        lo, hi = X.min(axis=0), X.max(axis=0)
-    else:
-        lo, hi = (np.asarray(b, dtype=float) for b in input_bounds)
+    lo, hi = X.min(axis=0), X.max(axis=0)
     Xn = normalize_inputs(X, lo, hi)
 
     y_offset = float(y.mean())
@@ -335,16 +338,11 @@ def fit_kriging(
     else:
         sigma_n2 = float(fix_nugget)
 
-    A = _kernel_matrix(sigma_z2, theta, Xn)
-    A[np.diag_indices_from(A)] += sigma_n2
     try:
-        cho, jitter = cho_with_jitter(A)
+        L, jitter, mu, alpha = condition(Xn, ys, sigma_z2, theta, sigma_n2)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"kernel matrix is {err}") from None
-    mu = _profiled_mu(cho, ys)
-    r = ys - mu
-    alpha = cho_solve(cho, r)
-    neg_lml = 0.5 * r @ alpha + np.sum(np.log(np.diag(cho[0]))) + 0.5 * n * math.log(2 * math.pi)
+    neg_lml = 0.5 * (ys - mu) @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * math.log(2 * math.pi)
     return KrigingModel(
         input_lo=lo,
         input_hi=hi,
@@ -356,7 +354,7 @@ def fit_kriging(
         sigma_z2=float(sigma_z2),
         theta=np.asarray(theta, dtype=float),
         sigma_n2=sigma_n2,
-        _cho=cho,
+        _L=L,
         _alpha=alpha,
         search={
             "neg_lml": float(neg_lml),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix, roughness_matrix
 from .core import cho_with_jitter
@@ -32,17 +32,17 @@ class PenalizedSolver:
         self.H = H
         self._HtH = H.T @ H
         try:
-            self._cho, _ = cho_with_jitter(self._HtH + tau * R)
+            self._L, _ = cho_with_jitter(self._HtH + tau * R)
         except np.linalg.LinAlgError as err:
             raise SingularSystemError(f"penalized normal equations are {err}") from None
 
     def coefficients(self, centered: np.ndarray) -> np.ndarray:
         """Solve for the coefficient matrix C (n_b x N) of centered rows."""
-        return cho_solve(self._cho, self.H.T @ np.atleast_2d(centered).T)
+        return dpotrs(self._L, self.H.T @ np.atleast_2d(centered).T, lower=1)[0]
 
     def trace_smoother(self) -> float:
         """trace(H (H'H + tau R)^-1 H') without forming the n_t x n_t matrix."""
-        return float(np.trace(cho_solve(self._cho, self._HtH)))
+        return float(np.trace(dpotrs(self._L, self._HtH, lower=1)[0]))
 
 
 def fit_coefficients(H, R, tau, centered) -> np.ndarray:

@@ -12,28 +12,28 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import fpca
 from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix
 from .core import (
     ResponseEnsemble,
     TimeGrid,
-    cho_with_jitter,
     fit_nodes,
     make_rng,
     model_nrmse,
     write_atomic,
 )
 from .fpca import Reducer
-from .kriging import KrigingModel, _kernel_matrix, fit_kriging, normalize_inputs
+from .kriging import KrigingModel, condition, fit_kriging, normalize_inputs
 
-FORMAT_VERSION = "funcuq-surrogate-v1"
+FORMAT_VERSION = "funcuq-surrogate-v2"
 
 KFDR_F = "kfdr-f"
 KFDR_B = "kfdr-b"
 PCA = "pca"
 REDUCERS = (KFDR_F, KFDR_B, PCA)
+# The scalars of a score model's model-file entry, beside y_std and theta.
+MODEL_SCALARS = ("y_offset", "y_scale", "mu", "sigma_z2", "sigma_n2")
 
 
 @dataclass
@@ -62,22 +62,15 @@ class FitConfig:
 class LatentSurrogate:
     """A reducer plus one Kriging model per latent score.
 
-    All score models share the input normalization derived from the
-    training inputs, so curve-level predictions are consistent affine
-    images of the latent predictions.
+    The score models share one training design (input normalization and
+    normalized inputs), as fit_surrogate and the loader build them, so
+    curve-level predictions are consistent affine images of the latent
+    predictions and the model file stores the design once.
     """
 
     def __init__(self, reducer: Reducer, models, input_lo, input_hi, metadata=None):
         if len(models) != reducer.m:
             raise ValueError(f"need {reducer.m} score models, got {len(models)}")
-        for mod in models:
-            if not (
-                np.array_equal(mod.input_lo, input_lo)
-                and np.array_equal(mod.input_hi, input_hi)
-            ):
-                raise ValueError("score models disagree on input normalization")
-            if mod.X_norm.shape != models[0].X_norm.shape:
-                raise ValueError("score models disagree on the number of training inputs")
         self.reducer = reducer
         self.models = list(models)
         self.input_lo = np.asarray(input_lo, dtype=float)
@@ -180,7 +173,6 @@ def fit_surrogate(
             n_starts=config.n_starts,
             budget=config.budget,
             fix_nugget=config.fix_nugget,
-            input_bounds=(lo, hi),
         )
         for j in range(reducer.m)
     ]
@@ -251,18 +243,8 @@ def surrogate_to_dict(s: LatentSurrogate) -> dict:
         "variance_fraction": red.variance_fraction,
     }
     models = [
-        {
-            "input_lo": _array(mod.input_lo),
-            "input_hi": _array(mod.input_hi),
-            "X_norm": _array(mod.X_norm),
-            "y_std": _array(mod.y_std),
-            "y_offset": mod.y_offset,
-            "y_scale": mod.y_scale,
-            "mu": mod.mu,
-            "sigma_z2": mod.sigma_z2,
-            "theta": _array(mod.theta),
-            "sigma_n2": mod.sigma_n2,
-        }
+        {"y_std": _array(mod.y_std), "theta": _array(mod.theta),
+         **{key: getattr(mod, key) for key in MODEL_SCALARS}}
         for mod in s.models
     ]
     metadata = {k: v for k, v in s.metadata.items() if k != "timing_s"}
@@ -271,6 +253,7 @@ def surrogate_to_dict(s: LatentSurrogate) -> dict:
         "grid": {"t0": red.grid.t0, "te": red.grid.te, "n_t": red.grid.n_t},
         "reducer": reducer,
         "models": models,
+        "X_norm": _array(s.models[0].X_norm) if s.models else [],
         "input_lo": _array(s.input_lo),
         "input_hi": _array(s.input_hi),
         "metadata": metadata,
@@ -325,32 +308,16 @@ def _count(doc: dict, where: str, key: str) -> int:
     return value
 
 
-def _rebuild_kriging(d: dict, where: str, p: int, n: int | None) -> KrigingModel:
-    ys = _numbers(d, where, "y_std", (n,))
-    Xn = _numbers(d, where, "X_norm", (ys.size, p))
-    theta = _numbers(d, where, "theta", (p,))
-    mu, sigma_z2, sigma_n2 = (_numbers(d, where, k) for k in ("mu", "sigma_z2", "sigma_n2"))
-    A = _kernel_matrix(sigma_z2, theta, Xn)
-    A[np.diag_indices_from(A)] += sigma_n2
+def _rebuild_kriging(d: dict, where: str, input_lo, input_hi, X_norm) -> KrigingModel:
+    ys = _numbers(d, where, "y_std", (X_norm.shape[0],))
+    theta = _numbers(d, where, "theta", (input_lo.size,))
+    v = {key: _numbers(d, where, key) for key in MODEL_SCALARS}
     try:
-        cho, _ = cho_with_jitter(A)
+        L, _, _, alpha = condition(X_norm, ys, v["sigma_z2"], theta, v["sigma_n2"], v["mu"])
     except np.linalg.LinAlgError as err:
         raise ValueError(f"model file: {where} has a kernel matrix that is {err}") from None
-    alpha = cho_solve(cho, ys - mu)
-    return KrigingModel(
-        input_lo=_numbers(d, where, "input_lo", (p,)),
-        input_hi=_numbers(d, where, "input_hi", (p,)),
-        X_norm=Xn,
-        y_std=ys,
-        y_offset=_numbers(d, where, "y_offset"),
-        y_scale=_numbers(d, where, "y_scale"),
-        mu=mu,
-        sigma_z2=sigma_z2,
-        theta=theta,
-        sigma_n2=sigma_n2,
-        _cho=cho,
-        _alpha=alpha,
-    )
+    return KrigingModel(input_lo=input_lo, input_hi=input_hi, X_norm=X_norm, y_std=ys,
+                        theta=theta, _L=L, _alpha=alpha, **v)
 
 
 def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
@@ -406,22 +373,26 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
     offending key, e.g. `models[2].theta`.
     """
     if doc.get("format") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model-file format {doc.get('format')!r}")
+        raise ValueError(
+            f"unsupported model-file format {doc.get('format')!r}, this version reads "
+            f"{FORMAT_VERSION!r}: refit the model from its config and seed"
+        )
     g = _field(doc, "", "grid", dict)
     grid = TimeGrid(_numbers(g, "grid", "t0"), _numbers(g, "grid", "te"), _count(g, "grid", "n_t"))
     reducer = _rebuild_reducer(_field(doc, "", "reducer", dict), grid)
     input_lo = _numbers(doc, "", "input_lo", (None,))
     input_hi = _numbers(doc, "", "input_hi", input_lo.shape)
+    # JSON writes the (0, p) design of a surrogate without score models as [].
+    X_norm = _numbers(doc, "", "X_norm", (None, input_lo.size) if reducer.m else (0,))
     entries = _field(doc, "", "models", list)
     if len(entries) != reducer.m:
         raise ValueError(
             f"model file: models has {len(entries)} entries, expected m = {reducer.m}"
         )
-    models = []
-    for j, d in enumerate(entries):
-        # Every score model is trained on the same inputs.
-        n_train = models[0].y_std.size if models else None
-        models.append(_rebuild_kriging(d, f"models[{j}]", input_lo.size, n_train))
+    models = [
+        _rebuild_kriging(d, f"models[{j}]", input_lo, input_hi, X_norm)
+        for j, d in enumerate(entries)
+    ]
     metadata = _field(doc, "", "metadata", dict) if "metadata" in doc else {}
     if "input_names" in metadata:
         names = _field(metadata, "metadata", "input_names", list)

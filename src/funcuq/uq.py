@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FLOAT_FMT, write_atomic
+from .core import FLOAT_FMT, check_finite, write_atomic
 from .surrogate import LatentSurrogate
 
 DEFAULT_N_MCS = 100_000
@@ -495,20 +495,10 @@ def save_observations(path, times, observations) -> None:
 
 
 def load_observations(path):
-    """Time nodes and observed curves (one row each).  A NaN or inf raises
-    ValueError naming the file, the data row (1 = first after the header)
-    and the column."""
+    """Time nodes and observed curves (one row each).  A NaN or inf fails
+    check_finite."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        name = f" ({header[col]})" if col < len(header) else ""
-        raise ValueError(
-            f"observations file {path}: data row {row + 1}, column {col + 1}{name} "
-            f"is {data[row, col]} ({bad.shape[0]} non-finite in the file)"
-        )
+    check_finite("observations", path, data)
     times = data[:, 0]
     observations = data[:, 1:].T
     if observations.shape[0] == 0:

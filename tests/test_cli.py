@@ -80,10 +80,11 @@ def test_fit_report_records_each_search(tmp_path):
         assert 0 <= entry["best_start"] < 2
         share = entry["sigma_n2"] / (entry["sigma_z2"] + entry["sigma_n2"])
         assert entry["nugget_share"] == pytest.approx(share, rel=1e-12)
-    # The model file keeps its keys: the search record is not part of it.
+    # The model file keeps its keys: the search record is not part of it,
+    # and the design the score models share is stored once, at the top.
     doc = json.loads((out / "model.json").read_text())
-    assert set(doc["models"][0]) == {"input_lo", "input_hi", "X_norm", "y_std", "y_offset",
-                                     "y_scale", "mu", "sigma_z2", "theta", "sigma_n2"}
+    assert set(doc["models"][0]) == {"y_std", "y_offset", "y_scale", "mu", "sigma_z2",
+                                     "theta", "sigma_n2"}
 
 
 def test_fit_deterministic_report_numbers(tmp_path):
@@ -133,6 +134,67 @@ def test_predict_roundtrip(tmp_path):
     assert pred.shape == (3, 401)
     std = np.loadtxt(out / "predictions_std.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.all(std >= 0.0)
+
+
+def edit_csv(path, line, column, text):
+    """Replace one cell of a CSV file (line 0 is the first line)."""
+    lines = path.read_text().splitlines()
+    cells = lines[line].split(",")
+    cells[column] = text
+    lines[line] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["inputs", "responses"])
+def test_fit_rejects_non_finite_dataset_value(tmp_path, capsys, kind):
+    data = tmp_path / "data"
+    assert main(["generate", "--model", "duffing", "--n", "12", "--seed", "4",
+                 "--noise", "0", "--out", str(data)]) == 0
+    path = data / f"{kind}.csv"
+    edit_csv(path, 3, 1, "nan")
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dataset={"inputs": str(data / "inputs.csv"),
+                                    "responses": str(data / "responses.csv")})
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{kind} file {path}: data row 3, column 2" in err
+    assert "is nan" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fitted_model(tmp_path_factory):
+    """A fitted model file and a generated inputs file for `predict`."""
+    tmp = tmp_path_factory.mktemp("predict")
+    cfg_path = tmp / "cfg.json"
+    write_config(cfg_path)
+    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp / "fit")]) == 0
+    assert main(["generate", "--model", "duffing", "--n", "3", "--seed", "4",
+                 "--noise", "0", "--out", str(tmp / "data")]) == 0
+    return tmp / "fit" / "model.json", (tmp / "data" / "inputs.csv").read_text()
+
+
+def drop_last_column(path):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda path: edit_csv(path, 2, 1, "nan"), "data row 2, column 2 (beta) is nan"),
+    (drop_last_column, "3 columns, the model has 4 inputs"),
+])
+def test_predict_rejects_bad_inputs(tmp_path, capsys, fitted_model, edit, message):
+    model_path, inputs_text = fitted_model
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text(inputs_text)
+    edit(inputs)
+    out = tmp_path / "pred"
+    assert main(["predict", "--model-file", str(model_path), "--inputs", str(inputs),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"inputs file {inputs}: {message}" in err
+    assert not out.exists()
 
 
 def test_study_table_shape_and_determinism(tmp_path):
@@ -414,6 +476,49 @@ def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
     assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _set(entry, key, value):
+    entry[key] = value
+
+
+@pytest.mark.parametrize("section, edit, message", [
+    ("forward.distributions", lambda e: e[0].pop("std"),
+     "forward.distributions[0].std is missing"),
+    ("forward.distributions", lambda e: _set(e[1], "mean", "2.0"),
+     "forward.distributions[1].mean must be a finite number, got '2.0'"),
+    ("forward.distributions", lambda e: _set(e[2], "mean", float("nan")),
+     "forward.distributions[2].mean must be a finite number, got nan"),
+    ("forward.distributions", lambda e: _set(e[3], "std", 0.0),
+     "forward.distributions[3]: std must be positive"),
+    ("forward.distributions", lambda e: e[0].update(dist="lognormal", mean=-1.0),
+     "forward.distributions[0]: lognormal needs positive mean and std"),
+    ("forward.distributions", lambda e: _set(e[1], "dist", "gamma"),
+     "forward.distributions[1].dist must be one of"),
+    ("inverse.priors", lambda e: e[2].pop("upper"), "inverse.priors[2].upper is missing"),
+    ("inverse.priors", lambda e: _set(e[0], "lower", True),
+     "inverse.priors[0].lower must be a finite number, got True"),
+    ("inverse.priors", lambda e: _set(e[1], "lower", 3.0),
+     "inverse.priors[1]: lower bound must be below upper bound"),
+    ("inverse.sigma_prior", lambda e: e.pop("lower"), "inverse.sigma_prior.lower is missing"),
+    ("inverse.sigma_prior", lambda e: _set(e, "upper", float("inf")),
+     "inverse.sigma_prior.upper must be a finite number, got inf"),
+    ("inverse.sigma_prior", lambda e: _set(e, "upper", 1e-8),
+     "inverse.sigma_prior: lower bound must be below upper bound"),
+])
+def test_bad_distribution_entry_names_its_key(tmp_path, capsys, section, edit, message):
+    obs_path = write_duffing_observations(tmp_path)
+    cfg_path = make_inverse_config(tmp_path, obs_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["forward"] = {"use_exact_model": True, "n_mcs": 50,
+                      "distributions": [dict(d) for d in DUFFING_DISTS]}
+    part, key = section.split(".")
+    edit(cfg[part][key])
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([part, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config {cfg_path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_accepts_known_keys_and_free_parameter_names(tmp_path):

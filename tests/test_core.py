@@ -223,6 +223,9 @@ def test_load_ensemble_rejects_non_uniform_nodes(tmp_path):
     expected = r"responses\.csv: time node 2 is 0\.1, uniform grid has 0\.5"
     with pytest.raises(ValueError, match=expected):
         fq.load_ensemble(rp, ip)
+    rp.write_text("0,nan,1\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match=r"responses\.csv: time node 2 is nan, uniform grid"):
+        fq.load_ensemble(rp, ip)
     # Nodes within 1e-6 dt of the uniform grid load.
     rp.write_text("0,0.5000000001,1\n1,2,3\n4,5,6\n")
     assert fq.load_ensemble(rp, ip).grid.n_t == 3
@@ -240,12 +243,14 @@ def test_ensemble_roundtrip_on_offset_grid(tmp_path):
 
 def test_cho_with_jitter_reports_the_jitter():
     A = np.array([[4.0, 2.0], [2.0, 3.0]])
-    cho, jitter = cho_with_jitter(A)
+    L, jitter = cho_with_jitter(A)
     assert jitter == 0.0
-    assert np.allclose(np.tril(cho[0]) @ np.tril(cho[0]).T, A, rtol=0, atol=1e-14)
+    # dpotrf's lower factor, its upper triangle zero.
+    assert np.array_equal(L, np.tril(L))
+    assert np.allclose(L @ L.T, A, rtol=0, atol=1e-14)
     # Rank one: the first jitter that factorizes is reported in absolute terms.
     ones = np.ones((3, 3))
-    cho, jitter = cho_with_jitter(ones)
+    L, jitter = cho_with_jitter(ones)
     assert jitter in [rel * 1.0 for rel in JITTERS[1:]]
     with pytest.raises(np.linalg.LinAlgError, match="singular even after jitter"):
         cho_with_jitter(-np.eye(2))

@@ -78,3 +78,43 @@ def test_every_module_level_name_is_read():
     perfbench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
     dead = [(m, n) for m, n in dead_names(modules, perfbench) if n not in DEAD_NAME_EXCEPTIONS]
     assert dead == []
+
+
+def cholesky_wrapper_uses(module: str, source: str) -> list:
+    """(line, name) of each import or reference of scipy's cho_factor or
+    cho_solve, except in kriging.log_marginal_likelihood, which keeps them
+    as the reference the tests compare against."""
+    tree = ast.parse(source)
+    allowed = set()
+    if module == "kriging.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "log_marginal_likelihood":
+                allowed = {id(n) for n in ast.walk(node)}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and module != "kriging.py":
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Name) and id(node) not in allowed:
+            names = [node.id]
+        elif isinstance(node, ast.Attribute) and id(node) not in allowed:
+            names = [node.attr]
+        else:
+            continue
+        uses += [(node.lineno, n) for n in names if n in ("cho_factor", "cho_solve")]
+    return uses
+
+
+def test_check_finds_a_cholesky_wrapper():
+    source = ("from scipy.linalg import cho_solve\nimport scipy\n"
+              "def log_marginal_likelihood():\n    cho_solve()\n"
+              "def other():\n    scipy.linalg.cho_factor()\n")
+    assert cholesky_wrapper_uses("core.py", source) == [(1, "cho_solve"), (4, "cho_solve"),
+                                                        (6, "cho_factor")]
+    assert cholesky_wrapper_uses("kriging.py", source) == [(6, "cho_factor")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_one_cholesky_factor_type(module):
+    # Every factor comes from core.cho_with_jitter (dpotrf's lower factor)
+    # and every solve is one dpotrs call.
+    assert cholesky_wrapper_uses(module, (SRC / module).read_text(encoding="utf-8")) == []

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import funcuq as fq
 from funcuq import fpca
@@ -283,6 +285,8 @@ def test_model_count_matches_m():
     for mod in s.models:
         assert np.array_equal(mod.input_lo, s.input_lo)
         assert np.array_equal(mod.input_hi, s.input_hi)
+        # One training design, so the model file stores it once.
+        assert np.array_equal(mod.X_norm, s.models[0].X_norm)
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +307,45 @@ def three_mode_doc():
 def test_model_file_loads_unchanged(three_mode_doc):
     back = surrogate_from_dict(copy.deepcopy(three_mode_doc))
     assert surrogate_to_dict(back) == three_mode_doc
+    # The file holds the training design once; every score model gets it.
+    assert all(mod.X_norm is back.models[0].X_norm for mod in back.models)
+
+
+def test_model_file_rejects_other_formats(three_mode_doc):
+    # The same surrogate in the v1 layout: the design in every score model.
+    doc = copy.deepcopy(three_mode_doc)
+    X_norm = doc.pop("X_norm")
+    for entry in doc["models"]:
+        entry.update(X_norm=X_norm, input_lo=doc["input_lo"], input_hi=doc["input_hi"])
+    doc["format"] = "funcuq-surrogate-v1"
+    with pytest.raises(ValueError, match=r"format 'funcuq-surrogate-v1'.*refit"):
+        surrogate_from_dict(doc)
+
+
+@settings(max_examples=15)
+@given(
+    reducer=st.sampled_from(["kfdr-b", "kfdr-f", "pca"]),
+    n=st.integers(5, 9),
+    seed=st.integers(0, 2**16),
+    identical=st.booleans(),
+)
+def test_model_file_round_trip_is_bit_exact(reducer, n, seed, identical):
+    # Identical curves give m = 0: no score model, an empty design.
+    rng = fq.make_rng(seed)
+    X = rng.uniform(0.0, 1.0, (n, 2))
+    modes = np.sin(np.pi * np.outer(np.arange(1, 4), T))
+    Y = np.cos(2 * np.pi * T) + (X @ rng.normal(size=(2, 3))) @ modes
+    if identical:
+        Y = np.repeat(Y[:1], n, axis=0)
+    cfg = FitConfig(reducer=reducer, n_starts=1, budget=10)
+    s = fit_surrogate(fq.ResponseEnsemble(X, Y, GRID), cfg, fq.make_rng(seed))
+    assert (s.m == 0) == identical
+    doc = surrogate_to_dict(s)
+    back = surrogate_from_dict(json.loads(json.dumps(doc)))
+    assert surrogate_to_dict(back) == doc
+    X_star = rng.uniform(-0.2, 1.2, (4, 2))
+    for got, want in zip(back.predict_curves(X_star), s.predict_curves(X_star)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -312,7 +355,7 @@ def test_model_file_loads_unchanged(three_mode_doc):
         (("reducer", "B", 3, 1), "reducer.B", float("nan")),
         (("models", 2, "mu"), "models[2].mu", float("nan")),
         (("models", 2, "theta", 1), "models[2].theta", float("nan")),
-        (("models", 1, "X_norm", 0, 0), "models[1].X_norm", float("inf")),
+        (("X_norm", 0, 0), "X_norm", float("inf")),
         (("input_hi", 0), "input_hi", float("-inf")),
     ],
 )
@@ -332,11 +375,10 @@ def test_model_file_rejects_non_finite(three_mode_doc, path, key, value):
         ("reducer.mean_curve", lambda doc: doc["reducer"]["mean_curve"].pop()),
         ("reducer.B", lambda doc: doc["reducer"]["B"].pop()),
         ("models[2].theta", lambda doc: doc["models"][2]["theta"].append(1.0)),
-        ("models[0].X_norm", lambda doc: doc["models"][0]["X_norm"][4].pop()),
+        ("X_norm", lambda doc: doc["X_norm"][4].pop()),
         ("models[1].y_std", lambda doc: doc["models"][1].pop("y_std")),
-        # One training row fewer than models[0]: the score models share inputs.
-        ("models[2].y_std",
-         lambda doc: [doc["models"][2][key].pop() for key in ("y_std", "X_norm")]),
+        # One training row fewer than the design all score models share.
+        ("models[2].y_std", lambda doc: doc["models"][2]["y_std"].pop()),
     ],
 )
 def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
