@@ -13,6 +13,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -178,7 +179,7 @@ def _build_marginal(path, key: str, entry, kind=None):
     params = []
     for name in ("lower", "upper") if kind == "uniform" else ("mean", "std"):
         value = entry.get(name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        if not _is_finite_number(value):
             what = "is missing" if name not in entry else f"must be a finite number, got {value!r}"
             raise ValueError(f"config {path}: {key}.{name} {what}")
         params.append(value)
@@ -186,6 +187,17 @@ def _build_marginal(path, key: str, entry, kind=None):
         return _DIST_KINDS[kind](*params)
     except ValueError as err:
         raise ValueError(f"config {path}: {key}: {err}") from None
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON int or float that a float holds finitely (not a bool, not an
+    int too large for a float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_names(given, expected, what: str) -> None:

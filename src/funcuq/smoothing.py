@@ -2,12 +2,22 @@
 GCV-driven smoothing-parameter selection on a fixed logarithmic grid, and
 error-based growth of the basis count until the training-set projection
 error stagnates.
+
+The GCV curve of one basis comes from one eigendecomposition (the
+Demmler-Reinsch basis; Craven & Wahba 1979, Ramsay & Silverman 2005 ch. 5):
+with H'H = L L' and L^-1 R L^-T = U diag(lam) U', the columns of
+Q = H L^-T U are an orthonormal basis of the span of H in which the smoother
+S(tau) = H (H'H + tau R)^-1 H' is diagonal, with entries 1 / (1 + tau lam).
+Every tau's trace and residual then cost O(n_b).  When H'H cannot be
+factored without jitter (e.g. n_b >= n_t) there is no such basis, and each
+grid point is scored by the direct `gcv`, which factors H'H + tau R.
 """
 
 from __future__ import annotations
 
 import math
 import numpy as np
+from scipy.linalg import eigh, solve_triangular
 from scipy.linalg.lapack import dpotrs
 
 from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix, roughness_matrix
@@ -69,9 +79,41 @@ def gcv(tau, H, R, centered) -> float:
     n_obs = H.shape[0]
     sse = float(np.sum((centered.T - H @ C) ** 2))
     denom = n_obs - solver.trace_smoother()
-    if abs(denom) < 1e-12 * max(1.0, n_obs):
+    if abs(denom) < _trace_guard(n_obs):
         return math.inf
     return n_obs / denom**2 * sse
+
+
+def _trace_guard(n_obs: int) -> float:
+    # |n - trace S| below this scores inf: the smoother interpolates.
+    return 1e-12 * max(1.0, n_obs)
+
+
+def _gcv_curve(grid, H, R, centered):
+    """The gcv score at every tau of the grid from one eigendecomposition,
+    or None when H'H needs jitter to factor (see the module docstring)."""
+    try:
+        L, jitter = cho_with_jitter(H.T @ H)
+    except np.linalg.LinAlgError:
+        return None
+    if jitter:
+        return None
+    lam, U = eigh(solve_triangular(L, solve_triangular(L, R, lower=True).T, lower=True))
+    lam = np.maximum(lam, 0.0)
+    Q = H @ solve_triangular(L, U, lower=True, trans="T")
+    Y = np.atleast_2d(centered).T
+    Z = Q.T @ Y
+    # The out-of-span residual is summed directly: subtracting the fitted
+    # part from |Y|^2 would cancel most of its digits at large n_b.
+    sse_out = float(np.sum((Y - Q @ Z) ** 2))
+    tl = grid[:, None] * lam[None, :]
+    sse = sse_out + (tl / (1.0 + tl)) ** 2 @ np.sum(Z**2, axis=1)
+    n_obs = H.shape[0]
+    denom = n_obs - np.sum(1.0 / (1.0 + tl), axis=1)
+    values = np.full(grid.size, math.inf)
+    ok = np.abs(denom) >= _trace_guard(n_obs)
+    values[ok] = n_obs / denom[ok] ** 2 * sse[ok]
+    return values
 
 
 def tau_grid(n_tau: int = TAU_GRID_SIZE) -> np.ndarray:
@@ -83,9 +125,15 @@ def tau_grid(n_tau: int = TAU_GRID_SIZE) -> np.ndarray:
 
 
 def select_tau(H, R, centered, n_tau: int = TAU_GRID_SIZE) -> float:
-    """Grid minimizer of the GCV score; ties break toward smaller tau."""
+    """Grid minimizer of the GCV score; ties break toward smaller tau.
+
+    The whole curve comes from one eigendecomposition when H'H factors
+    without jitter; otherwise each grid point is one direct `gcv` call.
+    """
     grid = tau_grid(n_tau)
-    values = [gcv(t, H, R, centered) for t in grid]
+    values = _gcv_curve(grid, H, R, centered)
+    if values is None:
+        values = [gcv(t, H, R, centered) for t in grid]
     return float(grid[int(np.argmin(values))])
 
 

@@ -489,6 +489,8 @@ def _set(entry, key, value):
      "forward.distributions[1].mean must be a finite number, got '2.0'"),
     ("forward.distributions", lambda e: _set(e[2], "mean", float("nan")),
      "forward.distributions[2].mean must be a finite number, got nan"),
+    ("forward.distributions", lambda e: _set(e[2], "std", 10**400),
+     "forward.distributions[2].std must be a finite number, got 1000"),
     ("forward.distributions", lambda e: _set(e[3], "std", 0.0),
      "forward.distributions[3]: std must be positive"),
     ("forward.distributions", lambda e: e[0].update(dist="lognormal", mean=-1.0),

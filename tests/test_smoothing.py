@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import funcuq as fq
 from funcuq import smoothing
 from funcuq.basis import BSPLINE, FOURIER
+from funcuq.core import cho_with_jitter
 from funcuq.smoothing import (
     PenalizedSolver,
     SingularSystemError,
@@ -152,6 +155,85 @@ def test_select_tau_tie_breaks_small():
     R = np.zeros((3, 3))  # no penalty at all: GCV constant in tau
     Yc = (fq.make_rng(8).normal(size=(4, 3)) @ H.T)
     assert fq.select_tau(H, R, Yc) == pytest.approx(1e-6)
+
+
+def _count_gcv_calls(monkeypatch):
+    calls = []
+    direct = smoothing.gcv
+
+    def counted(*args):
+        calls.append(args[0])
+        return direct(*args)
+
+    monkeypatch.setattr(smoothing, "gcv", counted)
+    return calls
+
+
+def _direct_argmin(H, R, Yc, n_tau=25):
+    grid = tau_grid(n_tau)
+    return grid[int(np.argmin([smoothing.gcv(t, H, R, Yc) for t in grid]))]
+
+
+def test_select_tau_scores_a_well_conditioned_basis_without_gcv(monkeypatch):
+    grid = fq.TimeGrid(0.0, 1.0, 60)
+    sys = fq.BasisSystem(BSPLINE, 10, 0.0, 1.0)
+    H = fq.design_matrix(sys, grid)
+    R = fq.roughness_matrix(sys)
+    rng = fq.make_rng(14)
+    Y = np.sin(2 * np.pi * grid.nodes) * rng.normal(size=(8, 1)) + 0.1 * rng.normal(size=(8, 60))
+    Yc = Y - Y.mean(axis=0)
+    expected = _direct_argmin(H, R, Yc)
+    calls = _count_gcv_calls(monkeypatch)
+    assert fq.select_tau(H, R, Yc) == expected
+    assert calls == []
+
+
+def test_select_tau_falls_back_to_gcv_when_HtH_is_singular(monkeypatch):
+    # More basis functions than nodes: H'H is singular and needs jitter.
+    grid = fq.TimeGrid(0.0, 1.0, 8)
+    sys = fq.BasisSystem(BSPLINE, 12, 0.0, 1.0)
+    H = fq.design_matrix(sys, grid)
+    R = fq.roughness_matrix(sys)
+    Yc = fq.make_rng(15).normal(size=(3, 8))
+    assert cho_with_jitter(H.T @ H)[1] > 0.0
+    expected = _direct_argmin(H, R, Yc)
+    calls = _count_gcv_calls(monkeypatch)
+    assert fq.select_tau(H, R, Yc) == expected
+    assert calls == list(tau_grid(25))
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from([BSPLINE, FOURIER]),
+    n_b=st.integers(4, 15),
+    nodes_per_function=st.integers(2, 5),
+    n_curves=st.integers(1, 8),
+    noise=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_gcv_curve_matches_direct_gcv(kind, n_b, nodes_per_function, n_curves, noise, seed):
+    sys = fq.BasisSystem(kind, effective_nb(kind, n_b), 0.0, 1.0)
+    grid = fq.TimeGrid(0.0, 1.0, nodes_per_function * sys.n_b)
+    H = fq.design_matrix(sys, grid)
+    R = fq.roughness_matrix(sys)
+    assume(np.linalg.cond(H.T @ H) <= 1e3)
+    rng = fq.make_rng(seed)
+    Y = rng.normal(size=(n_curves, sys.n_b)) @ H.T + noise * rng.normal(size=(n_curves, grid.n_t))
+    taus = tau_grid(25)
+    fast = smoothing._gcv_curve(taus, H, R, Y)
+    direct = np.array([smoothing.gcv(t, H, R, Y) for t in taus])
+    small = taus <= 1.0
+    assert np.allclose(fast[small], direct[small], rtol=1e-8, atol=0.0)
+    # Towards tau -> inf the GCV curve flattens onto its limit and both paths
+    # lose digits there (up to 3e-6 relative apart on such problems), so two
+    # values closer than `resolved` form a tie that rounding decides.
+    resolved = 1e-5
+    best, second = np.sort(direct)[:2]
+    for rows in (Y, Y[rng.permutation(n_curves)]):
+        tau_star = fq.select_tau(H, R, rows)
+        assert direct[taus == tau_star][0] <= best * (1.0 + resolved)
+        if second > best * (1.0 + resolved):
+            assert tau_star == taus[int(np.argmin(direct))]
 
 
 def test_effective_nb():

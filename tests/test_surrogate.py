@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funcuq as fq
-from funcuq import fpca
+from funcuq import bench, fpca, smoothing
 from funcuq.surrogate import (
     FitConfig,
     cross_validate,
@@ -48,6 +48,26 @@ def test_fit_surrogate_linear_toy():
     X_test = rng.uniform(0.05, 0.95, (100, 2))
     err = fq.model_nrmse(linear_generator(X_test), s.predict_mean_curves(X_test))
     assert err <= 1e-3
+
+
+def test_gcv_fast_path_leaves_the_model_unchanged(monkeypatch):
+    # Each growth round's tau from the one-eigendecomposition GCV curve must
+    # give the same model as scoring every grid point with the direct gcv.
+    ens = bench.generate_dataset("duffing", 12, fq.make_rng(3))
+    cfg = FitConfig(reducer="kfdr-b", n_starts=1, budget=10)
+    curve = smoothing._gcv_curve
+    fast_rounds = []
+
+    def recorded(*args):
+        values = curve(*args)
+        fast_rounds.append(values is not None)
+        return values
+
+    monkeypatch.setattr(smoothing, "_gcv_curve", recorded)
+    fast = surrogate_to_dict(fit_surrogate(ens, cfg, fq.make_rng(4)))
+    assert len(fast_rounds) >= 2 and all(fast_rounds)
+    monkeypatch.setattr(smoothing, "_gcv_curve", lambda *args: None)
+    assert surrogate_to_dict(fit_surrogate(ens, cfg, fq.make_rng(4))) == fast
 
 
 def test_refit_same_seed_identical_file_bytes(tmp_path):
