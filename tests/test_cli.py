@@ -72,11 +72,12 @@ def test_fit_report_records_each_search(tmp_path):
     out = tmp_path / "fit"
     assert main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads((out / "fit_report.json").read_text())
-    search_keys = {"neg_lml", "evaluations", "failed_starts", "best_start", "on_bound",
-                   "jitter", "nugget_share"}
+    search_keys = {"neg_lml", "evaluations", "cut_evaluations", "failed_starts", "best_start",
+                   "on_bound", "jitter", "nugget_share"}
     for entry in report["kriging"]:
         assert search_keys <= set(entry)
         assert 1 <= entry["evaluations"] <= 2 * 60
+        assert 0 <= entry["cut_evaluations"] <= entry["evaluations"]
         assert 0 <= entry["best_start"] < 2
         share = entry["sigma_n2"] / (entry["sigma_z2"] + entry["sigma_n2"])
         assert entry["nugget_share"] == pytest.approx(share, rel=1e-12)

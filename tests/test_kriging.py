@@ -1,10 +1,15 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import funcuq as fq
+from funcuq import kriging
 from funcuq.kriging import (
+    CUT,
     NUGGET_RATIO_BOUNDS,
     SIGMA_N2_BOUNDS,
     SIGMA_Z2_BOUNDS,
@@ -16,6 +21,7 @@ from funcuq.kriging import (
     log_marginal_likelihood,
     normalize_inputs,
 )
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 
@@ -92,6 +98,20 @@ def test_normalize_inputs_constant_dim():
     Xn = normalize_inputs(X, lo, hi)
     assert np.allclose(Xn[:, 0], [0.0, 1.0])
     assert np.allclose(Xn[:, 1], 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_named(bad):
+    X = fq.make_rng(42).random((5, 3))
+    X[3, 0] = X[2, 2] = bad
+    lo, hi = np.zeros(3), np.ones(3)
+    with pytest.raises(ValueError, match=f"^input row 2, column 2 is {bad}: "):
+        normalize_inputs(X, lo, hi)
+    model = fit_kriging(X[:2], np.array([0.0, 1.0]), fq.make_rng(0), n_starts=1, budget=5)
+    with pytest.raises(ValueError, match=f"^input row 2, column 2 is {bad}: "):
+        model.predict_batch(X)
+    with pytest.raises(ValueError, match=f"^input row 2, column 2 is {bad}: "):
+        fit_kriging(X, np.arange(5.0), fq.make_rng(0))
 
 
 def test_fit_constant_target():
@@ -211,6 +231,11 @@ def test_fit_validation():
         fit_kriging(np.zeros((1, 2)), np.zeros(1), fq.make_rng(0))
     with pytest.raises(ValueError):
         fit_kriging(np.zeros((4, 2)), np.zeros(3), fq.make_rng(0))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.arange(6.0)
+        y[4] = y[5] = bad
+        with pytest.raises(ValueError, match=f"^target 4 is {bad}: targets must be finite"):
+            fit_kriging(fq.make_rng(43).random((6, 2)), y, fq.make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +266,15 @@ def well_conditioned(D, z, case, limit=1e8):
     return np.linalg.cond(E + nugget * np.eye(n)) < limit
 
 
-def objective(D, y, z, case):
+def objective(D, y, z, case, on_cut=None):
     """_neg_lml in the search's log10 coordinates for each nugget case."""
     p = D.shape[0]
     theta = 10.0 ** z[:p]
     if case == "free":
-        return _neg_lml(D, y, theta, None, 10.0 ** z[p])
+        return _neg_lml(D, y, theta, None, 10.0 ** z[p], on_cut)
     if case == "zero":
-        return _neg_lml(D, y, theta, None, 0.0)
-    return _neg_lml(D, y, theta, 10.0 ** z[p], 0.05)
+        return _neg_lml(D, y, theta, None, 0.0, on_cut)
+    return _neg_lml(D, y, theta, 10.0 ** z[p], 0.05, on_cut)
 
 
 @given(
@@ -373,3 +398,107 @@ def test_fixed_nugget_searches_sigma_z2():
     assert model.sigma_n2 == 0.05
     assert SIGMA_Z2_BOUNDS[0] <= model.sigma_z2 <= SIGMA_Z2_BOUNDS[1]
     assert "sigma_n2" not in model.search["on_bound"]
+
+
+# ---------------------------------------------------------------------------
+# The kernel cut: the search takes entries exp(-x) with x > CUT as 0.0
+
+
+def evaluate_or_none(D, y, z, case, cut=CUT, on_cut=None):
+    """objective() with the kernel cut at `cut`, or None when it raises."""
+    with mock.patch.object(kriging, "CUT", cut):
+        try:
+            return objective(D, y, z, case, on_cut)
+        except np.linalg.LinAlgError:
+            return None
+
+
+def cut_gradient_terms(D, y, z, case, sigma_z2):
+    """What the cut drops from each _log10_gradient entry, in absolute value.
+
+    The theta entries are (ln 10 / 2) theta_d sum_ij D_d,ij Q_ij K_ij and
+    the sigma_z2 entry (ln 10 / 2) sum_ij Q_ij K_ij, with Q = A^-1 - alpha
+    alpha'; the nugget entry holds no K.  Returns those sums over the cut
+    entries (exponent above CUT) with |Q_ij|, from the Cholesky factor of
+    the uncut matrix.
+    """
+    p, n = D.shape[0], y.size
+    theta = 10.0 ** z[:p]
+    arg = theta @ D
+    E = np.exp(-arg)
+    # The matrix _neg_lml factors, M, and s with A = s M.
+    if case == "fixed":
+        M, s = sigma_z2 * E.reshape(n, n) + 0.05 * np.eye(n), 1.0
+    else:
+        g = 10.0 ** z[-1] if case == "free" else 0.0
+        M, s = E.reshape(n, n) + g * np.eye(n), sigma_z2
+    A_inv = cho_solve(cho_factor(M, lower=True), np.eye(n)) / s
+    w = A_inv.sum(axis=1)
+    alpha = A_inv @ (y - w @ y / w.sum())
+    Q = A_inv - np.outer(alpha, alpha)
+    dropped = np.where(arg > CUT, sigma_z2 * E * np.abs(Q).ravel(), 0.0)
+    return 0.5 * math.log(10.0) * np.append(theta * (D @ dropped), [0.0, dropped.sum()])
+
+
+LOG_THETA = st.one_of(st.sampled_from([-4.0, 4.0]), st.floats(-4.0, 4.0))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    p=st.integers(1, 3),
+    log_theta=st.lists(LOG_THETA, min_size=3, max_size=3),
+    u=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    case=st.sampled_from(["free", "zero", "fixed"]),
+)
+@example(seed=0, n=12, p=3, log_theta=[4.0] * 3, u=0.0, case="free")
+@example(seed=0, n=12, p=3, log_theta=[-4.0] * 3, u=1.0, case="fixed")
+@example(seed=1, n=12, p=3, log_theta=[4.0, -4.0, 4.0], u=0.5, case="zero")
+def test_kernel_cut_changes_no_rounded_value(seed, n, p, log_theta, u, case):
+    X, y = search_problem(seed, n, p)
+    D = _squared_differences(X)
+    z = np.array(log_theta[:p])
+    if case != "zero":
+        lo, hi = np.log10(NUGGET_RATIO_BOUNDS if case == "free" else SIGMA_Z2_BOUNDS)
+        z = np.append(z, lo + u * (hi - lo))
+    cuts = []
+    got = evaluate_or_none(D, y, z, case, on_cut=lambda: cuts.append(z))
+    assert len(cuts) == int((10.0 ** z[:p] @ D).max() > CUT)
+    reference = evaluate_or_none(D, y, z, case, cut=math.inf)
+    assert (got is None) == (reference is None)
+    if got is None:
+        return
+    (value, grad, sigma_z2), (ref_value, ref_grad, ref_sigma_z2) = got, reference
+    assert value == pytest.approx(ref_value, rel=1e-13)
+    assert sigma_z2 == pytest.approx(ref_sigma_z2, rel=1e-13)
+    # Gradient entries may differ by at most the terms the cut drops: below
+    # about 1e-40 where every off-diagonal entry is cut, negligible next to
+    # any entry that is not cut.
+    atol = cut_gradient_terms(D, y, z, case, ref_sigma_z2)
+    assert np.all(np.abs(grad - ref_grad) <= 1e-12 * np.abs(ref_grad) + 1.001 * atol)
+
+
+def test_every_entry_cut_gives_a_zero_theta_gradient(monkeypatch):
+    # Six equispaced points: at theta = 1e4 neighbours have exponent 400
+    # (E = 1.9e-174 uncut) and every other pair underflows to 0.0.
+    X = np.linspace(0.0, 1.0, 6)[:, None]
+    y = np.array([0.3, -1.2, 0.8, 1.5, -0.4, -1.0])
+    D = _squared_differences(X)
+    z = np.array([4.0, -2.0])
+    cuts = []
+    value, grad, _ = objective(D, y, z, "free", on_cut=lambda: cuts.append(z))
+    assert math.isfinite(value) and len(cuts) == 1
+    assert grad[0] == 0.0
+    _, uncut_grad, _ = evaluate_or_none(D, y, z, "free", cut=math.inf)
+    assert uncut_grad[0] != 0.0
+    # The search record counts every evaluation the cut applied to.
+    counted = []
+
+    def counting(D, y, theta, *args):
+        counted.append(bool((theta @ D).max() > CUT))
+        return _neg_lml(D, y, theta, *args)
+
+    monkeypatch.setattr(kriging, "_neg_lml", counting)
+    rec = fit_kriging(X, y, fq.make_rng(3), n_starts=3, budget=30).search
+    assert rec["evaluations"] == len(counted)
+    assert rec["cut_evaluations"] == sum(counted) > 0

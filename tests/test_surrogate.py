@@ -449,3 +449,15 @@ def test_predict_scores_equals_each_model(three_mode_doc, rows):
         assert np.array_equal(means[:, j], mj)
         assert np.array_equal(var[:, j], vj)
         assert np.array_equal(means_only[:, j], mod.predict_batch(X, with_var=False)[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predictions_reject_non_finite_inputs(three_mode_doc, bad):
+    s = surrogate_from_dict(copy.deepcopy(three_mode_doc))
+    X = fq.make_rng(13).uniform(0.0, 1.0, (6, 3))
+    X[4, 1] = bad
+    message = f"^input row 4, column 1 is {bad}: inputs must be finite"
+    for predict in (s.predict_scores, s.predict_curves, s.predict_mean_curves,
+                    s.models[0].predict_batch):
+        with pytest.raises(ValueError, match=message):
+            predict(X)
