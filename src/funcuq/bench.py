@@ -140,6 +140,9 @@ def boucwen_batch(params, grid: TimeGrid = BOUCWEN_GRID,
     return traj[:, :, 0].T
 
 
+MODEL_SOLVERS = {DUFFING: duffing_batch, BOUCWEN: boucwen_batch}
+
+
 def generate_dataset(
     model: str,
     n: int,
@@ -156,10 +159,7 @@ def generate_dataset(
     grid = MODEL_GRIDS[model]
     bounds = MODEL_BOUNDS[model]
     inputs = latin_hypercube(n, len(bounds), bounds, rng)
-    if model == DUFFING:
-        responses = duffing_batch(inputs, grid, substeps)
-    else:
-        responses = boucwen_batch(inputs, grid, substeps)
+    responses = MODEL_SOLVERS[model](inputs, grid, substeps)
     if noise_std > 0.0:
         responses = responses + rng.normal(0.0, noise_std, responses.shape)
     return ResponseEnsemble(inputs, responses, grid, input_names=MODEL_NAMES[model])

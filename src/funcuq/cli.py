@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
-import math
 import os
 import sys
 import time
@@ -27,6 +27,7 @@ from .core import (
     check_finite,
     check_nodes,
     derive_seed,
+    json_field,
     load_ensemble,
     make_rng,
     model_nrmse,
@@ -106,12 +107,10 @@ def load_config(path=None) -> dict:
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
         raise ValueError(f"config {path}: unknown sections {sorted(unknown)}")
-    for section, value in user.items():
+    for section in user:
         if not isinstance(DEFAULT_CONFIG[section], dict):
             continue
-        if not isinstance(value, dict):
-            raise ValueError(f"config {path}: {section} must be an object")
-        for key in value:
+        for key in json_field(user, f"config {path}", "", section, dict):
             if key not in DEFAULT_CONFIG[section]:
                 raise ValueError(f"config {path}: unknown key {section}.{key}")
     mirror = user.get("basis", {}).get("mirror")
@@ -129,26 +128,14 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _fit_config(cfg: dict) -> FitConfig:
-    return FitConfig(
-        reducer=cfg["surrogate"]["reducer"],
-        n_b0=cfg["basis"]["n_b0"],
-        order=cfg["basis"]["order"],
-        delta_r=cfg["smoothing"]["delta_r"],
-        n_tau=cfg["smoothing"]["n_tau"],
-        tau_override=cfg["smoothing"]["tau_override"],
-        mirror=cfg["basis"]["mirror"],
-        n_starts=cfg["kriging"]["n_starts"],
-        budget=cfg["kriging"]["budget"],
-        fix_nugget=cfg["kriging"]["fix_nugget"],
-    )
+    """FitConfig's fields are the keys of the fit sections; basis.kind is not read."""
+    return FitConfig(**{key: value for section in ("basis", "smoothing", "kriging", "surrogate")
+                        for key, value in cfg[section].items() if key != "kind"})
 
 
 def _load_training_data(cfg: dict, seed: int) -> ResponseEnsemble:
     ds = cfg["dataset"]
     if ds["inputs"] and ds["responses"]:
-        for path in (ds["inputs"], ds["responses"]):
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"dataset file not found: {path}")
         return load_ensemble(ds["responses"], ds["inputs"])
     if cfg["model"] is None:
         raise ValueError("config needs either dataset paths or a model name")
@@ -176,28 +163,12 @@ def _build_marginal(path, key: str, entry, kind=None):
         raise ValueError(
             f"config {path}: {key}.dist must be one of {sorted(_DIST_KINDS)}, got {kind!r}"
         )
-    params = []
-    for name in ("lower", "upper") if kind == "uniform" else ("mean", "std"):
-        value = entry.get(name)
-        if not _is_finite_number(value):
-            what = "is missing" if name not in entry else f"must be a finite number, got {value!r}"
-            raise ValueError(f"config {path}: {key}.{name} {what}")
-        params.append(value)
+    params = [json_field(entry, f"config {path}", key, name, shape=None)
+              for name in (("lower", "upper") if kind == "uniform" else ("mean", "std"))]
     try:
         return _DIST_KINDS[kind](*params)
     except ValueError as err:
         raise ValueError(f"config {path}: {key}: {err}") from None
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON int or float that a float holds finitely (not a bool, not an
-    int too large for a float)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _check_names(given, expected, what: str) -> None:
@@ -215,18 +186,12 @@ def _forward_model(cfg: dict, section: str):
         if model_name not in bench.MODEL_GRIDS:
             raise ValueError("use_exact_model requires a known model name")
         grid = bench.MODEL_GRIDS[model_name]
-        solver = bench.duffing_batch if model_name == bench.DUFFING else bench.boucwen_batch
-        substeps = cfg["dataset"]["substeps"]
-
-        def hook(X):
-            return solver(np.atleast_2d(X), grid, substeps)
-
+        hook = functools.partial(bench.MODEL_SOLVERS[model_name], grid=grid,
+                                 substeps=cfg["dataset"]["substeps"])
         return hook, grid, bench.MODEL_NAMES[model_name]
     path = sec["model_file"]
     if not path:
         raise ValueError(f"{section} needs model_file or use_exact_model")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"model file not found: {path}")
     sur = load_surrogate(path)
     names = tuple(sur.metadata.get("input_names", ()))
     return sur, sur.grid, names
@@ -309,9 +274,6 @@ def cmd_predict(args) -> int:
     inputs_path = args.inputs
     if not model_path or not inputs_path:
         raise ValueError("predict needs --model-file and --inputs")
-    for path in (model_path, inputs_path):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"file not found: {path}")
     sur = load_surrogate(model_path)
     X = np.loadtxt(inputs_path, delimiter=",", skiprows=1, ndmin=2)
     check_finite("inputs", inputs_path, X)
@@ -427,15 +389,6 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _check_observation_nodes(path, times, grid) -> None:
-    """Observations must sit on the model grid's nodes (to 1e-6 dt)."""
-    if times.size != grid.n_t:
-        raise ValueError(
-            f"observations file {path}: {times.size} time nodes, model grid has {grid.n_t}"
-        )
-    check_nodes(f"observations file {path}", times, grid, "model grid")
-
-
 def _calibration_model(model, names, fixed: dict, calibrated):
     """Batched model over the calibrated inputs: each (n, len(calibrated))
     block is widened to the model's full input order, with the fixed
@@ -462,10 +415,8 @@ def cmd_inverse(args) -> int:
     model, grid, names = _forward_model(cfg, "inverse")
     if not inv["observations"]:
         raise ValueError("inverse needs an observations file")
-    if not os.path.exists(inv["observations"]):
-        raise FileNotFoundError(f"observations file not found: {inv['observations']}")
     times, observations = uq.load_observations(inv["observations"])
-    _check_observation_nodes(inv["observations"], times, grid)
+    check_nodes(f"observations file {inv['observations']}", times, grid, "model grid")
 
     entries = inv["priors"]
     if not entries:

@@ -167,13 +167,61 @@ def check_finite(what: str, path, data) -> None:
         )
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
+               int: "a nonnegative integer"}
+
+
+def json_field(doc: dict, source: str, where: str, key: str, kind: type = float, shape=()):
+    """doc[key] of the JSON document `source` (e.g. "model file"), where doc
+    sits at key path `where`; ValueError naming `source: where.key` otherwise.
+
+    kind dict, list, str, bool or int: a value of that JSON type (int: a
+    nonnegative integer).  kind float: a finite float array of `shape` (an
+    entry None: any length), a float for shape (); or for shape None one
+    finite JSON number, as a float.  Strings, booleans and integers too large
+    for a float are not numbers, though the one conversion per field reads a
+    boolean among numbers (or a string among integers beyond int64) as one.
+    """
+    name = f"{source}: {where}.{key}" if where else f"{source}: {key}"
+    if key not in doc:
+        raise ValueError(f"{name} is missing")
+    value = doc[key]
+    if kind is not float:
+        if not isinstance(value, kind) or kind is int and (isinstance(value, bool) or value < 0):
+            raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+        return value
+    try:
+        array = np.asarray(value)
+        # Strings and booleans have dtype kinds of their own.  An integer
+        # beyond int64 makes an object array, whose cast overflows past a float.
+        array = array.astype(float, copy=False) if array.dtype.kind in "iufO" else None
+    except (TypeError, ValueError, OverflowError):  # also ragged nesting
+        array = None
+    if shape is None:
+        if array is None or array.ndim or not np.isfinite(array):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        return float(array)
+    if array is None:
+        raise ValueError(f"{name} is not an array of numbers")
+    if array.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        want = tuple("any" if w is None else w for w in shape)
+        raise ValueError(f"{name} has shape {array.shape}, expected {want}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} has a non-finite value")
+    return array if array.ndim else float(array)
+
+
 def check_nodes(where: str, times, grid: TimeGrid, grid_name: str) -> None:
-    """Raise ValueError naming `where` and the first of `times` that is
-    NaN or more than 1e-6 dt away from the grid's node.
+    """Raise ValueError naming `where` and a node count of `times` that is not
+    the grid's, or the first node that is NaN or more than 1e-6 dt off the grid's.
 
     The tolerance also admits the rounding of FLOAT_FMT's 10 significant
     digits, so that nodes this package wrote always pass.
     """
+    if times.size != grid.n_t:
+        raise ValueError(f"{where}: {times.size} time nodes, {grid_name} has {grid.n_t}")
     tol = 1e-6 * grid.dt + 1e-9 * max(abs(grid.t0), abs(grid.te))
     off = np.flatnonzero(~(np.abs(times - grid.nodes) <= tol))
     if off.size:

@@ -33,26 +33,14 @@ class SingularSystemError(np.linalg.LinAlgError):
     """Raised when (H'H + tau R) cannot be factorized even with jitter."""
 
 
-class PenalizedSolver:
-    """Cached symmetric factorization of (H'H + tau R)."""
-
-    def __init__(self, H: np.ndarray, R: np.ndarray, tau: float):
-        if tau < 0.0:
-            raise ValueError("tau must be nonnegative")
-        self.H = H
-        self._HtH = H.T @ H
-        try:
-            self._L, _ = cho_with_jitter(self._HtH + tau * R)
-        except np.linalg.LinAlgError as err:
-            raise SingularSystemError(f"penalized normal equations are {err}") from None
-
-    def coefficients(self, centered: np.ndarray) -> np.ndarray:
-        """Solve for the coefficient matrix C (n_b x N) of centered rows."""
-        return dpotrs(self._L, self.H.T @ np.atleast_2d(centered).T, lower=1)[0]
-
-    def trace_smoother(self) -> float:
-        """trace(H (H'H + tau R)^-1 H') without forming the n_t x n_t matrix."""
-        return float(np.trace(dpotrs(self._L, self._HtH, lower=1)[0]))
+def _factor(HtH, R, tau):
+    """dpotrs factor of H'H + tau R, for tau >= 0."""
+    if tau < 0.0:
+        raise ValueError("tau must be nonnegative")
+    try:
+        return cho_with_jitter(HtH + tau * R)[0]
+    except np.linalg.LinAlgError as err:
+        raise SingularSystemError(f"penalized normal equations are {err}") from None
 
 
 def fit_coefficients(H, R, tau, centered) -> np.ndarray:
@@ -61,7 +49,7 @@ def fit_coefficients(H, R, tau, centered) -> np.ndarray:
     Each column solves (H'H + tau R) c = H' y_c via a symmetric
     factorization; the matrix is never inverted explicitly.
     """
-    return PenalizedSolver(H, R, tau).coefficients(centered)
+    return dpotrs(_factor(H.T @ H, R, tau), H.T @ np.atleast_2d(centered).T, lower=1)[0]
 
 
 def gcv(tau, H, R, centered) -> float:
@@ -73,12 +61,14 @@ def gcv(tau, H, R, centered) -> float:
     of freedom of one curve's smoother, so it is compared against the
     same curve's observation count.
     """
-    solver = PenalizedSolver(H, R, tau)
+    HtH = H.T @ H
+    L = _factor(HtH, R, tau)
     centered = np.atleast_2d(centered)
-    C = solver.coefficients(centered)
+    C = dpotrs(L, H.T @ centered.T, lower=1)[0]
     n_obs = H.shape[0]
     sse = float(np.sum((centered.T - H @ C) ** 2))
-    denom = n_obs - solver.trace_smoother()
+    # trace(S(tau)) without forming the n_t x n_t smoother.
+    denom = n_obs - float(np.trace(dpotrs(L, HtH, lower=1)[0]))
     if abs(denom) < _trace_guard(n_obs):
         return math.inf
     return n_obs / denom**2 * sse

@@ -19,6 +19,7 @@ from .core import (
     ResponseEnsemble,
     TimeGrid,
     fit_nodes,
+    json_field,
     make_rng,
     model_nrmse,
     write_atomic,
@@ -265,53 +266,12 @@ def save_surrogate(s: LatentSurrogate, path) -> None:
     write_atomic(path, [json.dumps(surrogate_to_dict(s), sort_keys=True, separators=(",", ":"))])
 
 
-def _numbers(doc: dict, where: str, key: str, shape: tuple = ()):
-    """doc[key] as a finite float array of `shape` (None: any length), or
-    a float for shape (); ValueError naming `where.key` otherwise."""
-    name = f"{where}.{key}" if where else key
-    try:
-        value = np.asarray(doc[key], dtype=float)
-    except KeyError:
-        raise ValueError(f"model file: {name} is missing") from None
-    except (TypeError, ValueError):
-        raise ValueError(f"model file: {name} is not an array of numbers") from None
-    if value.ndim != len(shape) or any(
-        want is not None and got != want for got, want in zip(value.shape, shape)
-    ):
-        want = tuple("any" if w is None else w for w in shape)
-        raise ValueError(f"model file: {name} has shape {value.shape}, expected {want}")
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"model file: {name} has a non-finite value")
-    return float(value) if shape == () else value
-
-
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
-
-
-def _field(doc: dict, where: str, key: str, kind: type):
-    """doc[key] if it is a `kind`; ValueError naming `where.key` otherwise."""
-    name = f"{where}.{key}" if where else key
-    if key not in doc:
-        raise ValueError(f"model file: {name} is missing")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"model file: {name} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
-def _count(doc: dict, where: str, key: str) -> int:
-    value = doc.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(
-            f"model file: {where}.{key} must be a nonnegative integer, got {value!r}"
-        )
-    return value
-
-
 def _rebuild_kriging(d: dict, where: str, input_lo, input_hi, X_norm) -> KrigingModel:
-    ys = _numbers(d, where, "y_std", (X_norm.shape[0],))
-    theta = _numbers(d, where, "theta", (input_lo.size,))
-    v = {key: _numbers(d, where, key) for key in MODEL_SCALARS}
+    if not isinstance(d, dict):
+        raise ValueError(f"model file: {where} must be an object, got {d!r}")
+    ys = json_field(d, "model file", where, "y_std", shape=(X_norm.shape[0],))
+    theta = json_field(d, "model file", where, "theta", shape=(input_lo.size,))
+    v = {key: json_field(d, "model file", where, key) for key in MODEL_SCALARS}
     try:
         L, _, _, alpha = condition(X_norm, ys, v["sigma_z2"], theta, v["sigma_n2"], v["mu"])
     except np.linalg.LinAlgError as err:
@@ -323,42 +283,39 @@ def _rebuild_kriging(d: dict, where: str, input_lo, input_hi, X_norm) -> Kriging
 def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
     """The Reducer of a model file's reducer block.  A functional reducer's
     latent functions are rebuilt from B alone, as the fitter built them."""
-    kind = _field(red, "reducer", "kind", str)
+    kind = json_field(red, "model file", "reducer", "kind", str)
     if kind not in ("fdr", "pca"):
         raise ValueError(f"model file: reducer.kind must be 'fdr' or 'pca', got {kind!r}")
-    m = _count(red, "reducer", "m")
+    m = json_field(red, "model file", "reducer", "m", int)
     basis = tau = None
     if kind == "pca":
-        phi = _numbers(red, "reducer", "components", (grid.n_t, m))
+        phi = json_field(red, "model file", "reducer", "components", shape=(grid.n_t, m))
         description = {"kind": kind, "components": phi.tolist()}
     else:
-        b = _field(red, "reducer", "basis", dict)
-        spec = {
-            "kind": _field(b, "reducer.basis", "kind", str),
-            "n_b": _count(b, "reducer.basis", "n_b"),
-            "order": _count(b, "reducer.basis", "order"),
-        }
-        tau = _numbers(red, "reducer", "tau")
+        b = json_field(red, "model file", "reducer", "basis", dict)
+        spec = {key: json_field(b, "model file", "reducer.basis", key, json_type)
+                for key, json_type in (("kind", str), ("n_b", int), ("order", int))}
+        tau = json_field(red, "model file", "reducer", "tau")
         if tau < 0.0:
             raise ValueError(f"model file: reducer.tau must be nonnegative, got {tau!r}")
-        mirror = _field(red, "reducer", "mirror", bool)
+        mirror = json_field(red, "model file", "reducer", "mirror", bool)
         nodes, interval = fit_nodes(grid, mirror)
         try:
             basis = BasisSystem(spec["kind"], spec["n_b"], *interval, order=spec["order"])
         except ValueError as err:
             raise ValueError(f"model file: reducer.basis: {err}") from None
-        B = _numbers(red, "reducer", "B", (spec["n_b"], m))
+        B = json_field(red, "model file", "reducer", "B", shape=(spec["n_b"], m))
         # fit_reducer's expression: evaluating the basis on grid.nodes, or
         # on the first n_t nodes only, changes phi in its last bits.
         phi = (design_matrix(basis, nodes) @ B)[: grid.n_t]
         description = {"kind": kind, "basis": spec, "tau": tau, "mirror": mirror, "B": B.tolist()}
     return Reducer(
         grid=grid,
-        mean_curve=_numbers(red, "reducer", "mean_curve", (grid.n_t,)),
+        mean_curve=json_field(red, "model file", "reducer", "mean_curve", shape=(grid.n_t,)),
         phi=phi,
-        eigenvalues=_numbers(red, "reducer", "eigenvalues", (None,)),
+        eigenvalues=json_field(red, "model file", "reducer", "eigenvalues", shape=(None,)),
         m=m,
-        variance_fraction=_numbers(red, "reducer", "variance_fraction"),
+        variance_fraction=json_field(red, "model file", "reducer", "variance_fraction"),
         description=description,
         basis=basis,
         tau=tau,
@@ -368,23 +325,26 @@ def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
 def surrogate_from_dict(doc: dict) -> LatentSurrogate:
     """Rebuild a surrogate from surrogate_to_dict's description.
 
-    Every field must be present and of its type, and every array finite
-    and of the shape the rest of the file implies; an error names the
-    offending key, e.g. `models[2].theta`.
+    Every field must be present and of its type, and every array finite,
+    made of numbers (core.json_field) and of the shape the rest of the file
+    implies; an error names the offending key, e.g. `models[2].theta`.
     """
     if doc.get("format") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported model-file format {doc.get('format')!r}, this version reads "
             f"{FORMAT_VERSION!r}: refit the model from its config and seed"
         )
-    g = _field(doc, "", "grid", dict)
-    grid = TimeGrid(_numbers(g, "grid", "t0"), _numbers(g, "grid", "te"), _count(g, "grid", "n_t"))
-    reducer = _rebuild_reducer(_field(doc, "", "reducer", dict), grid)
-    input_lo = _numbers(doc, "", "input_lo", (None,))
-    input_hi = _numbers(doc, "", "input_hi", input_lo.shape)
+    g = json_field(doc, "model file", "", "grid", dict)
+    t0, te = (json_field(g, "model file", "grid", key) for key in ("t0", "te"))
+    grid = TimeGrid(t0, te, json_field(g, "model file", "grid", "n_t", int))
+    reducer = _rebuild_reducer(json_field(doc, "model file", "", "reducer", dict), grid)
+    input_lo = json_field(doc, "model file", "", "input_lo", shape=(None,))
+    input_hi = json_field(doc, "model file", "", "input_hi", shape=input_lo.shape)
     # JSON writes the (0, p) design of a surrogate without score models as [].
-    X_norm = _numbers(doc, "", "X_norm", (None, input_lo.size) if reducer.m else (0,))
-    entries = _field(doc, "", "models", list)
+    X_norm = json_field(
+        doc, "model file", "", "X_norm", shape=(None, input_lo.size) if reducer.m else (0,)
+    )
+    entries = json_field(doc, "model file", "", "models", list)
     if len(entries) != reducer.m:
         raise ValueError(
             f"model file: models has {len(entries)} entries, expected m = {reducer.m}"
@@ -393,9 +353,9 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
         _rebuild_kriging(d, f"models[{j}]", input_lo, input_hi, X_norm)
         for j, d in enumerate(entries)
     ]
-    metadata = _field(doc, "", "metadata", dict) if "metadata" in doc else {}
+    metadata = json_field(doc, "model file", "", "metadata", dict) if "metadata" in doc else {}
     if "input_names" in metadata:
-        names = _field(metadata, "metadata", "input_names", list)
+        names = json_field(metadata, "model file", "metadata", "input_names", list)
         if len(names) != input_lo.size:
             raise ValueError(
                 f"model file: metadata.input_names has {len(names)} names, "

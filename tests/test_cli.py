@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,7 +8,8 @@ import pytest
 
 import funcuq as fq
 from funcuq.bench import duffing_batch
-from funcuq.cli import _calibration_model, load_config, main
+from funcuq.cli import DEFAULT_CONFIG, _calibration_model, load_config, main
+from funcuq.surrogate import FitConfig
 from funcuq.uq import Uniform, log_posterior, log_posterior_block, save_observations
 
 
@@ -105,17 +107,37 @@ def test_fit_deterministic_report_numbers(tmp_path):
     assert (tmp_path / "r2" / "model.json").read_bytes() == first_model
 
 
-def test_fit_missing_dataset_fails_without_outputs(tmp_path, capsys):
+@pytest.mark.parametrize("missing", ["inputs", "responses"])
+def test_fit_missing_dataset_fails_without_outputs(tmp_path, capsys, missing):
+    data = tmp_path / "data"
+    assert main(["generate", "--model", "duffing", "--n", "3", "--out", str(data)]) == 0
+    (data / f"{missing}.csv").unlink()
     cfg_path = tmp_path / "cfg.json"
     write_config(
         cfg_path,
-        dataset={"inputs": str(tmp_path / "missing_inputs.csv"),
-                 "responses": str(tmp_path / "missing_responses.csv")},
+        dataset={"inputs": str(data / "inputs.csv"), "responses": str(data / "responses.csv")},
     )
     out = tmp_path / "fit"
     rc = main(["fit", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    assert str(data / f"{missing}.csv") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "forward"])
+def test_missing_model_file_fails_without_outputs(tmp_path, capsys, command):
+    missing = tmp_path / "nope" / "model.json"
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("alpha,beta,c,y0\n1.0,2.0,1.0,-5e-05\n")
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, forward={"model_file": str(missing), "distributions": DUFFING_DISTS,
+                                    "n_mcs": 50})
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "predict":
+        argv += ["--inputs", str(inputs)]
+    assert main(argv) == 1
+    assert str(missing) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -451,9 +473,25 @@ def test_inverse_rejects_non_finite_observation(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_inverse_missing_observations_file(tmp_path):
-    cfg_path = make_inverse_config(tmp_path, tmp_path / "nope.csv")
-    assert main(["inverse", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+def test_inverse_rejects_observations_one_node_short(tmp_path, capsys):
+    grid = fq.TimeGrid(0.0, 2.0, 401)
+    path = tmp_path / "short_obs.csv"
+    save_observations(path, grid.nodes[:-1], np.zeros((2, grid.n_t - 1)))
+    cfg_path = make_inverse_config(tmp_path, path)
+    out = tmp_path / "o"
+    assert main(["inverse", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"observations file {path}: 400 time nodes, model grid has 401" in err
+    assert not out.exists()
+
+
+def test_inverse_missing_observations_file(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    cfg_path = make_inverse_config(tmp_path, missing)
+    out = tmp_path / "o"
+    assert main(["inverse", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_section_rejected(tmp_path):
@@ -522,6 +560,16 @@ def test_bad_distribution_entry_names_its_key(tmp_path, capsys, section, edit, m
     assert main([part, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"config {cfg_path}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_fit_sections_name_the_fit_settings():
+    # The fit reads its settings by name from these sections (basis.kind is
+    # not read, nb_override is library-only), so a setting added to one side
+    # only fails here.
+    keys = [key for section in ("basis", "smoothing", "kriging", "surrogate")
+            for key in DEFAULT_CONFIG[section] if (section, key) != ("basis", "kind")]
+    fields = [f.name for f in dataclasses.fields(FitConfig) if f.name != "nb_override"]
+    assert sorted(keys) == sorted(fields)
 
 
 def test_config_accepts_known_keys_and_free_parameter_names(tmp_path):

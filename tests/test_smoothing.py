@@ -10,7 +10,6 @@ from funcuq import smoothing
 from funcuq.basis import BSPLINE, FOURIER
 from funcuq.core import cho_with_jitter
 from funcuq.smoothing import (
-    PenalizedSolver,
     SingularSystemError,
     effective_nb,
     select_nb,
@@ -328,18 +327,27 @@ def test_monotone_roughness_in_tau(fourier_setup):
         previous = rough
 
 
-def test_singular_system_error():
+# Both entry points factor H'H + tau R through the same function.
+SOLVES = pytest.mark.parametrize(
+    "solve", [fq.fit_coefficients, lambda H, R, tau, Y: fq.gcv(tau, H, R, Y)],
+    ids=["fit_coefficients", "gcv"],
+)
+
+
+@SOLVES
+def test_singular_system_error(solve):
     H = np.zeros((4, 3))
     R = np.zeros((3, 3))
     with pytest.raises(SingularSystemError):
-        PenalizedSolver(H, R, 0.0)
+        solve(H, R, 0.0, np.ones((2, 4)))
 
 
-def test_negative_tau_rejected():
+@SOLVES
+def test_negative_tau_rejected(solve):
     H = np.eye(3)
     R = np.eye(3)
-    with pytest.raises(ValueError):
-        PenalizedSolver(H, R, -0.1)
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        solve(H, R, -0.1, np.ones((2, 3)))
 
 
 def test_solver_never_inverts_explicitly(fourier_setup):

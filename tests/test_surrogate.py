@@ -425,6 +425,7 @@ def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
          lambda doc: doc["reducer"]["basis"].update(kind="spline")),
         ("reducer.tau must be nonnegative", lambda doc: doc["reducer"].update(tau=-0.5)),
         ("metadata must be an object", lambda doc: doc.update(metadata=[])),
+        ("models[1] must be an object, got 5", lambda doc: doc["models"].__setitem__(1, 5)),
         ("metadata.input_names has 2 names, expected 3",
          lambda doc: doc["metadata"]["input_names"].pop()),
     ],
@@ -434,6 +435,31 @@ def test_model_file_rejects_bad_fields(three_mode_doc, message, edit):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(f"model file: {message}")):
         surrogate_from_dict(doc)
+
+
+def _set_theta_entry(doc):
+    doc["models"][0]["theta"][1] = "1e-2"
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("models[0].mu", lambda doc: doc["models"][0].update(mu="0.5")),
+        ("models[0].mu", lambda doc: doc["models"][0].update(mu=True)),
+        ("models[0].mu", lambda doc: doc["models"][0].update(mu=10**400)),
+        ("models[0].theta", _set_theta_entry),
+        ("reducer.tau", lambda doc: doc["reducer"].update(tau=10**400)),
+        ("X_norm", lambda doc: doc["X_norm"][2].pop()),
+    ],
+    ids=["string", "boolean", "huge integer", "string in array", "huge tau", "ragged"],
+)
+def test_model_file_numbers_follow_the_config_rule(three_mode_doc, key, edit):
+    # As in a config: strings, booleans and integers too large for a float
+    # are not numbers, and the error names the key.
+    doc = copy.deepcopy(three_mode_doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(f"model file: {key} ")):
+        surrogate_from_dict(json.loads(json.dumps(doc)))
 
 
 @pytest.mark.parametrize("rows", [1, 37])
