@@ -96,14 +96,17 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path=None) -> dict:
-    """The defaults, overridden by the JSON config at path.  An unknown
-    section or section key (keys below that level, e.g. inverse.fixed's
-    parameter names, are not checked), a section that is not an object and
-    a non-boolean basis.mirror fail, naming the file and the key."""
+    """The defaults, overridden by the JSON config at path.  A top level
+    that is not an object, an unknown section or section key (keys below
+    that level, e.g. inverse.fixed's parameter names, are not checked), a
+    section that is not an object and a non-boolean basis.mirror fail,
+    naming the file and the key."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path, "r", encoding="utf-8") as fh:
         user = json.load(fh)
+    if not isinstance(user, dict):
+        raise ValueError(f"config {path}: the top level must be a JSON object, got {user!r}")
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
         raise ValueError(f"config {path}: unknown sections {sorted(unknown)}")

@@ -74,11 +74,14 @@ class Lognormal:
         return rng.lognormal(self._mu_log, math.sqrt(self._sigma2_log), n)
 
     def logpdf(self, x):
-        if x <= 0:
-            return -math.inf
+        """-inf where x <= 0; a scalar for a scalar x."""
+        x = np.asarray(x, dtype=float)
         s2 = self._sigma2_log
-        z = math.log(x) - self._mu_log
-        return -0.5 * z * z / s2 - math.log(x) - 0.5 * math.log(s2) - 0.5 * _LOG_2PI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_x = np.log(x)
+            z = log_x - self._mu_log
+            lp = -0.5 * z * z / s2 - log_x - 0.5 * math.log(s2) - 0.5 * _LOG_2PI
+        return np.where(x > 0, lp, -math.inf)[()]
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,9 @@ class Uniform:
         return rng.uniform(self.lower, self.upper, n)
 
     def logpdf(self, x):
-        if self.lower <= x <= self.upper:
-            return -math.log(self.upper - self.lower)
-        return -math.inf
+        """A scalar for a scalar x."""
+        inside = (self.lower <= x) & (x <= self.upper)
+        return np.where(inside, -math.log(self.upper - self.lower), -math.inf)[()]
 
 
 class InputDistribution:
@@ -117,15 +120,9 @@ class InputDistribution:
             out[:, j] = marg.sample(rng, n)
         return out
 
-    def logpdf(self, x) -> float:
+    def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        total = 0.0
-        for j, marg in enumerate(self.marginals):
-            lp = marg.logpdf(float(x[j]))
-            if lp == -math.inf:
-                return -math.inf
-            total += lp
-        return total
+        return sum(marg.logpdf(x[j]) for j, marg in enumerate(self.marginals))
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +324,29 @@ def log_posterior_block(model, x_priors, sigma_prior, observations, thetas) -> n
     noise of variance sigma^2 at each of the n_t nodes gives each
     observation the likelihood factor
     -(n_t/2) ln(2 pi sigma^2) - ||y_i - M(x)||^2 / (2 sigma^2).
-    The model maps an (n, p) input block to (n, n_t) mean curves and is
-    called once, on the rows inside the prior support; the other rows
-    get -inf.
+    The priors are scored column by column over the whole block, sigma's
+    first.  The model maps an (n, p) input block to (n, n_t) mean curves
+    and is called once, on the rows inside the prior support; the other
+    rows get -inf.  The observations are copied to C order if they are not
+    in it, so the residual sums run over contiguous rows and give the same
+    bits for any layout of the same values.
     """
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    observations = np.atleast_2d(np.ascontiguousarray(observations, dtype=float))
     if observations.shape[0] == 0:
         raise ValueError("need at least one observation")
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    lp = np.full(thetas.shape[0], -math.inf)
-    for i, row in enumerate(thetas):
-        sigma = float(row[-1])
-        if sigma <= 0:
-            continue
-        total = sigma_prior.logpdf(sigma)
-        for prior, value in zip(x_priors, row[:-1], strict=True):
-            total += prior.logpdf(float(value))
-        lp[i] = total
+    if thetas.shape[1] != len(x_priors) + 1:
+        raise ValueError(
+            f"thetas have {thetas.shape[1]} columns, expected {len(x_priors) + 1}: "
+            "one per input prior, then sigma"
+        )
+    sigma = thetas[:, -1]
+    lp = np.array(sigma_prior.logpdf(sigma), dtype=float)
+    for j, prior in enumerate(x_priors):
+        lp += prior.logpdf(thetas[:, j])
+    # A sigma below about 1.5e-162 squares to 0, where the likelihood is
+    # inf - inf or 0/0; it gets -inf, the limit for a nonzero residual.
+    lp[(sigma <= 0) | (sigma * sigma == 0)] = -math.inf
     inside = np.flatnonzero(lp > -math.inf)
     if inside.size == 0:
         return lp
@@ -353,7 +356,9 @@ def log_posterior_block(model, x_priors, sigma_prior, observations, thetas) -> n
     n_t = curves.shape[1]
     sigma2 = thetas[inside, -1:] ** 2
     resid2 = ((observations[None, :, :] - curves[:, None, :]) ** 2).sum(axis=2)
-    loglik = -0.5 * n_t * np.log(2 * math.pi * sigma2) - resid2 / (2 * sigma2)
+    # Below about 1e-154 a sigma's residual term overflows to inf: -inf.
+    with np.errstate(over="ignore"):
+        loglik = -0.5 * n_t * np.log(2 * math.pi * sigma2) - resid2 / (2 * sigma2)
     lp[inside] += loglik.sum(axis=1)
     return lp
 
@@ -500,7 +505,7 @@ def load_observations(path):
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     check_finite("observations", path, data)
     times = data[:, 0]
-    observations = data[:, 1:].T
+    observations = np.ascontiguousarray(data[:, 1:].T)
     if observations.shape[0] == 0:
         raise ValueError("observation file contains no observation columns")
     return times, observations

@@ -517,6 +517,18 @@ def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("document", ["[]", "5", '"x"', "null"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, document):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(document)
+    message = f"config {cfg_path}: the top level must be a JSON object, got "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(cfg_path)
+    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def _set(entry, key, value):
     entry[key] = value
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -565,6 +566,105 @@ def test_log_posterior_block_rejects_wrong_model_shape():
                             np.array([[1.0, 0.1], [1.1, 0.1]]))
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+def test_log_posterior_block_rejects_wrong_column_count(columns):
+    obs = noisy_observations(1.2, 2, 18)
+    with pytest.raises(ValueError, match=f"thetas have {columns} columns, expected 2"):
+        log_posterior_block(block_model_1d, *BLOCK_PRIORS, obs, np.full((4, columns), 0.5))
+
+
+def test_log_posterior_block_same_bits_for_any_observation_layout():
+    obs = noisy_observations(1.2, 3, 25)
+    # An observation file's columns, as load_observations reads them.
+    file_view = np.column_stack([T, obs.T])[:, 1:].T
+    thetas = np.column_stack([np.linspace(-0.2, 2.2, 40), np.linspace(-0.05, 1.1, 40)])
+    layouts = [np.ascontiguousarray(obs), np.asfortranarray(obs), file_view]
+    lps = [log_posterior_block(block_model_1d, *BLOCK_PRIORS, o, thetas) for o in layouts]
+    assert np.count_nonzero(np.isfinite(lps[0])) > 10
+    for lp in lps[1:]:
+        assert np.array_equal(lp, lps[0])
+
+
+def reference_logpdf(marginal, x):
+    """The scalar marginal log densities, written with math."""
+    if isinstance(marginal, Normal):
+        z = (x - marginal.mean) / marginal.std
+        return -0.5 * z * z - math.log(marginal.std) - 0.5 * math.log(2.0 * math.pi)
+    if isinstance(marginal, Uniform):
+        if marginal.lower <= x <= marginal.upper:
+            return -math.log(marginal.upper - marginal.lower)
+        return -math.inf
+    if x <= 0:
+        return -math.inf
+    s2 = math.log1p((marginal.std / marginal.mean) ** 2)
+    z = math.log(x) - (math.log(marginal.mean) - 0.5 * s2)
+    return -0.5 * z * z / s2 - math.log(x) - 0.5 * math.log(s2) - 0.5 * math.log(2.0 * math.pi)
+
+
+def reference_block(model, x_priors, sigma_prior, observations, thetas):
+    """The per-row loop over walkers and priors, then the block's likelihood.
+    Also returns each row's sum of absolute terms, which bounds its rounding."""
+    lp = np.full(thetas.shape[0], -math.inf)
+    scale = np.zeros(thetas.shape[0])
+    for i, row in enumerate(thetas):
+        sigma = float(row[-1])
+        if sigma <= 0 or sigma * sigma == 0:
+            continue
+        total = reference_logpdf(sigma_prior, sigma)
+        scale[i] = abs(total)
+        for prior, value in zip(x_priors, row[:-1], strict=True):
+            term = reference_logpdf(prior, float(value))
+            total += term
+            scale[i] += abs(term)
+        lp[i] = total
+    inside = np.flatnonzero(lp > -math.inf)
+    if inside.size:
+        curves = model(thetas[inside, :-1])
+        sigma2 = thetas[inside, -1:] ** 2
+        resid2 = ((observations[None, :, :] - curves[:, None, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):
+            loglik = -0.5 * T.size * np.log(2 * math.pi * sigma2) - resid2 / (2 * sigma2)
+        loglik = loglik.sum(axis=1)
+        lp[inside] += loglik
+        scale[inside] += np.abs(loglik)
+    return lp, scale
+
+
+marginals = st.one_of(
+    st.builds(Normal, st.floats(-2.0, 2.0), st.floats(0.05, 2.0)),
+    st.builds(Lognormal, st.floats(0.1, 3.0), st.floats(0.05, 2.0)),
+    st.builds(Uniform, st.floats(-2.0, 0.0), st.floats(0.1, 2.0)),
+)
+# Wide enough for rows outside every support, x <= 0 and sigma <= 0, and
+# for sigmas whose square underflows or whose residual term overflows.
+block_values = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e-155, 1e-170]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x_priors=st.lists(marginals, min_size=1, max_size=3), sigma_prior=marginals,
+       data=st.data())
+def test_log_posterior_block_matches_the_per_row_loop(x_priors, sigma_prior, data):
+    p = len(x_priors)
+    rows = data.draw(st.lists(st.lists(block_values, min_size=p + 1, max_size=p + 1),
+                              min_size=1, max_size=12))
+    thetas = np.array(rows)
+    obs = noisy_observations(1.2, 2, 26)
+
+    def model(X):
+        return X.sum(axis=1)[:, None] * T[None, :]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp = log_posterior_block(model, x_priors, sigma_prior, obs, thetas)
+    expected, scale = reference_block(model, x_priors, sigma_prior, obs, thetas)
+    assert np.array_equal(np.isinf(lp), np.isinf(expected))
+    if not any(isinstance(m, Lognormal) for m in [*x_priors, sigma_prior]):
+        assert np.array_equal(lp, expected)
+    else:
+        finite = np.isfinite(expected)
+        assert np.all(np.abs(lp[finite] - expected[finite]) <= 1e-14 * scale[finite])
+
+
 theta_rows = st.lists(
     st.tuples(st.floats(-0.5, 2.5), st.floats(-0.1, 1.2)), min_size=1, max_size=10
 )
@@ -713,6 +813,21 @@ def test_mcmc_block_model_calls_bounded_and_in_support():
     assert rows.min() >= 0.0 and rows.max() <= 2.0
 
 
+@pytest.mark.parametrize("walkers, iterations", [(100, 20), (9, 3), (16, 5)])
+def test_mcmc_scores_one_block_per_half_step(walkers, iterations):
+    sizes = []
+
+    def lp(block):
+        sizes.append(block.shape[0])
+        return -0.5 * block[:, 0] ** 2
+
+    ensemble_mcmc(lp, [Normal(0, 1)], walkers=walkers, iterations=iterations,
+                  rng=fq.make_rng(27))
+    half = walkers // 2
+    assert sizes == [walkers] + [half, walkers - half] * iterations
+    assert max(sizes[1:]) == math.ceil(walkers / 2)
+
+
 # ---------------------------------------------------------------------------
 # Posterior summary
 
@@ -774,4 +889,5 @@ def test_observations_roundtrip(tmp_path):
     times, back = load_observations(path)
     assert np.allclose(times, T, rtol=1e-9)
     assert back.shape == (3, T.size)
+    assert back.flags.c_contiguous
     assert np.allclose(back, obs, rtol=1e-9, atol=1e-12)
