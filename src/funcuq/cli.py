@@ -136,9 +136,12 @@ def _fit_config(cfg: dict) -> FitConfig:
                         for key, value in cfg[section].items() if key != "kind"})
 
 
-def _load_training_data(cfg: dict, seed: int) -> ResponseEnsemble:
+def _load_training_data(cfg: dict, seed: int, sample: bool = False) -> ResponseEnsemble:
+    """The dataset files if both are given and `sample` is not set, else
+    the config's model sampled under the data/train seed (what `generate`
+    writes)."""
     ds = cfg["dataset"]
-    if ds["inputs"] and ds["responses"]:
+    if ds["inputs"] and ds["responses"] and not sample:
         return load_ensemble(ds["responses"], ds["inputs"])
     if cfg["model"] is None:
         raise ValueError("config needs either dataset paths or a model name")
@@ -154,18 +157,17 @@ def _load_training_data(cfg: dict, seed: int) -> ResponseEnsemble:
 _DIST_KINDS = {"normal": uq.Normal, "lognormal": uq.Lognormal, "uniform": uq.Uniform}
 
 
-def _build_marginal(path, key: str, entry, kind=None):
-    """The marginal of config entry `key`, of its "dist" kind unless `kind`
-    is given.  A missing, non-numeric or non-finite parameter, an unknown
-    kind and a value the distribution rejects fail, naming the config file
-    and the key."""
+def _build_marginal(path, key: str, entry, kinds=tuple(_DIST_KINDS)):
+    """The marginal of config entry `key`, of its "dist" kind, one of
+    `kinds`; a missing "dist" means the only kind when there is one.  A
+    missing, non-numeric or non-finite parameter, a kind not in `kinds`
+    and a value the distribution rejects fail, naming the config file and
+    the key."""
     if not isinstance(entry, dict):
         raise ValueError(f"config {path}: {key} must be an object, got {entry!r}")
-    kind = kind or entry.get("dist")
-    if kind not in _DIST_KINDS:
-        raise ValueError(
-            f"config {path}: {key}.dist must be one of {sorted(_DIST_KINDS)}, got {kind!r}"
-        )
+    kind = entry.get("dist", kinds[0] if len(kinds) == 1 else None)
+    if kind not in kinds:
+        raise ValueError(f"config {path}: {key}.dist must be one of {sorted(kinds)}, got {kind!r}")
     params = [json_field(entry, f"config {path}", key, name, shape=None)
               for name in (("lower", "upper") if kind == "uniform" else ("mean", "std"))]
     try:
@@ -206,22 +208,21 @@ def _forward_model(cfg: dict, section: str):
 
 def cmd_generate(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
-    model = args.model or cfg["model"]
-    if model is None:
+    ds = cfg["dataset"]
+    cfg["model"] = args.model or cfg["model"]
+    if cfg["model"] is None:
         raise ValueError("generate needs --model or a model in the config")
-    n = args.n if args.n is not None else cfg["dataset"]["n_train"]
-    noise = args.noise if args.noise is not None else cfg["dataset"]["noise_std"]
+    for key, value in (("n_train", args.n), ("noise_std", args.noise)):
+        if value is not None:
+            ds[key] = value
+    ens = _load_training_data(cfg, seed, sample=True)
     os.makedirs(out_dir, exist_ok=True)
-    ens = bench.generate_dataset(
-        model, n, make_rng(derive_seed(seed, "data/train")), noise_std=noise,
-        substeps=cfg["dataset"]["substeps"],
-    )
     save_ensemble(
         ens,
         os.path.join(out_dir, "responses.csv"),
         os.path.join(out_dir, "inputs.csv"),
     )
-    print(f"wrote {n} {model} samples to {out_dir}")
+    print(f"wrote {ds['n_train']} {cfg['model']} samples to {out_dir}")
     return 0
 
 
@@ -349,14 +350,18 @@ def cmd_forward(args) -> int:
     ])
     if names:
         _check_names([e.get("name") for e in entries], names, "distribution")
-    result = uq.forward_uq(
-        model,
-        dist,
-        n_mcs=fw["n_mcs"],
-        grid=grid,
-        rng=make_rng(derive_seed(seed, "forward/mcs")),
-        kde_points=fw["kde_points"],
-    )
+    X = dist.sample(make_rng(derive_seed(seed, "forward/mcs")), fw["n_mcs"])
+    report = {"n_mcs": X.shape[0], "n_outside": None, "n_outside_by_input": None}
+    if not fw["use_exact_model"]:
+        # Samples with any input, and per input the samples with that
+        # input, outside the surrogate's training box.
+        outside = (X < model.input_lo) | (X > model.input_hi)
+        report["n_outside"] = int(np.count_nonzero(outside.any(axis=1)))
+        report["n_outside_by_input"] = {
+            entry.get("name", f"x{j}"): int(count)
+            for j, (entry, count) in enumerate(zip(entries, outside.sum(axis=0)))
+        }
+    result = uq.forward_uq(model, X, kde_points=fw["kde_points"])
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "mean_std.csv"),
@@ -374,20 +379,12 @@ def cmd_forward(args) -> int:
             for v, pm, pn in zip(result.kde_grid, result.kde_max, result.kde_min)
         ],
     )
-    outside = result.n_outside_by_input
-    report = {
-        "n_mcs": result.n_mcs,
-        "n_outside": result.n_outside,
-        "n_outside_by_input": None if outside is None else {
-            entry.get("name", f"x{j}"): int(count)
-            for j, (entry, count) in enumerate(zip(entries, outside))
-        },
-    }
     write_atomic(
         os.path.join(out_dir, "forward_report.json"),
         [json.dumps(report, sort_keys=True, indent=2)],
     )
-    where = "" if result.n_outside is None else f" ({result.n_outside} outside the training box)"
+    n_outside = report["n_outside"]
+    where = "" if n_outside is None else f" ({n_outside} outside the training box)"
     print(f"forward UQ with {result.n_mcs} samples{where} written to {out_dir}")
     return 0
 
@@ -435,7 +432,8 @@ def cmd_inverse(args) -> int:
 
     if not inv["sigma_prior"]:
         raise ValueError("inverse needs a sigma_prior range")
-    sigma_prior = _build_marginal(args.config, "inverse.sigma_prior", inv["sigma_prior"], "uniform")
+    sigma_prior = _build_marginal(args.config, "inverse.sigma_prior", inv["sigma_prior"],
+                                  ("uniform",))
 
     def logpost(thetas):
         return uq.log_posterior_block(model, priors, sigma_prior, observations, thetas)

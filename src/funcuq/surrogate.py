@@ -123,9 +123,11 @@ class LatentSurrogate:
         return means[0], var[0]
 
     def predict_mean_curves(self, X_star) -> np.ndarray:
-        """Predictive mean curves for raw input rows; shape (M, n_t)."""
+        """Predictive mean curves for raw input rows; a new (M, n_t) array."""
         means, _ = self.predict_scores(X_star, with_var=False)
-        return self.reducer.mean_curve + means @ self.reducer.phi.T
+        curves = means @ self.reducer.phi.T
+        curves += self.reducer.mean_curve
+        return curves
 
     # A surrogate is a batched model: (n, p) inputs to (n, n_t) mean curves.
     __call__ = predict_mean_curves

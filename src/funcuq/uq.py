@@ -1,7 +1,7 @@
-"""Forward uncertainty propagation through a surrogate (or an exact model
-hook) by Monte Carlo, kernel density estimates of extreme-value
-distributions, and Bayesian inverse inference of inputs and noise scale
-with an affine-invariant ensemble sampler.
+"""Forward uncertainty propagation through a batched model (a surrogate
+or an exact-model hook) by Monte Carlo, kernel density estimates of
+extreme-value distributions, and Bayesian inverse inference of inputs
+and noise scale with an affine-invariant ensemble sampler.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FLOAT_FMT, check_finite, write_atomic
-from .surrogate import LatentSurrogate
 
-DEFAULT_N_MCS = 100_000
 DEFAULT_WALKERS = 100
 DEFAULT_ITERATIONS = 300
 DEFAULT_BURN_IN = 0.5
@@ -141,10 +139,6 @@ class ForwardUqResult:
     kde_max: np.ndarray = field(repr=False)
     kde_min: np.ndarray = field(repr=False)
     n_mcs: int
-    # Samples with any coordinate, and per input the samples with that
-    # coordinate, outside the surrogate's training box; None for hooks.
-    n_outside: int | None = None
-    n_outside_by_input: np.ndarray | None = field(default=None, repr=False)
 
 
 def silverman_bandwidth(samples) -> float:
@@ -198,85 +192,47 @@ def kde_pdf(samples, eval_points) -> np.ndarray:
     return sums / (samples.size * h * math.sqrt(2 * math.pi))
 
 
-def forward_uq(
-    model,
-    dist: InputDistribution,
-    n_mcs: int = DEFAULT_N_MCS,
-    grid=None,
-    rng: np.random.Generator | None = None,
-    batch_size: int = 4096,
-    kde_points: int = 512,
-) -> ForwardUqResult:
-    """Propagate an input distribution through a response model.
+def forward_uq(model, samples, batch_size: int = 4096, kde_points: int = 512) -> ForwardUqResult:
+    """Monte Carlo statistics of a batched model over drawn input samples.
 
-    The model is either a fitted LatentSurrogate or a batched callable
-    mapping an (n, p) input block to (n, n_t) response curves.  For a
-    surrogate, the mean curve is assembled from the averaged latent means
-    with a single basis multiplication, and the samples outside its
-    training box are counted; the standard deviation uses the population
-    1/N convention over the per-sample predictive mean curves.  Blocks of
-    batch_size samples are evaluated in one reused curve buffer.
+    The model, a fitted surrogate or an exact-model hook alike, maps an
+    (n, p) block of input rows to (n, n_t) response curves and returns a
+    new array per call, which forward_uq overwrites; a result that is not
+    C-ordered is copied first.  n_t comes from the first block, and every
+    later block must match it.  The mean and the population (1/N)
+    standard deviation are accumulated around the first curve, so the
+    variance of nearly degenerate inputs is not lost to cancellation.
+    Blocks of batch_size samples are evaluated one at a time, and each
+    block's curves are freed before the next block is evaluated.
     """
-    if n_mcs < 2:
-        raise ValueError("need at least 2 Monte Carlo samples")
-    if rng is None:
-        raise ValueError("an explicit generator is required")
-    is_surrogate = isinstance(model, LatentSurrogate)
-    if grid is None and is_surrogate:
-        grid = model.grid
-    if grid is None:
-        raise ValueError("grid is required for exact-model hooks")
-    n_t = grid.n_t
-
-    X = dist.sample(rng, n_mcs)
-    n_outside = n_outside_by_input = None
-    if is_surrogate:
-        outside = (X < model.input_lo) | (X > model.input_hi)
-        n_outside = int(np.count_nonzero(outside.any(axis=1)))
-        n_outside_by_input = np.count_nonzero(outside, axis=0)
-    # Accumulate around the first curve so the variance of nearly
-    # degenerate inputs is not lost to cancellation.
-    ref = None
-    shift_sum = np.zeros(n_t)
-    shift_sumsq = np.zeros(n_t)
-    score_sum = None
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] < 2:
+        raise ValueError(f"need an (n, p) array of at least 2 samples, got shape {samples.shape}")
+    n_mcs = samples.shape[0]
+    ref = shift_sum = shift_sumsq = None
     maxima = np.empty(n_mcs)
     minima = np.empty(n_mcs)
-    buf = np.empty((min(batch_size, n_mcs), n_t))
     for start in range(0, n_mcs, batch_size):
-        block = X[start : start + batch_size]
-        rows = buf[: block.shape[0]]
-        if is_surrogate:
-            scores, _ = model.predict_scores(block, with_var=False)
-            if score_sum is None:
-                score_sum = np.zeros(scores.shape[1])
-            score_sum += scores.sum(axis=0)
-            curves = np.matmul(scores, model.reducer.phi.T, out=rows)
-            curves += model.reducer.mean_curve
-        else:
-            # The hook's array is the caller's: it is only read.
-            curves = np.asarray(model(block), dtype=float)
-            if curves.shape != rows.shape:
-                raise ValueError(
-                    f"model hook returned curves of shape {curves.shape}, "
-                    f"expected {rows.shape}"
-                )
+        block = samples[start : start + batch_size]
+        curves = np.ascontiguousarray(model(block), dtype=float)
+        expected = (block.shape[0], curves.shape[-1] if ref is None else ref.size)
+        if curves.shape != expected:
+            raise ValueError(f"model returned curves of shape {curves.shape}, expected {expected}")
         maxima[start : start + block.shape[0]] = curves.max(axis=1)
         minima[start : start + block.shape[0]] = curves.min(axis=1)
         if ref is None:
             ref = curves[0].copy()
-        shifted = np.subtract(curves, ref, out=rows)
-        shift_sum += shifted.sum(axis=0)
-        np.square(shifted, out=shifted)
-        shift_sumsq += shifted.sum(axis=0)
+            shift_sum, shift_sumsq = np.zeros(ref.size), np.zeros(ref.size)
+        curves -= ref
+        shift_sum += curves.sum(axis=0)
+        np.square(curves, out=curves)
+        shift_sumsq += curves.sum(axis=0)
+        del curves
     bad = np.count_nonzero(~(np.isfinite(maxima) & np.isfinite(minima)))
     if bad:
         raise ValueError(f"{bad} of {n_mcs} Monte Carlo samples gave non-finite responses")
 
-    if is_surrogate:
-        mean = model.reducer.mean_curve + model.reducer.phi @ (score_sum / n_mcs)
-    else:
-        mean = ref + shift_sum / n_mcs
+    mean = ref + shift_sum / n_mcs
     mu_shift = mean - ref
     var = (
         shift_sumsq / n_mcs
@@ -308,8 +264,6 @@ def forward_uq(
         kde_max=kde_max,
         kde_min=kde_min,
         n_mcs=n_mcs,
-        n_outside=n_outside,
-        n_outside_by_input=n_outside_by_input,
     )
 
 

@@ -163,8 +163,7 @@ def test_criterion_4_forward_uq():
         return X[:, 0:1] * t[None, :] + X[:, 1:2]
 
     dist = InputDistribution([Normal(0.0, 1.0), Normal(0.0, 1.0)])
-    res = forward_uq(hook, dist, 100_000, grid,
-                     fq.make_rng(fq.derive_seed(MASTER_SEED, "acc4")))
+    res = forward_uq(hook, dist.sample(fq.make_rng(fq.derive_seed(MASTER_SEED, "acc4")), 100_000))
     assert np.abs(res.mean).max() <= 0.02
     expected_std = np.sqrt(t**2 + 1.0)
     assert np.abs(res.std / expected_std - 1.0).max() <= 0.02

@@ -8,7 +8,7 @@ import pytest
 
 import funcuq as fq
 from funcuq.bench import duffing_batch
-from funcuq.cli import DEFAULT_CONFIG, _calibration_model, load_config, main
+from funcuq.cli import DEFAULT_CONFIG, _build_marginal, _calibration_model, load_config, main
 from funcuq.surrogate import FitConfig
 from funcuq.uq import Uniform, log_posterior, log_posterior_block, save_observations
 
@@ -321,6 +321,35 @@ def test_forward_with_model_file(tmp_path, capsys):
     assert f"({report['n_outside']} outside the training box)" in capsys.readouterr().out
 
 
+def test_forward_counts_samples_outside_the_training_box(tmp_path):
+    # The counts are those of the forward/mcs draws against the model
+    # file's training box.
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg_path), "--out", str(fit_dir)]) == 0
+    sur = fq.load_surrogate(fit_dir / "model.json")
+    lo, hi = sur.input_lo, sur.input_hi
+    names = list(sur.metadata["input_names"])
+    # Each input leaves its training range with probability 1/2, so a
+    # sample leaves the box with probability 1 - 1/2^4.
+    dists = [{"name": name, "dist": "uniform", "lower": a - (b - a) / 2, "upper": b + (b - a) / 2}
+             for name, a, b in zip(names, lo, hi)]
+    n = 4000
+    write_config(cfg_path, forward={"model_file": str(fit_dir / "model.json"),
+                                    "distributions": dists, "n_mcs": n, "kde_points": 16})
+    out = tmp_path / "fwd"
+    assert main(["forward", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "forward_report.json").read_text())
+    dist = fq.InputDistribution([Uniform(d["lower"], d["upper"]) for d in dists])
+    draws = dist.sample(fq.make_rng(fq.derive_seed(11, "forward/mcs")), n)
+    outside = (draws < lo) | (draws > hi)
+    assert report["n_outside"] == np.count_nonzero(outside.any(axis=1))
+    assert report["n_outside_by_input"] == dict(zip(names, outside.sum(axis=0).tolist()))
+    assert report["n_outside"] / n == pytest.approx(15 / 16, abs=0.02)
+    np.testing.assert_allclose(outside.sum(axis=0) / n, 0.5, atol=0.03)
+
+
 def test_forward_wrong_distribution_names(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     bad = [dict(d) for d in DUFFING_DISTS]
@@ -558,6 +587,8 @@ def _set(entry, key, value):
      "inverse.sigma_prior.upper must be a finite number, got inf"),
     ("inverse.sigma_prior", lambda e: _set(e, "upper", 1e-8),
      "inverse.sigma_prior: lower bound must be below upper bound"),
+    ("inverse.sigma_prior", lambda e: e.update(dist="lognormal", mean=1e-5, std=5e-6),
+     "inverse.sigma_prior.dist must be one of ['uniform'], got 'lognormal'"),
 ])
 def test_bad_distribution_entry_names_its_key(tmp_path, capsys, section, edit, message):
     obs_path = write_duffing_observations(tmp_path)
@@ -572,6 +603,13 @@ def test_bad_distribution_entry_names_its_key(tmp_path, capsys, section, edit, m
     assert main([part, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"config {cfg_path}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [{"lower": 1e-7, "upper": 1e-3},
+                                   {"dist": "uniform", "lower": 1e-7, "upper": 1e-3}])
+def test_sigma_prior_dist_may_be_missing_or_uniform(entry):
+    sigma_prior = _build_marginal("c.json", "inverse.sigma_prior", entry, ("uniform",))
+    assert sigma_prior == Uniform(1e-7, 1e-3)
 
 
 def test_config_fit_sections_name_the_fit_settings():

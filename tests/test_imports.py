@@ -35,6 +35,29 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
+def imports_surrogate(source: str) -> bool:
+    """Whether a source imports the surrogate module or a name from it."""
+    paths = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths += [f"{node.module or ''}.{a.name}" for a in node.names]
+    return any("surrogate" in path.split(".") for path in paths)
+
+
+def test_check_finds_a_surrogate_import():
+    for source in ("from .surrogate import LatentSurrogate\n", "from . import surrogate\n",
+                   "import funcuq.surrogate\n", "from funcuq.surrogate import load_surrogate\n"):
+        assert imports_surrogate(source), source
+    assert not imports_surrogate("from .core import FLOAT_FMT\nimport numpy as np\n")
+
+
+def test_uq_imports_nothing_from_surrogate():
+    # Forward and inverse UQ take any batched model; a surrogate is one.
+    assert not imports_surrogate((SRC / "uq.py").read_text(encoding="utf-8"))
+
+
 PERFBENCH = SRC.parent.parent / "perfbench"
 # Public names that nothing in the package or the benchmark calls, kept on
 # purpose for library users.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -79,7 +80,7 @@ def test_input_distribution_logpdf_sums():
 
 def test_forward_uq_linear_oracle():
     dist = InputDistribution([Normal(0, 1), Normal(0, 1)])
-    res = forward_uq(linear_hook, dist, 100_000, GRID, fq.make_rng(42))
+    res = forward_uq(linear_hook, dist.sample(fq.make_rng(42), 100_000))
     assert np.abs(res.mean).max() <= 0.02
     expected_std = np.sqrt(T**2 + 1.0)
     assert np.abs(res.std / expected_std - 1.0).max() <= 0.02
@@ -88,13 +89,13 @@ def test_forward_uq_linear_oracle():
 def test_forward_uq_point_mass_degenerate():
     dist = InputDistribution([Uniform(0.5 - 1e-13, 0.5 + 1e-13),
                               Uniform(1.0 - 1e-13, 1.0 + 1e-13)])
-    res = forward_uq(linear_hook, dist, 500, GRID, fq.make_rng(1))
+    res = forward_uq(linear_hook, dist.sample(fq.make_rng(1), 500))
     assert res.std.max() <= 1e-10
 
 
 def test_forward_uq_factored_mean_identity():
-    # Surrogate path: averaging scores then mapping once equals averaging
-    # the per-sample curves.
+    # Through a surrogate, the mean equals the average of the per-sample
+    # curves to rounding.
     ens_rng = fq.make_rng(2)
     X = ens_rng.uniform(0, 1, (25, 2))
     Y = linear_hook(X)
@@ -102,7 +103,7 @@ def test_forward_uq_factored_mean_identity():
     s = fq.fit_surrogate(ens, fq.FitConfig(reducer="pca", n_starts=3, budget=100),
                          fq.make_rng(3))
     dist = InputDistribution([Uniform(0.1, 0.9), Uniform(0.1, 0.9)])
-    res = forward_uq(s, dist, 100, GRID, fq.make_rng(4))
+    res = forward_uq(s, dist.sample(fq.make_rng(4), 100))
     X_same = dist.sample(fq.make_rng(4), 100)
     naive = s.predict_mean_curves(X_same).mean(axis=0)
     assert np.abs(res.mean - naive).max() <= 1e-10 * max(1.0, np.abs(naive).max())
@@ -110,7 +111,7 @@ def test_forward_uq_factored_mean_identity():
 
 def test_forward_uq_std_nonnegative_and_kde_normalized():
     dist = InputDistribution([Normal(0, 1), Normal(0, 1)])
-    res = forward_uq(linear_hook, dist, 5000, GRID, fq.make_rng(5))
+    res = forward_uq(linear_hook, dist.sample(fq.make_rng(5), 5000))
     assert np.all(res.std >= 0.0)
     for dens in (res.kde_max, res.kde_min):
         integral = np.trapezoid(dens, res.kde_grid)
@@ -123,7 +124,7 @@ def test_forward_uq_monte_carlo_rate():
     true_std = np.sqrt(T**2 + 1.0)
 
     def moment_error(n_mcs, seed):
-        res = forward_uq(linear_hook, dist, n_mcs, GRID, fq.make_rng(seed))
+        res = forward_uq(linear_hook, dist.sample(fq.make_rng(seed), n_mcs))
         return (np.abs(res.mean).max()
                 + np.abs(res.std - true_std).max())
 
@@ -134,8 +135,7 @@ def test_forward_uq_monte_carlo_rate():
 
 def test_forward_uq_constant_response_gives_empty_kde():
     dist = InputDistribution([Normal(0, 1), Normal(0, 1)])
-    res = forward_uq(lambda X: np.ones((X.shape[0], T.size)), dist, 500, GRID,
-                     fq.make_rng(1))
+    res = forward_uq(lambda X: np.ones((X.shape[0], T.size)), dist.sample(fq.make_rng(1), 500))
     assert np.array_equal(res.mean, np.ones(T.size))
     assert res.kde_grid.size == res.kde_max.size == res.kde_min.size == 0
 
@@ -153,7 +153,7 @@ def test_forward_uq_rejects_non_finite_responses():
     bad = int(np.count_nonzero((X[:, 0] > 1.5) | (X[:, 1] < -2.0)))
     assert bad > 0
     with pytest.raises(ValueError, match=f"^{bad} of 2000 Monte Carlo samples"):
-        forward_uq(hook, dist, 2000, GRID, fq.make_rng(26), batch_size=300)
+        forward_uq(hook, dist.sample(fq.make_rng(26), 2000), batch_size=300)
 
 
 def test_forward_uq_kde_errors_are_not_swallowed(monkeypatch):
@@ -164,7 +164,7 @@ def test_forward_uq_kde_errors_are_not_swallowed(monkeypatch):
     monkeypatch.setattr(uq, "kde_pdf", broken_kde)
     dist = InputDistribution([Normal(0, 1), Normal(0, 1)])
     with pytest.raises(ValueError, match="broken kde"):
-        forward_uq(linear_hook, dist, 200, GRID, fq.make_rng(27))
+        forward_uq(linear_hook, dist.sample(fq.make_rng(27), 200))
 
 
 BATCH_DIST = InputDistribution([Normal(0, 1), Normal(0, 1)])
@@ -176,9 +176,9 @@ BATCH_N = 300
 def test_forward_uq_batch_size_invariant(batch_size):
     # An exact-model hook maps each sample to the same curve in any block,
     # so everything but the running sums is bit-identical.
-    ref = forward_uq(linear_hook, BATCH_DIST, BATCH_N, GRID, fq.make_rng(28),
+    ref = forward_uq(linear_hook, BATCH_DIST.sample(fq.make_rng(28), BATCH_N),
                      batch_size=BATCH_N)
-    res = forward_uq(linear_hook, BATCH_DIST, BATCH_N, GRID, fq.make_rng(28),
+    res = forward_uq(linear_hook, BATCH_DIST.sample(fq.make_rng(28), BATCH_N),
                      batch_size=batch_size)
     for name in ("maxima", "minima", "kde_grid", "kde_max", "kde_min"):
         assert np.array_equal(getattr(res, name), getattr(ref, name)), name
@@ -194,7 +194,7 @@ def batch_surrogate():
     # a nugget of 0.1 keeps the kernel systems well conditioned.
     cfg = fq.FitConfig(reducer="pca", n_starts=3, budget=100, fix_nugget=0.1)
     sur = fq.fit_surrogate(fq.ResponseEnsemble(X, linear_hook(X), GRID), cfg, fq.make_rng(3))
-    ref = forward_uq(sur, BATCH_DIST, BATCH_N, rng=fq.make_rng(28), batch_size=BATCH_N)
+    ref = forward_uq(sur, BATCH_DIST.sample(fq.make_rng(28), BATCH_N), batch_size=BATCH_N)
     return sur, ref
 
 
@@ -202,7 +202,7 @@ def batch_surrogate():
 @given(batch_size=st.integers(1, BATCH_N + 5))
 def test_forward_uq_surrogate_batch_size_invariant(batch_surrogate, batch_size):
     sur, ref = batch_surrogate
-    res = forward_uq(sur, BATCH_DIST, BATCH_N, rng=fq.make_rng(28), batch_size=batch_size)
+    res = forward_uq(sur, BATCH_DIST.sample(fq.make_rng(28), BATCH_N), batch_size=batch_size)
     for name in ("maxima", "minima", "kde_grid", "kde_max", "kde_min", "mean", "std"):
         expected = getattr(ref, name)
         np.testing.assert_allclose(getattr(res, name), expected, rtol=1e-12,
@@ -221,35 +221,27 @@ def reference_scores(sur, X):
     return scores
 
 
-def allocating_forward(model, dist, n_mcs, grid, rng, batch_size, kde_points=512):
+def allocating_forward(model, samples, batch_size, kde_points=512):
     """forward_uq with a fresh array for every intermediate, as first
-    written: the reference its buffered loop must equal bit for bit."""
-    is_surrogate = isinstance(model, fq.LatentSurrogate)
-    n_t = grid.n_t
-    X = dist.sample(rng, n_mcs)
+    written: the reference its in-place loop must equal bit for bit."""
+    n_mcs = samples.shape[0]
     ref = None
-    shift_sum, shift_sumsq = np.zeros(n_t), np.zeros(n_t)
-    score_sum = np.zeros(model.m) if is_surrogate else None
     maxima, minima = np.empty(n_mcs), np.empty(n_mcs)
     for start in range(0, n_mcs, batch_size):
-        block = X[start : start + batch_size]
-        if is_surrogate:
-            scores = reference_scores(model, block)
-            score_sum += scores.sum(axis=0)
-            curves = model.reducer.mean_curve + scores @ model.reducer.phi.T
+        block = samples[start : start + batch_size]
+        if isinstance(model, fq.LatentSurrogate):
+            curves = model.reducer.mean_curve + reference_scores(model, block) @ model.reducer.phi.T
         else:
             curves = model(block)
         if ref is None:
             ref = curves[0].copy()
+            shift_sum, shift_sumsq = np.zeros(ref.size), np.zeros(ref.size)
         shifted = curves - ref
         shift_sum += shifted.sum(axis=0)
         shift_sumsq += (shifted**2).sum(axis=0)
         maxima[start : start + block.shape[0]] = curves.max(axis=1)
         minima[start : start + block.shape[0]] = curves.min(axis=1)
-    if is_surrogate:
-        mean = model.reducer.mean_curve + model.reducer.phi @ (score_sum / n_mcs)
-    else:
-        mean = ref + shift_sum / n_mcs
+    mean = ref + shift_sum / n_mcs
     mu_shift = mean - ref
     var = shift_sumsq / n_mcs - 2.0 * mu_shift * (shift_sum / n_mcs) + mu_shift**2
     h_max, h_min = silverman_bandwidth(maxima), silverman_bandwidth(minima)
@@ -272,16 +264,60 @@ def allocating_forward(model, dist, n_mcs, grid, rng, batch_size, kde_points=512
 def test_forward_uq_equals_allocating_reference(batch_surrogate, kind, batch_size):
     # 7 and 128 leave a partial last block of the 300 samples.
     model = batch_surrogate[0] if kind == "surrogate" else linear_hook
-    res = forward_uq(model, BATCH_DIST, BATCH_N, GRID, fq.make_rng(28), batch_size=batch_size)
-    ref = allocating_forward(model, BATCH_DIST, BATCH_N, GRID, fq.make_rng(28), batch_size)
+    samples = BATCH_DIST.sample(fq.make_rng(28), BATCH_N)
+    res = forward_uq(model, samples, batch_size=batch_size)
+    ref = allocating_forward(model, samples, batch_size)
     for name, expected in ref.items():
         assert np.array_equal(getattr(res, name), expected), name
 
 
+@pytest.mark.parametrize("batch_size", [7, BATCH_N])
+def test_forward_uq_one_path_for_every_model(batch_surrogate, batch_size):
+    # A surrogate is just a batched model: wrapping it in a plain function
+    # changes no bit of any result field.
+    sur = batch_surrogate[0]
+    samples = BATCH_DIST.sample(fq.make_rng(28), BATCH_N)
+    res = forward_uq(sur, samples, batch_size=batch_size)
+    wrapped = forward_uq(lambda B: sur(B), samples, batch_size=batch_size)
+    for f in dataclasses.fields(res):
+        assert np.array_equal(getattr(res, f.name), getattr(wrapped, f.name)), f.name
+
+
+def test_forward_uq_copies_results_that_are_not_c_ordered():
+    # A hook that returns a transposed view of an array it keeps: forward_uq
+    # works on a C-ordered copy, leaves the hook's array alone, and gives
+    # the same bits as for a C-ordered result.
+    kept = []
+
+    def view_hook(X):
+        kept.append(np.ascontiguousarray(linear_hook(X).T))
+        return kept[-1].T
+
+    samples = BATCH_DIST.sample(fq.make_rng(29), BATCH_N)
+    res = forward_uq(view_hook, samples, batch_size=128)
+    ref = forward_uq(linear_hook, samples, batch_size=128)
+    for f in dataclasses.fields(res):
+        assert np.array_equal(getattr(res, f.name), getattr(ref, f.name)), f.name
+    for start, array in zip(range(0, BATCH_N, 128), kept):
+        assert np.array_equal(array.T, linear_hook(samples[start : start + 128]))
+
+
+def test_forward_uq_rejects_a_change_of_curve_length():
+    # n_t comes from the first block; a later block must match it.
+    def shrinking_hook(X):
+        return linear_hook(X)[:, : T.size - (X[0, 0] != samples[0, 0])]
+
+    samples = BATCH_DIST.sample(fq.make_rng(30), BATCH_N)
+    with pytest.raises(ValueError, match=r"shape \(100, 20\), expected \(100, 21\)"):
+        forward_uq(shrinking_hook, samples, batch_size=100)
+
+
 def test_forward_uq_surrogate_memory_bounded():
-    # A block of 4096 curves on 401 nodes is 13 MB.  The loop reuses one
-    # curve buffer and one kernel buffer (peak 18.1 MiB); fresh arrays for
-    # every step peaked at 53.3 MiB.
+    # A block of 4096 curves on 401 nodes is 12.5 MiB.  The loop holds one
+    # block of curves, the model's own, worked on in place, and one kernel
+    # buffer (peak 15.7 MiB); a second curve buffer that the curves were
+    # copied into peaked at 28.3 MiB, and fresh arrays for every step at
+    # 53.3 MiB.
     grid = fq.TimeGrid(0.0, 1.0, 401)
     X = fq.make_rng(2).uniform(-2, 2, (30, 2))
     Y = X[:, 0:1] * grid.nodes[None, :] + X[:, 1:2] * np.sin(3 * grid.nodes)[None, :]
@@ -289,40 +325,18 @@ def test_forward_uq_surrogate_memory_bounded():
     sur = fq.fit_surrogate(fq.ResponseEnsemble(X, Y, grid), cfg, fq.make_rng(3))
     tracemalloc.start()
     try:
-        res = forward_uq(sur, BATCH_DIST, 100_000, rng=fq.make_rng(4))
+        res = forward_uq(sur, BATCH_DIST.sample(fq.make_rng(4), 100_000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(res.std)) and res.kde_max.size == 512
-    assert peak < 32 * 2**20
-
-
-def test_forward_uq_counts_samples_outside_training_box():
-    # The training inputs span exactly [0, 1]^2.
-    X = np.vstack([[0.0, 0.0], [1.0, 1.0], fq.make_rng(5).uniform(0, 1, (20, 2))])
-    cfg = fq.FitConfig(reducer="pca", n_starts=2, budget=30, fix_nugget=0.1)
-    sur = fq.fit_surrogate(fq.ResponseEnsemble(X, linear_hook(X), GRID), cfg, fq.make_rng(6))
-    assert np.array_equal(sur.input_lo, [0.0, 0.0]) and np.array_equal(sur.input_hi, [1.0, 1.0])
-    # Each coordinate leaves [0, 1] with probability 1/2, a sample with 3/4.
-    dist = InputDistribution([Uniform(-0.5, 1.5), Uniform(-0.5, 1.5)])
-    n = 4000
-    res = forward_uq(sur, dist, n, rng=fq.make_rng(7))
-    draws = dist.sample(fq.make_rng(7), n)
-    outside = (draws < 0.0) | (draws > 1.0)
-    assert res.n_outside == np.count_nonzero(outside.any(axis=1))
-    assert np.array_equal(res.n_outside_by_input, outside.sum(axis=0))
-    assert res.n_outside / n == pytest.approx(0.75, abs=0.03)
-    np.testing.assert_allclose(res.n_outside_by_input / n, 0.5, atol=0.03)
-    hook = forward_uq(linear_hook, dist, 100, GRID, fq.make_rng(7))
-    assert hook.n_outside is None and hook.n_outside_by_input is None
+    assert peak < 24 * 2**20
 
 
 def test_forward_uq_validation():
     dist = InputDistribution([Normal(0, 1)])
     with pytest.raises(ValueError):
-        forward_uq(lambda X: X, dist, 1, GRID, fq.make_rng(0))
-    with pytest.raises(ValueError):
-        forward_uq(lambda X: X, dist, 10, None, fq.make_rng(0))
+        forward_uq(lambda X: X, dist.sample(fq.make_rng(0), 1))
 
 
 # ---------------------------------------------------------------------------
