@@ -22,17 +22,17 @@ import numpy as np
 
 from . import bench, uq
 from .core import (
-    FLOAT_FMT,
     ResponseEnsemble,
-    check_finite,
     check_nodes,
     derive_seed,
     json_field,
     load_ensemble,
     make_rng,
     model_nrmse,
+    read_table,
     save_ensemble,
     write_atomic,
+    write_table,
 )
 from .surrogate import (
     FitConfig,
@@ -99,8 +99,9 @@ def load_config(path=None) -> dict:
     """The defaults, overridden by the JSON config at path.  A top level
     that is not an object, an unknown section or section key (keys below
     that level, e.g. inverse.fixed's parameter names, are not checked), a
-    section that is not an object and a non-boolean basis.mirror fail,
-    naming the file and the key."""
+    section that is not an object, a non-boolean basis.mirror, a count of
+    forward or inverse that is not a nonnegative integer and a non-finite
+    inverse.burn_in fail, naming the file and the key."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path, "r", encoding="utf-8") as fh:
@@ -119,15 +120,12 @@ def load_config(path=None) -> dict:
     mirror = user.get("basis", {}).get("mirror")
     if mirror is not None and not isinstance(mirror, bool):
         raise ValueError(f"config {path}: basis.mirror must be true, false or null, got {mirror!r}")
-    return _merge(DEFAULT_CONFIG, user)
-
-
-def _fmt(value) -> str:
-    return FLOAT_FMT % float(value)
-
-
-def _write_csv(path, header, rows) -> None:
-    write_atomic(path, [",".join(header)] + [",".join(row) for row in rows])
+    cfg = _merge(DEFAULT_CONFIG, user)
+    for section, key, kind in (("forward", "n_mcs", int), ("forward", "kde_points", int),
+                               ("inverse", "walkers", int), ("inverse", "iterations", int),
+                               ("inverse", "burn_in", float)):
+        json_field(cfg[section], f"config {path}", section, key, kind, shape=None)
+    return cfg
 
 
 def _fit_config(cfg: dict) -> FitConfig:
@@ -279,8 +277,7 @@ def cmd_predict(args) -> int:
     if not model_path or not inputs_path:
         raise ValueError("predict needs --model-file and --inputs")
     sur = load_surrogate(model_path)
-    X = np.loadtxt(inputs_path, delimiter=",", skiprows=1, ndmin=2)
-    check_finite("inputs", inputs_path, X)
+    _, X = read_table("inputs", inputs_path)
     if X.shape[1] != sur.input_lo.size:
         raise ValueError(
             f"inputs file {inputs_path}: {X.shape[1]} columns, the model has "
@@ -288,9 +285,8 @@ def cmd_predict(args) -> int:
         )
     means, var = sur.predict_curves(X)
     os.makedirs(out_dir, exist_ok=True)
-    header = [_fmt(t) for t in sur.grid.nodes]
     for name, table in (("predictions.csv", means), ("predictions_std.csv", np.sqrt(var))):
-        _write_csv(os.path.join(out_dir, name), header, [[_fmt(v) for v in row] for row in table])
+        write_table(os.path.join(out_dir, name), sur.grid.nodes, table)
     print(f"wrote predictions for {X.shape[0]} inputs to {out_dir}")
     return 0
 
@@ -326,13 +322,11 @@ def cmd_study(args) -> int:
                 err = model_nrmse(
                     test.responses, sur.predict_mean_curves(test.inputs)
                 )
-                rows.append([method, str(n_train), str(rep), _fmt(err)])
+                # str(): FLOAT_FMT would print an integer of 11 or more digits in e-notation.
+                rows.append([method, str(n_train), str(rep), err])
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "study.csv"),
-        ["method", "n_train", "repetition", "nrmse"],
-        rows,
-    )
+    write_table(os.path.join(out_dir, "study.csv"), ["method", "n_train", "repetition", "nrmse"],
+                rows)
     print(f"wrote {len(rows)} study rows to {out_dir}/study.csv")
     return 0
 
@@ -363,22 +357,10 @@ def cmd_forward(args) -> int:
         }
     result = uq.forward_uq(model, X, kde_points=fw["kde_points"])
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "mean_std.csv"),
-        ["t", "mean", "std"],
-        [
-            [_fmt(t), _fmt(m), _fmt(s)]
-            for t, m, s in zip(grid.nodes, result.mean, result.std)
-        ],
-    )
-    _write_csv(
-        os.path.join(out_dir, "extremes_kde.csv"),
-        ["value", "pdf_max", "pdf_min"],
-        [
-            [_fmt(v), _fmt(pm), _fmt(pn)]
-            for v, pm, pn in zip(result.kde_grid, result.kde_max, result.kde_min)
-        ],
-    )
+    write_table(os.path.join(out_dir, "mean_std.csv"), ["t", "mean", "std"],
+                zip(grid.nodes, result.mean, result.std))
+    write_table(os.path.join(out_dir, "extremes_kde.csv"), ["value", "pdf_max", "pdf_min"],
+                zip(result.kde_grid, result.kde_max, result.kde_min))
     write_atomic(
         os.path.join(out_dir, "forward_report.json"),
         [json.dumps(report, sort_keys=True, indent=2)],
@@ -449,19 +431,10 @@ def cmd_inverse(args) -> int:
     )
     summary = uq.posterior_summary(samples)
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "posterior_draws.csv"),
-        list(samples.names),
-        [[_fmt(v) for v in row] for row in samples.draws],
-    )
-    _write_csv(
-        os.path.join(out_dir, "posterior_summary.csv"),
-        ["variable", "mean", "ci_low", "ci_high"],
-        [
-            [s["name"], _fmt(s["mean"]), _fmt(s["ci_low"]), _fmt(s["ci_high"])]
-            for s in summary
-        ],
-    )
+    write_table(os.path.join(out_dir, "posterior_draws.csv"), samples.names, samples.draws)
+    write_table(os.path.join(out_dir, "posterior_summary.csv"),
+                ["variable", "mean", "ci_low", "ci_high"],
+                [[s["name"], s["mean"], s["ci_low"], s["ci_high"]] for s in summary])
     print(f"acceptance rate: {samples.acceptance_rate:.4f}")
     print(f"posterior tables written to {out_dir}")
     return 0

@@ -152,21 +152,6 @@ def cho_with_jitter(A):
     )
 
 
-def check_finite(what: str, path, data) -> None:
-    """Raise ValueError naming the `what` file at path, the data row (1 = first
-    after the header line) and the column (and its header) of a NaN or inf."""
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        name = f" ({header[col]})" if col < len(header) else ""
-        raise ValueError(
-            f"{what} file {path}: data row {row + 1}, column {col + 1}{name} "
-            f"is {data[row, col]} ({bad.shape[0]} non-finite in the file)"
-        )
-
-
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
                int: "a nonnegative integer"}
 
@@ -296,18 +281,45 @@ def write_atomic(path, lines) -> None:
         raise
 
 
-def save_ensemble(ens: ResponseEnsemble, responses_path, inputs_path) -> None:
-    """Write an ensemble as two CSV files (atomically: temp + rename).
+def write_table(path, header, rows) -> None:
+    """Write a CSV table through write_atomic: the header cells, then one line
+    per row; a cell that is a string as it is, a number with FLOAT_FMT."""
+    def line(cells):
+        return ",".join(c if isinstance(c, str) else FLOAT_FMT % c for c in cells)
 
-    responses CSV: first row = time nodes, subsequent rows = curves.
-    inputs CSV: header row with column names, then one row per sample.
-    """
-    lines = [",".join(FLOAT_FMT % t for t in ens.grid.nodes)]
-    lines += [",".join(FLOAT_FMT % v for v in row) for row in ens.responses]
-    write_atomic(responses_path, lines)
-    lines = [",".join(ens.input_names)]
-    lines += [",".join(FLOAT_FMT % v for v in row) for row in ens.inputs]
-    write_atomic(inputs_path, lines)
+    write_atomic(path, [line(header)] + [line(row) for row in rows])
+
+
+def read_table(what: str, path):
+    """(header cells, rows) of a CSV table: the first line split at commas,
+    and the numbers below it as a float array of shape (rows, columns).
+
+    A ValueError names the `what` file at path: loadtxt's message for a cell
+    that does not parse or a row of another length, and for a NaN or inf
+    the data row (1 = first after the header line), the column and its
+    header cell."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{what} file {path}: {err}") from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        name = f" ({header[col]})" if col < len(header) else ""
+        raise ValueError(
+            f"{what} file {path}: data row {row + 1}, column {col + 1}{name} "
+            f"is {data[row, col]} ({bad.shape[0]} non-finite in the file)"
+        )
+    return header, data
+
+
+def save_ensemble(ens: ResponseEnsemble, responses_path, inputs_path) -> None:
+    """Write an ensemble as two CSV tables: the responses under a header of
+    time nodes, and the inputs under their names."""
+    write_table(responses_path, ens.grid.nodes, ens.responses)
+    write_table(inputs_path, ens.input_names, ens.inputs)
 
 
 def load_ensemble(responses_path, inputs_path) -> ResponseEnsemble:
@@ -316,13 +328,12 @@ def load_ensemble(responses_path, inputs_path) -> ResponseEnsemble:
     The time nodes must be uniform: check_nodes against the grid through
     the first and last node.
     """
-    resp = np.loadtxt(responses_path, delimiter=",", ndmin=2)
-    times, curves = resp[0], resp[1:]
-    check_finite("responses", responses_path, curves)
-    with open(inputs_path, "r", encoding="utf-8") as fh:
-        names = tuple(fh.readline().strip().split(","))
-    inputs = np.loadtxt(inputs_path, delimiter=",", skiprows=1, ndmin=2)
-    check_finite("inputs", inputs_path, inputs)
+    nodes, curves = read_table("responses", responses_path)
+    try:
+        times = np.array(nodes, dtype=float)
+    except ValueError as err:
+        raise ValueError(f"responses file {responses_path}: time nodes: {err}") from None
+    names, inputs = read_table("inputs", inputs_path)
     grid = TimeGrid(float(times[0]), float(times[-1]), times.size)
     check_nodes(f"responses file {responses_path}", times, grid, "uniform grid")
     return ResponseEnsemble(inputs, curves, grid, input_names=names)

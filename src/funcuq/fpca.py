@@ -88,16 +88,15 @@ class Reducer:
     m : int
         Retained latent dimension.
     variance_fraction : float
-    description : dict
-        The JSON-ready fields from which a model file rebuilds phi:
-        {"kind": "fdr", "basis": {"kind", "n_b", "order"}, "tau", "mirror",
-        "B"} with B (n_b, m) the basis coordinates of phi on the fitted
-        nodes (B' W B = I), or {"kind": "pca", "components"} with
-        components = phi.
     basis : BasisSystem or None
         Basis of a functional reduction; None for PCA.
     tau : float or None
         Smoothing parameter of a functional reduction; None for PCA.
+    mirror : bool or None
+        Whether a functional reduction fitted mirror_rows' curves; None for PCA.
+    B : ndarray (n_b, m) or None
+        Basis coordinates of phi on the fitted nodes (B' W B = I), from which
+        phi is rebuilt; None for PCA.
     """
 
     grid: TimeGrid
@@ -106,9 +105,10 @@ class Reducer:
     eigenvalues: np.ndarray
     m: int
     variance_fraction: float
-    description: dict = field(repr=False)
     basis: BasisSystem | None = None
     tau: float | None = None
+    mirror: bool | None = None
+    B: np.ndarray | None = field(default=None, repr=False)
 
 
 def fit_reducer(
@@ -199,15 +199,10 @@ def fit_reducer(
         eigenvalues=lam,
         m=m,
         variance_fraction=variance_fraction,
-        description={
-            "kind": "fdr",
-            "basis": {"kind": basis.kind, "n_b": basis.n_b, "order": basis.order},
-            "tau": float(tau),
-            "mirror": bool(mirror),
-            "B": B.tolist(),
-        },
         basis=basis,
         tau=float(tau),
+        mirror=bool(mirror),
+        B=B,
     )
     return reducer, scores
 
@@ -232,6 +227,5 @@ def fit_pca_reducer(ensemble: ResponseEnsemble):
         eigenvalues=lam,
         m=m,
         variance_fraction=variance_fraction,
-        description={"kind": "pca", "components": components.tolist()},
     )
     return reducer, scores

@@ -5,9 +5,7 @@ variance prediction, cross-validation, and a versioned text model file.
 
 from __future__ import annotations
 
-import copy
 import json
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -148,7 +146,6 @@ def fit_surrogate(
             "surrogate accuracy may suffer",
             stacklevel=2,
         )
-    t_start = time.perf_counter()
     nb_trace: list = []
     if config.reducer == PCA:
         reducer, scores = fpca.fit_pca_reducer(ensemble)
@@ -184,7 +181,6 @@ def fit_surrogate(
         "n_train": ensemble.n,
         "p": ensemble.p,
         "input_names": list(ensemble.input_names),
-        "timing_s": time.perf_counter() - t_start,
     }
     if nb_trace:
         metadata["nb_trace"] = nb_trace
@@ -232,25 +228,23 @@ def _array(a) -> list:
 
 
 def surrogate_to_dict(s: LatentSurrogate) -> dict:
-    """JSON-ready description of a fitted surrogate.
-
-    Volatile metadata (timing) is dropped so that refitting with the same
-    seed reproduces the file byte for byte.
-    """
+    """JSON-ready description of a fitted surrogate.  A functional reducer is
+    stored by its basis, tau, mirror and B, from which phi is rebuilt, and
+    a PCA reducer by its components phi."""
     red = s.reducer
-    reducer = {
-        **copy.deepcopy(red.description),
-        "mean_curve": _array(red.mean_curve),
-        "eigenvalues": _array(red.eigenvalues),
-        "m": red.m,
-        "variance_fraction": red.variance_fraction,
-    }
+    if red.basis is None:
+        reducer = {"kind": "pca", "components": _array(red.phi)}
+    else:
+        reducer = {"kind": "fdr", "tau": red.tau, "mirror": red.mirror, "B": _array(red.B),
+                   "basis": {"kind": red.basis.kind, "n_b": red.basis.n_b,
+                             "order": red.basis.order}}
+    reducer.update(mean_curve=_array(red.mean_curve), eigenvalues=_array(red.eigenvalues),
+                   m=red.m, variance_fraction=red.variance_fraction)
     models = [
         {"y_std": _array(mod.y_std), "theta": _array(mod.theta),
          **{key: getattr(mod, key) for key in MODEL_SCALARS}}
         for mod in s.models
     ]
-    metadata = {k: v for k, v in s.metadata.items() if k != "timing_s"}
     return {
         "format": FORMAT_VERSION,
         "grid": {"t0": red.grid.t0, "te": red.grid.te, "n_t": red.grid.n_t},
@@ -259,7 +253,7 @@ def surrogate_to_dict(s: LatentSurrogate) -> dict:
         "X_norm": _array(s.models[0].X_norm) if s.models else [],
         "input_lo": _array(s.input_lo),
         "input_hi": _array(s.input_hi),
-        "metadata": metadata,
+        "metadata": s.metadata,
     }
 
 
@@ -289,10 +283,9 @@ def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
     if kind not in ("fdr", "pca"):
         raise ValueError(f"model file: reducer.kind must be 'fdr' or 'pca', got {kind!r}")
     m = json_field(red, "model file", "reducer", "m", int)
-    basis = tau = None
+    basis = tau = mirror = B = None
     if kind == "pca":
         phi = json_field(red, "model file", "reducer", "components", shape=(grid.n_t, m))
-        description = {"kind": kind, "components": phi.tolist()}
     else:
         b = json_field(red, "model file", "reducer", "basis", dict)
         spec = {key: json_field(b, "model file", "reducer.basis", key, json_type)
@@ -310,7 +303,6 @@ def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
         # fit_reducer's expression: evaluating the basis on grid.nodes, or
         # on the first n_t nodes only, changes phi in its last bits.
         phi = (design_matrix(basis, nodes) @ B)[: grid.n_t]
-        description = {"kind": kind, "basis": spec, "tau": tau, "mirror": mirror, "B": B.tolist()}
     return Reducer(
         grid=grid,
         mean_curve=json_field(red, "model file", "reducer", "mean_curve", shape=(grid.n_t,)),
@@ -318,9 +310,10 @@ def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
         eigenvalues=json_field(red, "model file", "reducer", "eigenvalues", shape=(None,)),
         m=m,
         variance_fraction=json_field(red, "model file", "reducer", "variance_fraction"),
-        description=description,
         basis=basis,
         tau=tau,
+        mirror=mirror,
+        B=B,
     )
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FLOAT_FMT, check_finite, write_atomic
+from .core import read_table, write_table
 
 DEFAULT_WALKERS = 100
 DEFAULT_ITERATIONS = 300
@@ -444,20 +444,14 @@ def posterior_summary(samples: PosteriorSamples):
 
 def save_observations(path, times, observations) -> None:
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    times = np.asarray(times, dtype=float)
-    lines = [",".join(["t"] + [f"obs{i + 1}" for i in range(observations.shape[0])])]
-    lines += [
-        ",".join(FLOAT_FMT % v for v in (times[j], *observations[:, j]))
-        for j in range(times.size)
-    ]
-    write_atomic(path, lines)
+    header = ["t"] + [f"obs{i + 1}" for i in range(observations.shape[0])]
+    write_table(path, header, np.column_stack([times, observations.T]))
 
 
 def load_observations(path):
-    """Time nodes and observed curves (one row each).  A NaN or inf fails
-    check_finite."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    check_finite("observations", path, data)
+    """Time nodes and observed curves (one row each), as read_table reads
+    the file."""
+    _, data = read_table("observations", path)
     times = data[:, 0]
     observations = np.ascontiguousarray(data[:, 1:].T)
     if observations.shape[0] == 0:

@@ -206,6 +206,7 @@ def drop_last_column(path):
 @pytest.mark.parametrize("edit, message", [
     (lambda path: edit_csv(path, 2, 1, "nan"), "data row 2, column 2 (beta) is nan"),
     (drop_last_column, "3 columns, the model has 4 inputs"),
+    (lambda path: edit_csv(path, 2, 1, "abc"), "could not convert string 'abc' to float64"),
 ])
 def test_predict_rejects_bad_inputs(tmp_path, capsys, fitted_model, edit, message):
     model_path, inputs_text = fitted_model
@@ -535,7 +536,10 @@ def test_unknown_config_section_rejected(tmp_path):
     ({"kriging": {"n_start": 3}}, "kriging.n_start"),
     ({"smoothing": {"n_b0": 16}}, "smoothing.n_b0"),
     ({"basis": 16}, "basis"),
-], ids=["mirror string", "mirror integer", "key typo", "dropped key", "section not an object"])
+    ({"forward": {"n_mcs": 1e3}}, "forward.n_mcs must be a nonnegative integer, got 1000.0"),
+    ({"forward": {"kde_points": -1}}, "forward.kde_points must be a nonnegative integer, got -1"),
+], ids=["mirror string", "mirror integer", "key typo", "dropped key", "section not an object",
+        "float count", "negative count"])
 def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(override))

@@ -1,13 +1,21 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import funcuq as fq
 from funcuq.core import (
+    FLOAT_FMT,
     JITTERS,
     cho_with_jitter,
     derive_seed,
     mirror_rows,
+    read_table,
     write_atomic,
+    write_table,
 )
 
 
@@ -226,9 +234,44 @@ def test_load_ensemble_rejects_non_uniform_nodes(tmp_path):
     rp.write_text("0,nan,1\n1,2,3\n4,5,6\n")
     with pytest.raises(ValueError, match=r"responses\.csv: time node 2 is nan, uniform grid"):
         fq.load_ensemble(rp, ip)
+    rp.write_text("0,abc,1\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"responses file {rp}: time nodes: could not convert string to float: 'abc'")):
+        fq.load_ensemble(rp, ip)
     # Nodes within 1e-6 dt of the uniform grid load.
     rp.write_text("0,0.5000000001,1\n1,2,3\n4,5,6\n")
     assert fq.load_ensemble(rp, ip).grid.n_t == 3
+
+
+# Finite floats whose 10-digit text is finite: DBL_MAX prints as
+# 1.797693135e+308, which parses to inf.
+TABLE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.floats(min_value=-1e308, max_value=1e308),
+)
+
+
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+               elements=TABLE_FLOATS),
+    st.data(),
+)
+def test_table_roundtrip_reads_the_printed_values(tmp_path_factory, table, data):
+    header = data.draw(st.lists(st.text("abcxyz_0123456789", min_size=1),
+                                min_size=table.shape[1], max_size=table.shape[1]))
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, header, table)
+    got_header, got = read_table("test", path)
+    assert got_header == header
+    want = np.array([[float(FLOAT_FMT % v) for v in row] for row in table])
+    # Bit for bit, so that -0.0 and subnormals count.
+    assert got.shape == table.shape and got.tobytes() == want.tobytes()
+
+
+def test_write_table_prints_strings_as_they_are(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["name", "n", "x"], [["a", "12345678901", 0.1], ["b", "2", np.float64(1 / 3)]])
+    assert path.read_text() == "name,n,x\na,12345678901,0.1\nb,2,0.3333333333\n"
 
 
 def test_ensemble_roundtrip_on_offset_grid(tmp_path):

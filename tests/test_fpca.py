@@ -17,7 +17,7 @@ def project(red, curves):
     H = fq.design_matrix(red.basis, red.grid)
     C = fq.fit_coefficients(H, fq.roughness_matrix(red.basis), red.tau,
                             np.atleast_2d(curves) - red.mean_curve)
-    B = np.asarray(red.description["B"])
+    B = np.asarray(red.B)
     return (B.T @ fq.gram_matrix(red.basis) @ C).T
 
 
@@ -113,7 +113,7 @@ def test_eigenfunction_w_orthonormality():
          + rng.normal(size=(30, 1)) * t**2 + rng.normal(size=(30, 1)))
     ens = fq.ResponseEnsemble(rng.normal(size=(30, 3)), Y, grid)
     red, _ = fit_reducer(ens, kind="bspline", n_b0=8)
-    B = np.asarray(red.description["B"])
+    B = np.asarray(red.B)
     gram = B.T @ fq.gram_matrix(red.basis) @ B
     assert np.abs(gram - np.eye(red.m)).max() <= 1e-8
 
@@ -220,7 +220,7 @@ def test_mirror_roundtrip_on_periodicized_data():
     Y = rng.normal(size=(25, 1)) * t + rng.normal(size=(25, 1)) * t**2 + 1.0
     ens = fq.ResponseEnsemble(rng.normal(size=(25, 2)), Y, grid)
     red, scores = fit_reducer(ens, kind="fourier")
-    assert red.description["mirror"]
+    assert red.mirror
     # The training scores are the projections of the training curves.
     rec = reconstruct(red, scores[3])
     assert nrmse_curve(Y[3], rec) <= 0.05
@@ -232,8 +232,8 @@ def test_sign_convention_reproducible():
     ens, _ = make_ensemble(rng)
     red1, s1 = fit_reducer(ens, kind="bspline", n_b0=8)
     red2, s2 = fit_reducer(ens, kind="bspline", n_b0=8)
-    B1 = np.asarray(red1.description["B"])
-    assert np.array_equal(B1, np.asarray(red2.description["B"]))
+    B1 = np.asarray(red1.B)
+    assert np.array_equal(B1, np.asarray(red2.B))
     assert np.array_equal(red1.phi, red2.phi)
     assert np.array_equal(s1, s2)
     for j in range(red1.m):
@@ -312,7 +312,7 @@ def test_reducer_equals_refit_at_selected_basis(path, identical):
     ref, ref_scores = refit_reference(ens, **FIT_PATHS[path])
     assert (red.m == 0) == identical
     assert np.array_equal(red.phi, ref["phi"])
-    assert np.array_equal(np.asarray(red.description["B"]).reshape(ref["B"].shape), ref["B"])
+    assert np.array_equal(np.asarray(red.B).reshape(ref["B"].shape), ref["B"])
     assert np.array_equal(scores, ref_scores)
     assert np.array_equal(red.mean_curve, ref["mean_curve"])
     assert np.array_equal(red.eigenvalues, ref["eigenvalues"])

@@ -103,28 +103,37 @@ def test_every_module_level_name_is_read():
     assert dead == []
 
 
+def name_uses(tree, names, skip=frozenset()) -> list:
+    """(line, name) of each import, name or attribute of `tree` that is one
+    of `names`, except the nodes whose ids are in `skip`."""
+    uses = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            found = [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            found = [node.id]
+        elif isinstance(node, ast.Attribute):
+            found = [node.attr]
+        else:
+            continue
+        uses += [(node.lineno, n) for n in found if n in names]
+    return uses
+
+
 def cholesky_wrapper_uses(module: str, source: str) -> list:
     """(line, name) of each import or reference of scipy's cho_factor or
     cho_solve, except in kriging.log_marginal_likelihood, which keeps them
     as the reference the tests compare against."""
     tree = ast.parse(source)
-    allowed = set()
+    skip = set()
     if module == "kriging.py":
+        skip = {id(n) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name == "log_marginal_likelihood":
-                allowed = {id(n) for n in ast.walk(node)}
-    uses = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and module != "kriging.py":
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.Name) and id(node) not in allowed:
-            names = [node.id]
-        elif isinstance(node, ast.Attribute) and id(node) not in allowed:
-            names = [node.attr]
-        else:
-            continue
-        uses += [(node.lineno, n) for n in names if n in ("cho_factor", "cho_solve")]
-    return uses
+                skip |= {id(n) for n in ast.walk(node)}
+    return name_uses(tree, ("cho_factor", "cho_solve"), skip)
 
 
 def test_check_finds_a_cholesky_wrapper():
@@ -141,3 +150,21 @@ def test_one_cholesky_factor_type(module):
     # Every factor comes from core.cho_with_jitter (dpotrf's lower factor)
     # and every solve is one dpotrs call.
     assert cholesky_wrapper_uses(module, (SRC / module).read_text(encoding="utf-8")) == []
+
+
+TABLE_FORMAT_NAMES = ("loadtxt", "FLOAT_FMT")
+
+
+def test_check_finds_a_table_format_use():
+    source = ("from .core import FLOAT_FMT\nimport numpy as np\n"
+              "def f(p):\n    return np.loadtxt(p), FLOAT_FMT % 1.0\n")
+    assert name_uses(ast.parse(source), TABLE_FORMAT_NAMES) == [(1, "FLOAT_FMT"), (4, "loadtxt"),
+                                                                (4, "FLOAT_FMT")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "core.py"))
+def test_one_table_format(module):
+    # Every CSV table is read by core.read_table and written by
+    # core.write_table, the one reader of loadtxt and user of FLOAT_FMT.
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert name_uses(tree, TABLE_FORMAT_NAMES) == []

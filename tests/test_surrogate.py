@@ -119,7 +119,7 @@ def test_duffing_fourier_pipeline_mirrors():
     cfg = FitConfig(reducer="kfdr-f", nb_override=201, tau_override=0.0,
                     n_starts=2, budget=60)
     s = fit_surrogate(ens, cfg, fq.make_rng(36))
-    assert s.reducer.description["mirror"]
+    assert s.reducer.mirror
     # The basis spans the reflected period.
     assert s.reducer.basis.te == pytest.approx(ens.grid.t0 + 2 * ens.grid.span)
     mean, var = s.predict_curve(ens.inputs[0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -893,6 +894,17 @@ def test_load_observations_rejects_non_finite(tmp_path, bad):
     message = str(info.value)
     assert str(path) in message
     assert "data row 5, column 3 (obs2)" in message
+
+
+def test_load_observations_names_the_file_of_a_ragged_row(tmp_path):
+    path = tmp_path / "obs.csv"
+    save_observations(path, T, fq.make_rng(33).normal(size=(2, T.size)))
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^observations file {re.escape(str(path))}: "
+                                         "the number of columns changed from 3 to 2"):
+        load_observations(path)
 
 
 def test_observations_roundtrip(tmp_path):
