@@ -295,21 +295,26 @@ def read_table(what: str, path):
     and the numbers below it as a float array of shape (rows, columns).
 
     A ValueError names the `what` file at path: loadtxt's message for a cell
-    that does not parse or a row of another length, and for a NaN or inf
-    the data row (1 = first after the header line), the column and its
-    header cell."""
+    that does not parse or a row of another length, the two counts for a
+    header whose cell count differs from the rows' column count, and for a
+    NaN or inf the data row (1 = first after the header line), the column
+    and its header cell."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as err:
             raise ValueError(f"{what} file {path}: {err}") from None
+    if len(data) and len(header) != data.shape[1]:
+        raise ValueError(
+            f"{what} file {path}: header has {len(header)} cells, "
+            f"rows have {data.shape[1]} columns"
+        )
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]
-        name = f" ({header[col]})" if col < len(header) else ""
         raise ValueError(
-            f"{what} file {path}: data row {row + 1}, column {col + 1}{name} "
+            f"{what} file {path}: data row {row + 1}, column {col + 1} ({header[col]}) "
             f"is {data[row, col]} ({bad.shape[0]} non-finite in the file)"
         )
     return header, data

@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import funcuq as fq
+from funcuq import bench
 from funcuq.bench import (
+    BOUCWEN_A,
+    BOUCWEN_BETA,
     BOUCWEN_BOUNDS,
+    BOUCWEN_GAMMA,
     BOUCWEN_GRID,
     DUFFING_BOUNDS,
     DUFFING_GRID,
+    DUFFING_K,
+    DUFFING_K2,
+    DUFFING_K3,
+    DUFFING_M,
     boucwen_excitation,
     boucwen_batch,
     boucwen_excitation_coeffs,
@@ -62,7 +72,117 @@ def test_rk4_batch_matches_scalar():
 
     batch = rk4_integrate(f, np.array([[1.0], [3.0]]), grid)
     single = rk4_integrate(f, np.array([3.0]), grid)
-    assert np.allclose(batch[:, 1, 0], single[:, 0], rtol=1e-14)
+    assert np.array_equal(batch[:, 1, 0], single[:, 0])
+
+
+# The right-hand sides as first written, kept as reference oracles: the
+# forcing evaluated on every call, and the cubes through numpy's power.
+def reference_duffing(params, substeps):
+    alpha, beta, c, y0 = np.atleast_2d(params).T
+
+    def rhs(t, state):
+        y, v = state[..., 0], state[..., 1]
+        force = duffing_excitation(t, alpha, beta)
+        acc = (
+            force - c * v - DUFFING_K * y - DUFFING_K2 * y**2 - DUFFING_K3 * y**3
+        ) / DUFFING_M
+        return np.stack([v, acc], axis=-1)
+
+    state0 = np.stack([y0, np.zeros_like(y0)], axis=-1)
+    return rk4_integrate(rhs, state0, DUFFING_GRID, substeps)[:, :, 0].T
+
+
+def reference_boucwen(params, substeps):
+    m, c, k, alpha, y0 = np.atleast_2d(params).T
+    theta = boucwen_excitation_coeffs()
+
+    def rhs(t, state):
+        y, v, z = state[..., 0], state[..., 1], state[..., 2]
+        force = boucwen_excitation(t, m, theta)
+        acc = (force - c * v - k * (alpha * y + (1.0 - alpha) * z)) / m
+        zdot = (
+            BOUCWEN_A * v
+            - BOUCWEN_BETA * np.abs(v) * np.abs(z) ** 2 * z
+            - BOUCWEN_GAMMA * v * np.abs(z) ** 3
+        )
+        return np.stack([v, acc, zdot], axis=-1)
+
+    state0 = np.stack([y0, np.zeros_like(y0), np.zeros_like(y0)], axis=-1)
+    return rk4_integrate(rhs, state0, BOUCWEN_GRID, substeps)[:, :, 0].T
+
+
+# model: (solver, input bounds, grid, state size, reference oracle)
+SOLVERS = {
+    "duffing": (duffing_batch, DUFFING_BOUNDS, DUFFING_GRID, 2, reference_duffing),
+    "boucwen": (boucwen_batch, BOUCWEN_BOUNDS, BOUCWEN_GRID, 3, reference_boucwen),
+}
+
+
+def batch_draws(bounds):
+    """1-30 input rows inside the bounds, and a substep count of 1, 2 or 4."""
+    row = st.tuples(*(st.floats(lo, hi) for lo, hi in bounds))
+    return st.tuples(st.lists(row, min_size=1, max_size=30).map(np.array),
+                     st.sampled_from([1, 2, 4]))
+
+
+@pytest.mark.parametrize("model", sorted(SOLVERS))
+@settings(max_examples=6)
+@given(data=st.data())
+def test_batch_rows_equal_rows_solved_alone(model, data):
+    solver, bounds, grid, dim, _ = SOLVERS[model]
+    params, substeps = data.draw(batch_draws(bounds))
+    curves = solver(params, grid, substeps)
+    # The (n, n_t) result is the transposed slice of rk4_integrate's
+    # (n_t, n, dim) trajectory, strides included.
+    assert curves.strides == np.empty((grid.n_t, len(params), dim))[:, :, 0].T.strides
+    for i, row in enumerate(params):
+        assert np.array_equal(curves[i], solver(row[None, :], grid, substeps)[0])
+
+
+@pytest.mark.parametrize("model", sorted(SOLVERS))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_batch_agrees_with_reference_rhs(model, data):
+    solver, bounds, grid, _, reference = SOLVERS[model]
+    params, substeps = data.draw(batch_draws(bounds))
+    want = reference(params, substeps)
+    got = solver(params, grid, substeps)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def stage_times(grid, substeps):
+    """Every time at which rk4_integrate calls f, in call order."""
+    h = grid.dt / substeps
+    for j in range(1, grid.n_t):
+        for s in range(substeps):
+            t = grid.t0 + ((j - 1) * substeps + s) * h
+            yield from (t, t + 0.5 * h, t + 0.5 * h, t + h)
+
+
+@pytest.mark.parametrize("model, excitation", [
+    ("duffing", "duffing_excitation"), ("boucwen", "boucwen_excitation")])
+def test_forcing_evaluated_once_per_stage_time(monkeypatch, model, excitation):
+    solver, bounds, grid, _, _ = SOLVERS[model]
+    forcing_times, rhs_calls = [], [0]
+    excite = getattr(bench, excitation)
+
+    def counting_excitation(t, *args):
+        forcing_times.append(t)
+        return excite(t, *args)
+
+    def counting_integrate(f, *args):
+        def counted(t, y):
+            rhs_calls[0] += 1
+            return f(t, y)
+        return rk4_integrate(counted, *args)
+
+    monkeypatch.setattr(bench, excitation, counting_excitation)
+    monkeypatch.setattr(bench, "rk4_integrate", counting_integrate)
+    solver([[lo for lo, _ in bounds]], grid, 4)
+    times = list(stage_times(grid, 4))
+    assert rhs_calls[0] == len(times) == 6400
+    assert sorted(forcing_times) == sorted(set(times))
+    assert len(forcing_times) == 3508
 
 
 def test_duffing_excitation_at_zero_is_alpha():

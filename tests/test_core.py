@@ -297,3 +297,21 @@ def test_cho_with_jitter_reports_the_jitter():
     assert jitter in [rel * 1.0 for rel in JITTERS[1:]]
     with pytest.raises(np.linalg.LinAlgError, match="singular even after jitter"):
         cho_with_jitter(-np.eye(2))
+
+
+def test_load_ensemble_names_a_responses_header_of_another_width(tmp_path):
+    rp, ip = tmp_path / "responses.csv", tmp_path / "inputs.csv"
+    rp.write_text("0,0.5,1\n1,2\n4,5\n")
+    ip.write_text("x1\n0.5\n0.7\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"responses file {rp}: header has 3 cells, rows have 2 columns")):
+        fq.load_ensemble(rp, ip)
+
+
+def test_load_ensemble_names_an_inputs_header_of_another_width(tmp_path):
+    rp, ip = tmp_path / "responses.csv", tmp_path / "inputs.csv"
+    rp.write_text("0,0.5,1\n1,2,3\n4,5,6\n")
+    ip.write_text("x1,x2\n0.5\n0.7\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"inputs file {ip}: header has 2 cells, rows have 1 columns")):
+        fq.load_ensemble(rp, ip)
