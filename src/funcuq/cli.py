@@ -29,6 +29,7 @@ from .core import (
     load_ensemble,
     make_rng,
     model_nrmse,
+    one_blas_thread,
     read_table,
     save_ensemble,
     write_atomic,
@@ -224,9 +225,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _fit_report(sur: LatentSurrogate, seed: int, elapsed: float) -> dict:
+def _fit_report(sur: LatentSurrogate, seed: int, blas_pinned: bool, elapsed: float) -> dict:
     reducer = sur.reducer
     report = {
+        "blas_pinned": blas_pinned,
         "reducer": sur.metadata.get("reducer"),
         "n_train": sur.metadata.get("n_train"),
         "seed": seed,
@@ -256,11 +258,13 @@ def cmd_fit(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
     ens = _load_training_data(cfg, seed)
     t0 = time.perf_counter()
-    sur = fit_surrogate(ens, _fit_config(cfg), make_rng(derive_seed(seed, "fit")))
+    # fit_surrogate pins BLAS itself; the pin here only reports whether it held.
+    with one_blas_thread() as blas_pinned:
+        sur = fit_surrogate(ens, _fit_config(cfg), make_rng(derive_seed(seed, "fit")))
     elapsed = time.perf_counter() - t0
     os.makedirs(out_dir, exist_ok=True)
     save_surrogate(sur, os.path.join(out_dir, "model.json"))
-    report = _fit_report(sur, seed, elapsed)
+    report = _fit_report(sur, seed, blas_pinned, elapsed)
     write_atomic(
         os.path.join(out_dir, "fit_report.json"),
         [json.dumps(report, sort_keys=True, indent=2)],

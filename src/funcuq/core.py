@@ -1,12 +1,14 @@
 """Shared numerical primitives: time grids, response ensembles, error
-metrics, Latin hypercube designs, seeded randomness, and the periodic
-mirroring preprocessor.
+metrics, Latin hypercube designs, seeded randomness, the periodic
+mirroring preprocessor, the CSV table format and the BLAS thread pin.
 
-All functions are pure; random state is always passed in explicitly.
+Random state is always passed in explicitly.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import os
 from dataclasses import dataclass
@@ -18,6 +20,13 @@ FLOAT_FMT = "%.10g"
 
 # Relative jitter ladder tried before declaring a symmetric matrix singular.
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
+
+# (setter, getter) of the thread count in the OpenBLAS builds that numpy
+# (64-bit integer interface) and scipy bundle.
+OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -150,6 +159,50 @@ def cho_with_jitter(A):
         f"singular even after jitter up to {JITTERS[-1]:.0e} * max|diag| = "
         f"{JITTERS[-1] * scale:.3e}"
     )
+
+
+def _loaded_openblas() -> list:
+    """(setter, getter) ctypes functions of each bundled OpenBLAS that
+    /proc/self/maps lists in this process; none where it cannot be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()})
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for set_name, get_name in OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((setter, getter))
+    return found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's and scipy's bundled OpenBLAS at one thread
+    each, and restore their thread counts on exit.  Yields whether it
+    pinned any: a BLAS without OPENBLAS_THREAD_FUNCTIONS is left as it is.
+
+    A BLAS call split over threads sums in an order that depends on the
+    thread count, so results computed under the pin have the same bits
+    whatever OPENBLAS_NUM_THREADS is.  Processes forked inside the block
+    inherit the pin.
+    """
+    libs = _loaded_openblas()
+    previous = [getter() for _, getter in libs]
+    for setter, _ in libs:
+        setter(1)
+    try:
+        yield bool(libs)
+    finally:
+        for (setter, _), count in zip(libs, previous):
+            setter(count)
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
@@ -298,14 +351,18 @@ def read_table(what: str, path):
     that does not parse or a row of another length, the two counts for a
     header whose cell count differs from the rows' column count, and for a
     NaN or inf the data row (1 = first after the header line), the column
-    and its header cell."""
+    and its header cell.  A header line with no data rows below it is
+    rejected too."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as err:
-            raise ValueError(f"{what} file {path}: {err}") from None
-    if len(data) and len(header) != data.shape[1]:
+        lines = fh.readlines()
+    if not any(line.strip() for line in lines):
+        raise ValueError(f"{what} file {path}: no data rows")
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{what} file {path}: {err}") from None
+    if len(header) != data.shape[1]:
         raise ValueError(
             f"{what} file {path}: header has {len(header)} cells, "
             f"rows have {data.shape[1]} columns"

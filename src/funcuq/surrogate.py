@@ -6,6 +6,8 @@ variance prediction, cross-validation, and a versioned text model file.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +22,7 @@ from .core import (
     json_field,
     make_rng,
     model_nrmse,
+    one_blas_thread,
     write_atomic,
 )
 from .fpca import Reducer
@@ -131,13 +134,98 @@ class LatentSurrogate:
     __call__ = predict_mean_curves
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _fit_score_models(X, scores, seeds, config: FitConfig, fork: bool) -> list:
+    """One Kriging model per score column j, fitted from make_rng(seeds[j]).
+
+    With `fork`, up to usable_cpus() processes share the columns: this one
+    and forked helpers, each taking the next j from one shared counter.  A
+    helper sends its (j, model) pairs once, after the counter runs out, so
+    a full pipe never stalls it while this process still fits.  A model
+    depends only on its column and seed, so the models are the same for
+    any number of processes.  An error names its score model j.  Helpers
+    are forked, not spawned: a spawned one imports numpy and scipy afresh,
+    which takes about as long as the fit it would share.
+    """
+    m = scores.shape[1]
+    ctx = multiprocessing.get_context("fork" if fork else None)
+    n_procs = min(usable_cpus(), m) if fork else 1
+    counter = ctx.Value("i", 0)
+
+    def fit_share() -> list:
+        fitted = []
+        while True:
+            with counter.get_lock():
+                j = counter.value
+                counter.value += 1
+            if j >= m:
+                return fitted
+            try:
+                # The module attribute, looked up per call, so that a traced
+                # or substituted fit_kriging sees this process's calls.
+                mod = fit_kriging(X, scores[:, j], make_rng(seeds[j]),
+                                  n_starts=config.n_starts, budget=config.budget,
+                                  fix_nugget=config.fix_nugget)
+            except Exception as err:
+                err.args = (f"score model {j}: {err}",)
+                raise
+            fitted.append((j, mod))
+
+    def helper(conn) -> None:
+        try:
+            result = fit_share()
+        except Exception as err:
+            result = err
+        conn.send(result)
+        conn.close()
+
+    helpers = []
+    try:
+        for _ in range(n_procs - 1):
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=helper, args=(sender,))
+            proc.start()
+            helpers.append((proc, receiver))
+            sender.close()
+        fitted = fit_share()
+        for proc, receiver in helpers:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a score-model helper process exited with code {proc.exitcode} "
+                    "before sending its models"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            fitted += result
+    finally:
+        for proc, receiver in helpers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            receiver.close()
+    return [mod for _, mod in sorted(fitted, key=lambda pair: pair[0])]
+
+
 def fit_surrogate(
     ensemble: ResponseEnsemble,
     config: FitConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> LatentSurrogate:
     """Fit a latent surrogate: reduce the curves, then fit one Kriging
-    model per retained score on the training inputs."""
+    model per retained score on the training inputs.
+
+    The fit runs with BLAS at one thread (core.one_blas_thread), so the
+    model is the same whatever the host's BLAS thread count.  When that pin
+    holds and the platform can fork, the score models are fitted on up to
+    usable_cpus() processes.
+    """
     config = config or FitConfig()
     rng = rng if rng is not None else make_rng(0)
     if ensemble.n < 2 * ensemble.p:
@@ -146,36 +234,30 @@ def fit_surrogate(
             "surrogate accuracy may suffer",
             stacklevel=2,
         )
-    nb_trace: list = []
-    if config.reducer == PCA:
-        reducer, scores = fpca.fit_pca_reducer(ensemble)
-    else:
-        kind = FOURIER if config.reducer == KFDR_F else BSPLINE
-        reducer, scores = fpca.fit_reducer(
-            ensemble,
-            kind=kind,
-            order=config.order,
-            n_b0=config.n_b0,
-            delta_r=config.delta_r,
-            n_tau=config.n_tau,
-            tau_override=config.tau_override,
-            mirror=config.mirror,
-            nb_override=config.nb_override,
-            nb_trace=nb_trace,
-        )
-    lo, hi = ensemble.inputs.min(axis=0), ensemble.inputs.max(axis=0)
-    model_seeds = rng.integers(0, 2**63 - 1, size=max(reducer.m, 1))
-    models = [
-        fit_kriging(
-            ensemble.inputs,
-            scores[:, j],
-            make_rng(model_seeds[j]),
-            n_starts=config.n_starts,
-            budget=config.budget,
-            fix_nugget=config.fix_nugget,
-        )
-        for j in range(reducer.m)
-    ]
+    with one_blas_thread() as pinned:
+        nb_trace: list = []
+        if config.reducer == PCA:
+            reducer, scores = fpca.fit_pca_reducer(ensemble)
+        else:
+            kind = FOURIER if config.reducer == KFDR_F else BSPLINE
+            reducer, scores = fpca.fit_reducer(
+                ensemble,
+                kind=kind,
+                order=config.order,
+                n_b0=config.n_b0,
+                delta_r=config.delta_r,
+                n_tau=config.n_tau,
+                tau_override=config.tau_override,
+                mirror=config.mirror,
+                nb_override=config.nb_override,
+                nb_trace=nb_trace,
+            )
+        lo, hi = ensemble.inputs.min(axis=0), ensemble.inputs.max(axis=0)
+        model_seeds = rng.integers(0, 2**63 - 1, size=max(reducer.m, 1))
+        # Forked helpers inherit the pin; unpinned, each would start its
+        # own BLAS threads and the processes would contend for the CPUs.
+        fork = pinned and "fork" in multiprocessing.get_all_start_methods()
+        models = _fit_score_models(ensemble.inputs, scores, model_seeds, config, fork)
     metadata = {
         "reducer": config.reducer,
         "n_train": ensemble.n,

@@ -455,5 +455,5 @@ def load_observations(path):
     times = data[:, 0]
     observations = np.ascontiguousarray(data[:, 1:].T)
     if observations.shape[0] == 0:
-        raise ValueError("observation file contains no observation columns")
+        raise ValueError(f"observations file {path}: no observation columns")
     return times, observations

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +107,28 @@ def test_fit_deterministic_report_numbers(tmp_path):
             first_model = models
     assert reports[0] == reports[1]
     assert (tmp_path / "r2" / "model.json").read_bytes() == first_model
+
+
+def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 40 curves at n_b = 315 are large enough for OpenBLAS to split calls
+    # over two threads, which changed the model's last bits before the pin.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "duffing", "seed": 1, "dataset": {"n_train": 40},
+                                    "basis": {"n_b0": 45},
+                                    "kriging": {"n_starts": 1, "budget": 20}}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fq.__file__)))
+    models, reports = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "funcuq.cli", "fit", "--config", str(cfg_path),
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
+        models.append((out / "model.json").read_bytes())
+        reports.append(json.loads((out / "fit_report.json").read_text()))
+    assert models[0] == models[1]
+    assert reports[0]["blas_pinned"] is True and reports[1]["blas_pinned"] is True
 
 
 @pytest.mark.parametrize("missing", ["inputs", "responses"])

@@ -12,7 +12,9 @@ from funcuq.core import (
     JITTERS,
     cho_with_jitter,
     derive_seed,
+    _loaded_openblas,
     mirror_rows,
+    one_blas_thread,
     read_table,
     write_atomic,
     write_table,
@@ -315,3 +317,20 @@ def test_load_ensemble_names_an_inputs_header_of_another_width(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"inputs file {ip}: header has 2 cells, rows have 1 columns")):
         fq.load_ensemble(rp, ip)
+
+
+def test_load_ensemble_names_a_table_without_data_rows(tmp_path):
+    rp, ip = tmp_path / "responses.csv", tmp_path / "inputs.csv"
+    rp.write_text("0,0.5,1\n")
+    ip.write_text("x1\n0.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"responses file {rp}: no data rows")):
+        fq.load_ensemble(rp, ip)
+
+
+def test_one_blas_thread_pins_and_restores_each_bundled_blas():
+    libs = _loaded_openblas()
+    before = [getter() for _, getter in libs]
+    with one_blas_thread() as pinned:
+        assert pinned == bool(libs)
+        assert [getter() for _, getter in libs] == [1] * len(libs)
+    assert [getter() for _, getter in libs] == before

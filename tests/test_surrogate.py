@@ -1,14 +1,18 @@
 import copy
 import json
+import multiprocessing
+import os
 import re
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import funcuq as fq
-from funcuq import bench, fpca, smoothing
+from funcuq import bench, fpca, smoothing, surrogate
+from funcuq.core import one_blas_thread
 from funcuq.surrogate import (
     FitConfig,
     cross_validate,
@@ -235,8 +239,10 @@ def test_reconstruction_bounds_prediction_error():
     cfg = FitConfig(reducer="kfdr-b", nb_override=201, tau_override=0.0,
                     n_starts=2, budget=60)
     s = fit_surrogate(ens, cfg, fq.make_rng(32))
-    # The same reducer again, for the training curves' projections.
-    red, scores = fpca.fit_reducer(ens, kind="bspline", nb_override=201, tau_override=0.0)
+    # The same reducer again, for the training curves' projections; at one
+    # BLAS thread, as fit_surrogate computes it.
+    with one_blas_thread():
+        red, scores = fpca.fit_reducer(ens, kind="bspline", nb_override=201, tau_override=0.0)
     assert np.array_equal(red.phi, s.reducer.phi)
     rec_err, pred_err = [], []
     for i in range(ens.n):
@@ -487,3 +493,83 @@ def test_predictions_reject_non_finite_inputs(three_mode_doc, bad):
                     s.models[0].predict_batch):
         with pytest.raises(ValueError, match=message):
             predict(X)
+
+
+def modes_ensemble(n_modes: int, seed: int):
+    """Curves on GRID spanned by n_modes sine modes, with scores linear in
+    three inputs: n_modes = 0 gives identical curves."""
+    rng = fq.make_rng(seed)
+    X = rng.uniform(0.0, 1.0, (20, 3))
+    modes = np.sin(np.pi * np.outer(np.arange(1, n_modes + 1), T))
+    Y = np.cos(2 * np.pi * T) + (X @ rng.normal(size=(3, n_modes))) @ modes
+    return fq.ResponseEnsemble(X, Y, GRID)
+
+
+@settings(max_examples=8)
+@given(reducer=st.sampled_from(["kfdr-b", "pca"]), n_modes=st.integers(0, 3),
+       seed=st.integers(0, 2**16))
+@example(reducer="kfdr-b", n_modes=0, seed=1)
+@example(reducer="pca", n_modes=1, seed=2)
+def test_process_count_leaves_the_model_unchanged(reducer, n_modes, seed):
+    ens = modes_ensemble(n_modes, seed)
+    cfg = FitConfig(reducer=reducer, n_starts=2, budget=15)
+    docs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cpus in (1, 2, 3):
+            mp.setattr(surrogate, "usable_cpus", lambda: cpus)
+            s = fit_surrogate(ens, cfg, fq.make_rng(seed))
+            docs.append(surrogate_to_dict(s))
+    assert s.m <= n_modes and (s.m == n_modes or n_modes > 1)
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def two_processes(monkeypatch, tmp_path):
+    """Two processes for three score models, if helpers can be forked here,
+    and a fit_kriging substitute maker: in the process that `fails` (by
+    pid), `failure(j)` runs for the first score model it takes; the other
+    process waits for that to happen, so that each takes a model, and then
+    returns no model."""
+    with one_blas_thread() as pinned:
+        if not pinned:
+            pytest.skip("no bundled OpenBLAS to pin, so the fit starts no helper")
+    monkeypatch.setattr(surrogate, "usable_cpus", lambda: 2)
+    ens = modes_ensemble(3, 4)
+    scores = fpca.fit_pca_reducer(ens)[1]
+    assert scores.shape[1] == 3
+    main_pid, marker = os.getpid(), tmp_path / "failed"
+
+    def substitute(fails, failure):
+        def fake_fit(X, y, rng, **kwargs):
+            if (os.getpid() == main_pid) == (fails == "main"):
+                marker.touch()
+                failure(int(np.argmin(np.abs(scores - y[:, None]).sum(axis=0))))
+            deadline = time.monotonic() + 60.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        monkeypatch.setattr(surrogate, "fit_kriging", fake_fit)
+
+    return ens, substitute
+
+
+@pytest.mark.parametrize("fails", ["main", "helper"])
+def test_a_failing_score_model_is_named(two_processes, fails):
+    ens, substitute = two_processes
+
+    def failure(j):
+        raise np.linalg.LinAlgError(f"failed on column {j}")
+
+    substitute(fails, failure)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^score model (\d): failed on column \1$"):
+        fit_surrogate(ens, FitConfig(reducer="pca"), fq.make_rng(0))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helper_that_dies_is_reported(two_processes):
+    ens, substitute = two_processes
+    substitute("helper", lambda j: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 before sending its models"):
+        fit_surrogate(ens, FitConfig(reducer="pca"), fq.make_rng(0))
+    assert multiprocessing.active_children() == []

@@ -12,6 +12,7 @@ from scipy.spatial.distance import cdist
 
 import funcuq as fq
 from funcuq import uq
+from funcuq.core import write_table
 from funcuq.kriging import normalize_inputs
 from funcuq.uq import (
     KDE_REACH,
@@ -904,6 +905,14 @@ def test_load_observations_names_the_file_of_a_ragged_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^observations file {re.escape(str(path))}: "
                                          "the number of columns changed from 3 to 2"):
+        load_observations(path)
+
+
+def test_load_observations_names_the_file_without_observation_columns(tmp_path):
+    path = tmp_path / "obs.csv"
+    write_table(path, ["t"], T[:, None])
+    with pytest.raises(ValueError, match=f"^observations file {re.escape(str(path))}: "
+                                         "no observation columns"):
         load_observations(path)
 
 
