@@ -287,7 +287,9 @@ def cmd_predict(args) -> int:
             f"inputs file {inputs_path}: {X.shape[1]} columns, the model has "
             f"{sur.input_lo.size} inputs"
         )
-    means, var = sur.predict_curves(X)
+    # A BLAS call split over threads changes the predictions' last bits.
+    with one_blas_thread():
+        means, var = sur.predict_curves(X)
     os.makedirs(out_dir, exist_ok=True)
     for name, table in (("predictions.csv", means), ("predictions_std.csv", np.sqrt(var))):
         write_table(os.path.join(out_dir, name), sur.grid.nodes, table)

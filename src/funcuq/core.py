@@ -1,6 +1,7 @@
 """Shared numerical primitives: time grids, response ensembles, error
 metrics, Latin hypercube designs, seeded randomness, the periodic
-mirroring preprocessor, the CSV table format and the BLAS thread pin.
+mirroring preprocessor, the CSV table format, the BLAS thread pin and
+the process pool.
 
 Random state is always passed in explicitly.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -205,6 +207,87 @@ def one_blas_thread():
             setter(count)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def run_tasks(task, tasks: range, cpus: int, name, what: str) -> list:
+    """[task(i) for i in tasks], computed on up to min(cpus, len(tasks))
+    processes: this one and helpers forked from it, where the platform can
+    fork.  Every process takes the next i from one shared counter, and a
+    helper sends its results once, after the counter runs out, so a full
+    pipe never stalls it while this process still computes.  Callers pass
+    cpus > 1 only with BLAS pinned (one_blas_thread), which the helpers
+    inherit; unpinned, each would start its own BLAS threads.  Helpers are
+    forked, not spawned: a spawned one imports numpy and scipy afresh, and
+    it gets `task` without pickling it.
+
+    An exception stops the handing out of tasks; the tasks already taken
+    finish, and the exception of the lowest failing i is raised, its
+    message prefixed with `name(i)`.  Every i below a failing one was
+    taken before it, so that is the same exception for any process count.
+    A helper that exits without sending its results raises RuntimeError
+    with its exit code, naming `what` it did not send.  No helper outlives
+    the call.
+    """
+    fork = cpus > 1 and len(tasks) > 1 and "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if fork else None)
+    counter = ctx.Value("i", 0)
+
+    def share():
+        """(the (i, result) pairs computed, (i, exception) or None)."""
+        done = []
+        while True:
+            with counter.get_lock():
+                k = counter.value
+                counter.value += 1
+            if k >= len(tasks):
+                return done, None
+            i = tasks[k]
+            try:
+                done.append((i, task(i)))
+            except Exception as err:
+                err.args = (f"{name(i)}: {err}",)
+                with counter.get_lock():
+                    counter.value = len(tasks)
+                return done, (i, err)
+
+    def helper(conn) -> None:
+        conn.send(share())
+        conn.close()
+
+    helpers = []
+    try:
+        for _ in range(min(cpus, len(tasks)) - 1 if fork else 0):
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=helper, args=(sender,))
+            proc.start()
+            helpers.append((proc, receiver))
+            sender.close()
+        shares = [share()]
+        for proc, receiver in helpers:
+            try:
+                shares.append(receiver.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a helper process exited with code {proc.exitcode} "
+                    f"before sending its {what}"
+                ) from None
+    finally:
+        for proc, receiver in helpers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            receiver.close()
+    failures = [failed for _, failed in shares if failed]
+    if failures:
+        raise min(failures, key=lambda pair: pair[0])[1]
+    done = sorted((pair for pairs, _ in shares for pair in pairs), key=lambda pair: pair[0])
+    return [result for _, result in done]
+
+
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
                int: "a nonnegative integer"}
 
@@ -334,11 +417,23 @@ def write_atomic(path, lines) -> None:
         raise
 
 
+# FLOAT_FMT's text of the finite values within about 1e299 of the largest
+# double, which rounds up past it and would read back as inf.
+_OVERFLOWING_TEXT = {FLOAT_FMT % v for v in (np.finfo(float).max, -np.finfo(float).max)}
+
+
 def write_table(path, header, rows) -> None:
     """Write a CSV table through write_atomic: the header cells, then one line
-    per row; a cell that is a string as it is, a number with FLOAT_FMT."""
+    per row; a cell that is a string as it is, a number with FLOAT_FMT, or
+    with 17 significant digits where FLOAT_FMT would round it to inf."""
+    def cell(c):
+        if isinstance(c, str):
+            return c
+        text = FLOAT_FMT % c
+        return "%.17g" % c if text in _OVERFLOWING_TEXT else text
+
     def line(cells):
-        return ",".join(c if isinstance(c, str) else FLOAT_FMT % c for c in cells)
+        return ",".join(map(cell, cells))
 
     write_atomic(path, [line(header)] + [line(row) for row in rows])
 

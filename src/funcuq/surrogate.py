@@ -6,8 +6,6 @@ variance prediction, cross-validation, and a versioned text model file.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +21,8 @@ from .core import (
     make_rng,
     model_nrmse,
     one_blas_thread,
+    run_tasks,
+    usable_cpus,
     write_atomic,
 )
 from .fpca import Reducer
@@ -134,85 +134,6 @@ class LatentSurrogate:
     __call__ = predict_mean_curves
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-def _fit_score_models(X, scores, seeds, config: FitConfig, fork: bool) -> list:
-    """One Kriging model per score column j, fitted from make_rng(seeds[j]).
-
-    With `fork`, up to usable_cpus() processes share the columns: this one
-    and forked helpers, each taking the next j from one shared counter.  A
-    helper sends its (j, model) pairs once, after the counter runs out, so
-    a full pipe never stalls it while this process still fits.  A model
-    depends only on its column and seed, so the models are the same for
-    any number of processes.  An error names its score model j.  Helpers
-    are forked, not spawned: a spawned one imports numpy and scipy afresh,
-    which takes about as long as the fit it would share.
-    """
-    m = scores.shape[1]
-    ctx = multiprocessing.get_context("fork" if fork else None)
-    n_procs = min(usable_cpus(), m) if fork else 1
-    counter = ctx.Value("i", 0)
-
-    def fit_share() -> list:
-        fitted = []
-        while True:
-            with counter.get_lock():
-                j = counter.value
-                counter.value += 1
-            if j >= m:
-                return fitted
-            try:
-                # The module attribute, looked up per call, so that a traced
-                # or substituted fit_kriging sees this process's calls.
-                mod = fit_kriging(X, scores[:, j], make_rng(seeds[j]),
-                                  n_starts=config.n_starts, budget=config.budget,
-                                  fix_nugget=config.fix_nugget)
-            except Exception as err:
-                err.args = (f"score model {j}: {err}",)
-                raise
-            fitted.append((j, mod))
-
-    def helper(conn) -> None:
-        try:
-            result = fit_share()
-        except Exception as err:
-            result = err
-        conn.send(result)
-        conn.close()
-
-    helpers = []
-    try:
-        for _ in range(n_procs - 1):
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=helper, args=(sender,))
-            proc.start()
-            helpers.append((proc, receiver))
-            sender.close()
-        fitted = fit_share()
-        for proc, receiver in helpers:
-            try:
-                result = receiver.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"a score-model helper process exited with code {proc.exitcode} "
-                    "before sending its models"
-                ) from None
-            if isinstance(result, Exception):
-                raise result
-            fitted += result
-    finally:
-        for proc, receiver in helpers:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-            receiver.close()
-    return [mod for _, mod in sorted(fitted, key=lambda pair: pair[0])]
-
-
 def fit_surrogate(
     ensemble: ResponseEnsemble,
     config: FitConfig | None = None,
@@ -223,8 +144,8 @@ def fit_surrogate(
 
     The fit runs with BLAS at one thread (core.one_blas_thread), so the
     model is the same whatever the host's BLAS thread count.  When that pin
-    holds and the platform can fork, the score models are fitted on up to
-    usable_cpus() processes.
+    holds, the score models are fitted on up to usable_cpus() processes
+    (core.run_tasks).
     """
     config = config or FitConfig()
     rng = rng if rng is not None else make_rng(0)
@@ -254,10 +175,19 @@ def fit_surrogate(
             )
         lo, hi = ensemble.inputs.min(axis=0), ensemble.inputs.max(axis=0)
         model_seeds = rng.integers(0, 2**63 - 1, size=max(reducer.m, 1))
-        # Forked helpers inherit the pin; unpinned, each would start its
-        # own BLAS threads and the processes would contend for the CPUs.
-        fork = pinned and "fork" in multiprocessing.get_all_start_methods()
-        models = _fit_score_models(ensemble.inputs, scores, model_seeds, config, fork)
+
+        def fit_score_model(j):
+            # The module attribute, looked up per call, so that a traced
+            # or substituted fit_kriging sees this process's calls.
+            return fit_kriging(ensemble.inputs, scores[:, j], make_rng(model_seeds[j]),
+                               n_starts=config.n_starts, budget=config.budget,
+                               fix_nugget=config.fix_nugget)
+
+        # A model depends only on its score column and seed, so the models
+        # are the same for any number of processes.
+        models = run_tasks(fit_score_model, range(scores.shape[1]),
+                           usable_cpus() if pinned else 1, lambda j: f"score model {j}",
+                           "models")
     metadata = {
         "reducer": config.reducer,
         "n_train": ensemble.n,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import read_table, write_table
+from .core import one_blas_thread, read_table, run_tasks, usable_cpus, write_table
 
 DEFAULT_WALKERS = 100
 DEFAULT_ITERATIONS = 300
@@ -202,32 +202,55 @@ def forward_uq(model, samples, batch_size: int = 4096, kde_points: int = 512) ->
     later block must match it.  The mean and the population (1/N)
     standard deviation are accumulated around the first curve, so the
     variance of nearly degenerate inputs is not lost to cancellation.
-    Blocks of batch_size samples are evaluated one at a time, and each
-    block's curves are freed before the next block is evaluated.
+
+    Blocks of batch_size samples are evaluated with BLAS at one thread
+    (core.one_blas_thread).  Block 0 is evaluated in this process and
+    fixes the first curve; the later blocks are shared by up to
+    usable_cpus() processes (core.run_tasks), each evaluating one block
+    at a time and freeing its curves before the next.  A block gives its
+    maxima, its minima and its column sums of shifted curves and of their
+    squares, and the sums are added in block order, so every result field
+    has the same bits for any process count.  A hook runs in whichever
+    process evaluates its block, so this process may not see its side
+    effects.  An error names its block and rows.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError(f"need an (n, p) array of at least 2 samples, got shape {samples.shape}")
     n_mcs = samples.shape[0]
-    ref = shift_sum = shift_sumsq = None
-    maxima = np.empty(n_mcs)
-    minima = np.empty(n_mcs)
-    for start in range(0, n_mcs, batch_size):
-        block = samples[start : start + batch_size]
+    starts = range(0, n_mcs, batch_size)
+    ref = None
+
+    def block_stats(b):
+        nonlocal ref
+        block = samples[starts[b] : starts[b] + batch_size]
         curves = np.ascontiguousarray(model(block), dtype=float)
         expected = (block.shape[0], curves.shape[-1] if ref is None else ref.size)
         if curves.shape != expected:
             raise ValueError(f"model returned curves of shape {curves.shape}, expected {expected}")
-        maxima[start : start + block.shape[0]] = curves.max(axis=1)
-        minima[start : start + block.shape[0]] = curves.min(axis=1)
+        maxima, minima = curves.max(axis=1), curves.min(axis=1)
         if ref is None:
             ref = curves[0].copy()
-            shift_sum, shift_sumsq = np.zeros(ref.size), np.zeros(ref.size)
         curves -= ref
-        shift_sum += curves.sum(axis=0)
+        shift_sum = curves.sum(axis=0)
         np.square(curves, out=curves)
-        shift_sumsq += curves.sum(axis=0)
-        del curves
+        return maxima, minima, shift_sum, curves.sum(axis=0)
+
+    def block_name(b):
+        stop = min(starts[b] + batch_size, n_mcs)
+        return f"Monte Carlo block {b} (rows {starts[b]}-{stop - 1})"
+
+    with one_blas_thread() as pinned:
+        # Block 0 sets ref before any helper is forked.
+        stats = run_tasks(block_stats, range(1), 1, block_name, "blocks")
+        stats += run_tasks(block_stats, range(1, len(starts)),
+                           usable_cpus() if pinned else 1, block_name, "blocks")
+    maxima = np.concatenate([s[0] for s in stats])
+    minima = np.concatenate([s[1] for s in stats])
+    shift_sum, shift_sumsq = np.zeros(ref.size), np.zeros(ref.size)
+    for _, _, block_sum, block_sumsq in stats:
+        shift_sum += block_sum
+        shift_sumsq += block_sumsq
     bad = np.count_nonzero(~(np.isfinite(maxima) & np.isfinite(minima)))
     if bad:
         raise ValueError(f"{bad} of {n_mcs} Monte Carlo samples gave non-finite responses")

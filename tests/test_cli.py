@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import funcuq as fq
+from funcuq import cli
 from funcuq.bench import duffing_batch
+from funcuq.core import _loaded_openblas
 from funcuq.cli import DEFAULT_CONFIG, _build_marginal, _calibration_model, load_config, main
 from funcuq.surrogate import FitConfig
 from funcuq.uq import Uniform, log_posterior, log_posterior_block, save_observations
@@ -109,6 +111,15 @@ def test_fit_deterministic_report_numbers(tmp_path):
     assert (tmp_path / "r2" / "model.json").read_bytes() == first_model
 
 
+def run_cli_at_blas_threads(threads: str, argv) -> None:
+    """Run the CLI in a subprocess with OPENBLAS_NUM_THREADS=threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fq.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "funcuq.cli", *argv], env=env, check=True,
+                   capture_output=True, timeout=300)
+
+
 def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 40 curves at n_b = 315 are large enough for OpenBLAS to split calls
     # over two threads, which changed the model's last bits before the pin.
@@ -116,19 +127,63 @@ def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     cfg_path.write_text(json.dumps({"model": "duffing", "seed": 1, "dataset": {"n_train": 40},
                                     "basis": {"n_b0": 45},
                                     "kriging": {"n_starts": 1, "budget": 20}}))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fq.__file__)))
     models, reports = [], []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "funcuq.cli", "fit", "--config", str(cfg_path),
-                        "--out", str(out)], env=env, check=True, capture_output=True,
-                       timeout=300)
+        run_cli_at_blas_threads(threads, ["fit", "--config", str(cfg_path), "--out", str(out)])
         models.append((out / "model.json").read_bytes())
         reports.append(json.loads((out / "fit_report.json").read_text()))
     assert models[0] == models[1]
     assert reports[0]["blas_pinned"] is True and reports[1]["blas_pinned"] is True
+
+
+@pytest.fixture(scope="module")
+def predict_argv(tmp_path_factory):
+    """predict's arguments for 1000 Duffing inputs and a PCA model with 12
+    scores, fitted on 40 curves: large enough for OpenBLAS to split the
+    prediction's products over two threads, which changed the predicted
+    arrays' last bits before the pin."""
+    tmp = tmp_path_factory.mktemp("predict")
+    cfg_path = tmp / "cfg.json"
+    write_config(cfg_path, dataset={"n_train": 40}, surrogate={"reducer": "pca"})
+    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp / "fit")]) == 0
+    assert main(["generate", "--model", "duffing", "--n", "1000", "--seed", "2",
+                 "--out", str(tmp / "data")]) == 0
+    return ["predict", "--model-file", str(tmp / "fit" / "model.json"),
+            "--inputs", str(tmp / "data" / "inputs.csv")]
+
+
+def test_predict_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, predict_argv):
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_cli_at_blas_threads(threads, predict_argv + ["--out", str(out)])
+        tables.append([(out / name).read_bytes()
+                       for name in ("predictions.csv", "predictions_std.csv")])
+    assert tables[0] == tables[1]
+
+
+def test_predict_arrays_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch,
+                                                               predict_argv):
+    # The printed 10 digits hide most last-bit differences, so compare the
+    # arrays predict writes, with this process's BLAS set to 1 and 2 threads.
+    libs = _loaded_openblas()
+    if not libs:
+        pytest.skip("no bundled OpenBLAS whose thread count can be set")
+    written = []
+    monkeypatch.setattr(cli, "write_table",
+                        lambda path, header, rows: written.append(np.array(rows)))
+    previous = [getter() for _, getter in libs]
+    try:
+        for threads in (1, 2):
+            for setter, _ in libs:
+                setter(threads)
+            assert main(predict_argv + ["--out", str(tmp_path)]) == 0
+    finally:
+        for (setter, _), count in zip(libs, previous):
+            setter(count)
+    assert len(written) == 4
+    assert np.array_equal(written[0], written[2]) and np.array_equal(written[1], written[3])
 
 
 @pytest.mark.parametrize("missing", ["inputs", "responses"])

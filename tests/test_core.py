@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -245,12 +246,22 @@ def test_load_ensemble_rejects_non_uniform_nodes(tmp_path):
     assert fq.load_ensemble(rp, ip).grid.n_t == 3
 
 
-# Finite floats whose 10-digit text is finite: DBL_MAX prints as
-# 1.797693135e+308, which parses to inf.
+DBL_MAX = np.finfo(float).max
+# Every finite float.  The edges of the 10-digit text's overflow: the
+# smallest double whose 10-digit text is 1.797693135e+308, which parses to
+# inf, and the double below it.
 TABLE_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]),
-    st.floats(min_value=-1e308, max_value=1e308),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+                     DBL_MAX, -DBL_MAX, 1.7976931345e308, np.nextafter(1.7976931345e308, 0)]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+def printed_value(v):
+    """The value write_table's text of v reads back as: its 10 digits, or v
+    itself where those would read as inf."""
+    value = float(FLOAT_FMT % v)
+    return v if math.isinf(value) else value
 
 
 @given(
@@ -265,9 +276,20 @@ def test_table_roundtrip_reads_the_printed_values(tmp_path_factory, table, data)
     write_table(path, header, table)
     got_header, got = read_table("test", path)
     assert got_header == header
-    want = np.array([[float(FLOAT_FMT % v) for v in row] for row in table])
+    want = np.array([[printed_value(v) for v in row] for row in table])
     # Bit for bit, so that -0.0 and subnormals count.
     assert got.shape == table.shape and got.tobytes() == want.tobytes()
+
+
+def test_write_table_keeps_the_largest_doubles_finite(tmp_path):
+    # Only a cell whose 10 digits would round past the largest double gets 17.
+    path = tmp_path / "t.csv"
+    below = np.nextafter(1.7976931345e308, 0)
+    write_table(path, ["a", "b"], [[DBL_MAX, -1.7976931345e308], [below, 0.1]])
+    assert path.read_text() == (
+        "a,b\n1.7976931348623157e+308,-1.7976931345e+308\n1.797693134e+308,0.1\n")
+    assert read_table("test", path)[1].tolist() == [[DBL_MAX, -1.7976931345e308],
+                                                    [1.797693134e308, 0.1]]
 
 
 def test_write_table_prints_strings_as_they_are(tmp_path):

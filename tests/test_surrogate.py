@@ -567,6 +567,29 @@ def test_a_failing_score_model_is_named(two_processes, fails):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_lowest_failing_score_model_is_named_for_any_cpu_count(monkeypatch, cpus):
+    # Score models 1 and 2 fail.  Every model takes a while in this process,
+    # and model 1 a while longer in a helper: with helpers, this process
+    # tends to fail on model 2 before a helper fails on model 1, and model
+    # 1 still wins.
+    ens = modes_ensemble(3, 4)
+    scores = fpca.fit_pca_reducer(ens)[1]
+    main_pid = os.getpid()
+
+    def fake_fit(X, y, rng, **kwargs):
+        j = int(np.argmin(np.abs(scores - y[:, None]).sum(axis=0)))
+        time.sleep(0.2 if os.getpid() == main_pid else 0.3 if j == 1 else 0.0)
+        if j in (1, 2):
+            raise np.linalg.LinAlgError(f"failed on column {j}")
+
+    monkeypatch.setattr(surrogate, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(surrogate, "fit_kriging", fake_fit)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^score model 1: failed on column 1$"):
+        fit_surrogate(ens, FitConfig(reducer="pca"), fq.make_rng(0))
+    assert multiprocessing.active_children() == []
+
+
 def test_a_helper_that_dies_is_reported(two_processes):
     ens, substitute = two_processes
     substitute("helper", lambda j: os._exit(3))

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -12,7 +15,7 @@ from scipy.spatial.distance import cdist
 
 import funcuq as fq
 from funcuq import uq
-from funcuq.core import write_table
+from funcuq.core import one_blas_thread, write_table
 from funcuq.kriging import normalize_inputs
 from funcuq.uq import (
     KDE_REACH,
@@ -285,10 +288,12 @@ def test_forward_uq_one_path_for_every_model(batch_surrogate, batch_size):
         assert np.array_equal(getattr(res, f.name), getattr(wrapped, f.name)), f.name
 
 
-def test_forward_uq_copies_results_that_are_not_c_ordered():
+def test_forward_uq_copies_results_that_are_not_c_ordered(monkeypatch):
     # A hook that returns a transposed view of an array it keeps: forward_uq
     # works on a C-ordered copy, leaves the hook's array alone, and gives
-    # the same bits as for a C-ordered result.
+    # the same bits as for a C-ordered result.  One process, so that every
+    # block the hook evaluates is kept in this process's list.
+    monkeypatch.setattr(uq, "usable_cpus", lambda: 1)
     kept = []
 
     def view_hook(X):
@@ -302,6 +307,75 @@ def test_forward_uq_copies_results_that_are_not_c_ordered():
         assert np.array_equal(getattr(res, f.name), getattr(ref, f.name)), f.name
     for start, array in zip(range(0, BATCH_N, 128), kept):
         assert np.array_equal(array.T, linear_hook(samples[start : start + 128]))
+
+
+@settings(max_examples=12)
+@given(kind=st.sampled_from(["surrogate", "hook"]),
+       batch_size=st.integers(1, BATCH_N - 1).filter(lambda b: BATCH_N % b))
+def test_forward_uq_is_the_same_on_any_number_of_processes(batch_surrogate, kind, batch_size):
+    # Every batch size leaves a partial last block.
+    model = batch_surrogate[0] if kind == "surrogate" else linear_hook
+    samples = BATCH_DIST.sample(fq.make_rng(31), BATCH_N)
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cpus in (1, 2, 3):
+            mp.setattr(uq, "usable_cpus", lambda: cpus)
+            results.append(forward_uq(model, samples, batch_size=batch_size))
+    for res in results[1:]:
+        for f in dataclasses.fields(res):
+            assert np.array_equal(getattr(res, f.name), getattr(results[0], f.name)), f.name
+    assert multiprocessing.active_children() == []
+
+
+# Samples whose first input is the row index, so a hook knows its block.
+INDEXED_SAMPLES = np.column_stack([np.arange(500.0), np.zeros(500)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_forward_uq_names_the_lowest_failing_block_for_any_cpu_count(monkeypatch, cpus):
+    # Blocks 2 and 3 fail.  Every block after block 0 takes a while in this
+    # process, and block 2 a while longer in a helper: with helpers, this
+    # process tends to fail on block 3 before a helper fails on block 2,
+    # and block 2 still wins.
+    main_pid = os.getpid()
+
+    def hook(X):
+        block = int(X[0, 0]) // 100
+        if block:
+            time.sleep(0.2 if os.getpid() == main_pid else 0.3 if block == 2 else 0.0)
+        if block in (2, 3):
+            raise ArithmeticError(f"failed on block {block}")
+        return linear_hook(X)
+
+    monkeypatch.setattr(uq, "usable_cpus", lambda: cpus)
+    with pytest.raises(ArithmeticError,
+                       match=r"^Monte Carlo block 2 \(rows 200-299\): failed on block 2$"):
+        forward_uq(hook, INDEXED_SAMPLES, batch_size=100)
+    assert multiprocessing.active_children() == []
+
+
+def test_forward_uq_reports_a_helper_that_dies(monkeypatch, tmp_path):
+    with one_blas_thread() as pinned:
+        if not pinned:
+            pytest.skip("no bundled OpenBLAS to pin, so forward_uq starts no helper")
+    main_pid, marker = os.getpid(), tmp_path / "died"
+
+    def hook(X):
+        # A helper dies on its first block; this process waits for that,
+        # so that the helper gets a block.
+        if os.getpid() != main_pid:
+            marker.touch()
+            os._exit(3)
+        if X[0, 0] > 0:
+            deadline = time.monotonic() + 60.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return linear_hook(X)
+
+    monkeypatch.setattr(uq, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="exited with code 3 before sending its blocks"):
+        forward_uq(hook, INDEXED_SAMPLES, batch_size=100)
+    assert multiprocessing.active_children() == []
 
 
 def test_forward_uq_rejects_a_change_of_curve_length():
