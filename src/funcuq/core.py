@@ -438,16 +438,47 @@ def write_table(path, header, rows) -> None:
     write_atomic(path, [line(header)] + [line(row) for row in rows])
 
 
+def _parses(text: str) -> bool:
+    """Whether loadtxt reads the non-empty text as one comma-separated row."""
+    try:
+        np.loadtxt([text], delimiter=",")
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_error(err: ValueError, lines, header) -> str:
+    """loadtxt's reason for rejecting `lines`, located by read_table's
+    convention instead of numpy's, which counts a bad cell's row from 0 and
+    a ragged row's from 1.  Data rows are the lines loadtxt reads: what
+    precedes a '#' on a line, unless that is empty."""
+    reason = str(err).split(" at row ")[0]
+    ragged = reason.startswith("the number of columns changed")
+    rows = [text for text in (line.split("#", 1)[0].rstrip("\r\n") for line in lines) if text]
+    width = len(rows[0].split(","))
+    for r, text in enumerate(rows, 1):
+        cells = text.split(",")
+        if ragged:
+            if len(cells) != width:
+                return f"{reason} at data row {r}"
+        elif not _parses(text):
+            for c, cell in enumerate(cells):
+                if not (cell.strip() and _parses(cell)):
+                    name = f" ({header[c]})" if c < len(header) else ""
+                    return f"{reason} at data row {r}, column {c + 1}{name}"
+    return str(err)
+
+
 def read_table(what: str, path):
     """(header cells, rows) of a CSV table: the first line split at commas,
     and the numbers below it as a float array of shape (rows, columns).
 
-    A ValueError names the `what` file at path: loadtxt's message for a cell
-    that does not parse or a row of another length, the two counts for a
-    header whose cell count differs from the rows' column count, and for a
-    NaN or inf the data row (1 = first after the header line), the column
-    and its header cell.  A header line with no data rows below it is
-    rejected too."""
+    A ValueError names the `what` file at path and, for a cell that does not
+    parse, a row of another length or a NaN or inf, the data row (1 = first
+    after the header line), and for a cell its column and header cell.  A
+    header whose cell count differs from the rows' column count fails with
+    the two counts, and a header line with no data rows below it fails
+    too."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         lines = fh.readlines()
@@ -456,7 +487,7 @@ def read_table(what: str, path):
     try:
         data = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as err:
-        raise ValueError(f"{what} file {path}: {err}") from None
+        raise ValueError(f"{what} file {path}: {_parse_error(err, lines, header)}") from None
     if len(header) != data.shape[1]:
         raise ValueError(
             f"{what} file {path}: header has {len(header)} cells, "

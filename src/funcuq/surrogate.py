@@ -26,7 +26,7 @@ from .core import (
     write_atomic,
 )
 from .fpca import Reducer
-from .kriging import KrigingModel, condition, fit_kriging, normalize_inputs
+from .kriging import KrigingModel, condition, fit_kriging, normalize_inputs, predict_stack
 
 FORMAT_VERSION = "funcuq-surrogate-v2"
 
@@ -91,20 +91,12 @@ class LatentSurrogate:
         """Latent predictive means (and variances) for raw input rows.
 
         The inputs are normalized once for all score models, which share
-        the normalization, and every model builds its cross-kernel in one
-        shared buffer.
+        the normalization and the training design, and kriging.predict_stack
+        predicts them together: each column has the bits of that model's
+        own predict_batch.
         """
         Xn = normalize_inputs(X_star, self.input_lo, self.input_hi)
-        means = np.empty((Xn.shape[0], self.m))
-        var = np.empty((Xn.shape[0], self.m)) if with_var else None
-        n_train = self.models[0].X_norm.shape[0] if self.models else 0
-        kernel = np.empty((n_train, Xn.shape[0]))
-        for j, mod in enumerate(self.models):
-            mj, vj = mod._predict_normalized(Xn, with_var, out=kernel)
-            means[:, j] = mj
-            if with_var:
-                var[:, j] = vj
-        return means, var
+        return predict_stack(self.models, Xn, with_var)
 
     def predict_curves(self, X_star):
         """Predictive mean and variance curves for raw input rows; each of

@@ -524,6 +524,34 @@ def test_inverse_with_surrogate_and_fixed_parameter(tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_forward_and_inverse_bytes_do_not_depend_on_the_blas_thread_count(tmp_path,
+                                                                          predict_argv):
+    # inverse runs without the BLAS pin, and forward's helpers inherit it:
+    # both must write the same bytes at one and two threads.  With predict's
+    # 12-score model on 40 points, 128 walkers score up to 64 proposals per
+    # call, and 8,200 samples make two full forward blocks of 4,096 and a
+    # partial one.
+    model_file = predict_argv[predict_argv.index("--model-file") + 1]
+    cfg_path = make_inverse_config(tmp_path, write_duffing_observations(tmp_path),
+                                   use_exact_model=False, model_file=model_file,
+                                   walkers=128, iterations=4)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["forward"] = {"model_file": model_file, "distributions": DUFFING_DISTS,
+                      "n_mcs": 8200, "kde_points": 64}
+    cfg_path.write_text(json.dumps(cfg))
+    outputs = []
+    for threads in ("1", "2"):
+        files = {}
+        for command, names in (("forward", ("mean_std.csv", "extremes_kde.csv")),
+                               ("inverse", ("posterior_draws.csv", "posterior_summary.csv"))):
+            out = tmp_path / f"{command}{threads}"
+            run_cli_at_blas_threads(threads, [command, "--config", str(cfg_path),
+                                              "--out", str(out)])
+            files.update({name: (out / name).read_bytes() for name in names})
+        outputs.append(files)
+    assert outputs[0] == outputs[1]
+
+
 def test_calibration_model_block_matches_scalar_posterior():
     t = fq.TimeGrid(0.0, 1.0, 11).nodes
 

@@ -292,6 +292,26 @@ def test_write_table_keeps_the_largest_doubles_finite(tmp_path):
                                                     [1.797693134e308, 0.1]]
 
 
+@pytest.mark.parametrize("text, location", [
+    ("a,b,c\n1,2,3\n4,abc,6\n",
+     "could not convert string 'abc' to float64 at data row 2, column 2 (b)"),
+    ("a,b,c\n1,,3\n", "could not convert string '' to float64 at data row 1, column 2 (b)"),
+    ("a,b,c\n1,2,3\n4,5,6\n7,8\n", "the number of columns changed from 3 to 2 at data row 3"),
+    ("a,b,c\n# note\n1,2,3\n\n4,5,6 # kept\n7,8,x\n",
+     "could not convert string 'x' to float64 at data row 3, column 3 (c)"),
+    ("a,b,c\n1,2,3\n4,5,6\n7,8,nan\n", "data row 3, column 3 (c) is nan"),
+], ids=["bad cell", "empty cell", "ragged row", "comment and blank lines", "nan"])
+def test_read_table_counts_data_rows_from_one(tmp_path, text, location):
+    # One convention for every rejected cell or row: data row 1 is the first
+    # row loadtxt reads after the header line, and columns count from 1.
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_table("test", path)
+    assert str(info.value).startswith(f"test file {path}: {location}")
+    assert " at row " not in str(info.value)
+
+
 def test_write_table_prints_strings_as_they_are(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ["name", "n", "x"], [["a", "12345678901", 0.1], ["b", "2", np.float64(1 / 3)]])

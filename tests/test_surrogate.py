@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import funcuq as fq
 from funcuq import bench, fpca, smoothing, surrogate
 from funcuq.core import one_blas_thread
+from funcuq.kriging import PREDICT_ROWS, _kernel_matrix, _stacked_kernels, normalize_inputs
 from funcuq.surrogate import (
     FitConfig,
     cross_validate,
@@ -481,6 +483,59 @@ def test_predict_scores_equals_each_model(three_mode_doc, rows):
         assert np.array_equal(means[:, j], mj)
         assert np.array_equal(var[:, j], vj)
         assert np.array_equal(means_only[:, j], mod.predict_batch(X, with_var=False)[0])
+
+
+@pytest.fixture(scope="module")
+def three_mode_stacks(three_mode_doc):
+    """The three-mode surrogate cut to its first m score models, m = 0, 1, 3."""
+    s = surrogate_from_dict(copy.deepcopy(three_mode_doc))
+    red = s.reducer
+    return {
+        m: surrogate.LatentSurrogate(
+            dataclasses.replace(red, m=m, phi=red.phi[:, :m], B=red.B[:, :m]),
+            s.models[:m], s.input_lo, s.input_hi)
+        for m in (0, 1, 3)
+    }
+
+
+@settings(max_examples=40)
+@given(rows=st.sampled_from([1, PREDICT_ROWS - 1, PREDICT_ROWS, PREDICT_ROWS + 1,
+                             3 * PREDICT_ROWS + 5]),
+       m=st.sampled_from([0, 1, 3]), outside=st.booleans(), with_var=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(rows=3 * PREDICT_ROWS + 5, m=3, outside=True, with_var=True, seed=0)
+@example(rows=1, m=0, outside=False, with_var=True, seed=1)
+def test_score_columns_do_not_depend_on_the_stack(three_mode_stacks, rows, m, outside,
+                                                  with_var, seed):
+    s = three_mode_stacks[m]
+    span = s.input_hi - s.input_lo
+    # Inside the training box, or up to one box width beyond it on each side.
+    low, high = (-1.0, 2.0) if outside else (0.0, 1.0)
+    X = s.input_lo + span * fq.make_rng(seed).uniform(low, high, (rows, 3))
+    means, var = s.predict_scores(X, with_var)
+    assert means.shape == (rows, m)
+    assert (var is None) == (not with_var)
+    for j, mod in enumerate(s.models):
+        mj, vj = mod.predict_batch(X, with_var)
+        assert np.array_equal(means[:, j], mj)
+        assert vj is None if var is None else np.array_equal(var[:, j], vj)
+    if m == 0:
+        curves, curve_var = s.predict_curves(X)
+        assert np.array_equal(curves, np.broadcast_to(s.reducer.mean_curve, curves.shape))
+        assert np.array_equal(curve_var, np.zeros_like(curves))
+        return
+    # The stacked cross-kernels against conditioning's kernel: the two
+    # exponents differ by a few ulps, so an entry differs by about
+    # |exponent| eps relative, within 1e-12 up to exp's underflow near
+    # 745; the atol covers the subnormal range below it.
+    X_norm, Xn = s.models[0].X_norm, normalize_inputs(X, s.input_lo, s.input_hi)
+    theta = np.array([mod.theta for mod in s.models])
+    sigma_z2 = np.array([mod.sigma_z2 for mod in s.models])
+    K = _stacked_kernels(X_norm, Xn, theta, sigma_z2, np.empty(X_norm.size * rows),
+                         np.empty(m * X_norm.shape[0] * rows))
+    for j, mod in enumerate(s.models):
+        np.testing.assert_allclose(K[j], _kernel_matrix(mod.sigma_z2, mod.theta, X_norm, Xn),
+                                   rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
 import funcuq as fq
 from funcuq import uq
 from funcuq.core import one_blas_thread, write_table
-from funcuq.kriging import normalize_inputs
+from funcuq.kriging import PREDICT_ROWS, normalize_inputs
 from funcuq.uq import (
     KDE_REACH,
     InputDistribution,
@@ -215,14 +214,22 @@ def test_forward_uq_surrogate_batch_size_invariant(batch_surrogate, batch_size):
 
 
 def reference_scores(sur, X):
-    """Latent means with a fresh array for every step, as each score model
-    computed them before the shared kernel buffer."""
+    """Latent means with a fresh array for every step, as predict_stack
+    computes them: per chunk of PREDICT_ROWS rows, each model's kernel is
+    sigma_z2 exp(-theta.D), with D the per-dimension squared differences to
+    the training inputs, contracted with alpha."""
     scores = np.empty((X.shape[0], sur.m))
-    for j, mod in enumerate(sur.models):
-        root = np.sqrt(mod.theta)
-        Xn = normalize_inputs(X, mod.input_lo, mod.input_hi)
-        Ks = mod.sigma_z2 * np.exp(-cdist(mod.X_norm * root, Xn * root, "sqeuclidean"))
-        scores[:, j] = (mod.mu + Ks.T @ mod._alpha) * mod.y_scale + mod.y_offset
+    for start in range(0, X.shape[0], PREDICT_ROWS):
+        for j, mod in enumerate(sur.models):
+            Xn = normalize_inputs(X[start : start + PREDICT_ROWS], mod.input_lo, mod.input_hi)
+            # C order, as predict_stack's buffer holds it: the GEMV's bits
+            # depend on the layout.
+            D = np.ascontiguousarray((mod.X_norm.T[:, :, None] - Xn.T[:, None, :]) ** 2)
+            Ks = mod.sigma_z2 * np.exp(-mod.theta @ D.reshape(D.shape[0], -1))
+            Ks = Ks.reshape(mod.X_norm.shape[0], -1)
+            scores[start : start + Xn.shape[0], j] = (
+                (mod.mu + mod._alpha @ Ks) * mod.y_scale + mod.y_offset
+            )
     return scores
 
 
