@@ -300,8 +300,7 @@ def json_field(doc: dict, source: str, where: str, key: str, kind: type = float,
     nonnegative integer).  kind float: a finite float array of `shape` (an
     entry None: any length), a float for shape (); or for shape None one
     finite JSON number, as a float.  Strings, booleans and integers too large
-    for a float are not numbers, though the one conversion per field reads a
-    boolean among numbers (or a string among integers beyond int64) as one.
+    for a float are not numbers, in an array or alone.
     """
     name = f"{source}: {where}.{key}" if where else f"{source}: {key}"
     if key not in doc:
@@ -312,10 +311,10 @@ def json_field(doc: dict, source: str, where: str, key: str, kind: type = float,
             raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
         return value
     try:
-        array = np.asarray(value)
-        # Strings and booleans have dtype kinds of their own.  An integer
-        # beyond int64 makes an object array, whose cast overflows past a float.
-        array = array.astype(float, copy=False) if array.dtype.kind in "iufO" else None
+        # An object array keeps each entry's JSON type (bool is not int here);
+        # the cast of an integer too large for a float overflows.
+        array = np.asarray(value, dtype=object)
+        array = array.astype(float) if set(map(type, array.flat)) <= {int, float} else None
     except (TypeError, ValueError, OverflowError):  # also ragged nesting
         array = None
     if shape is None:

@@ -3,21 +3,20 @@ GCV-driven smoothing-parameter selection on a fixed logarithmic grid, and
 error-based growth of the basis count until the training-set projection
 error stagnates.
 
-The GCV curve of one basis comes from one eigendecomposition (the
-Demmler-Reinsch basis; Craven & Wahba 1979, Ramsay & Silverman 2005 ch. 5):
-with H'H = L L' and L^-1 R L^-T = U diag(lam) U', the columns of
-Q = H L^-T U are an orthonormal basis of the span of H in which the smoother
-S(tau) = H (H'H + tau R)^-1 H' is diagonal, with entries 1 / (1 + tau lam).
-Every tau's trace and residual then cost O(n_b).  When H'H cannot be
-factored without jitter (e.g. n_b >= n_t) there is no such basis, and each
-grid point is scored by the direct `gcv`, which factors H'H + tau R.
+The GCV curve of one basis comes from one generalized eigendecomposition
+(Demmler-Reinsch; Craven & Wahba 1979, Ramsay & Silverman 2005 ch. 5).
+With s = tr(H'H) / tr(R), V'(H'H + s R) V = I and V'H'H V = diag(mu); over
+the mu > 0, the columns of Q = H V / sqrt(mu) are an orthonormal basis of
+span(H) in which S(tau) = H (H'H + tau R)^-1 H' is diagonal, with entries
+1 / (1 + tau lam), lam = (1 - mu) / (s mu).  Every tau then costs O(n_b).
+Only H'H + s R must be definite, so this holds for every basis count.
 """
 
 from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrs
 
 from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix, roughness_matrix
@@ -30,7 +29,7 @@ DEFAULT_NB0 = {FOURIER: 11, BSPLINE: 8}
 
 
 class SingularSystemError(np.linalg.LinAlgError):
-    """Raised when (H'H + tau R) cannot be factorized even with jitter."""
+    """Raised when the penalized normal equations H'H + tau R are singular."""
 
 
 def _factor(HtH, R, tau):
@@ -80,17 +79,18 @@ def _trace_guard(n_obs: int) -> float:
 
 
 def _gcv_curve(grid, H, R, centered):
-    """The gcv score at every tau of the grid from one eigendecomposition,
-    or None when H'H needs jitter to factor (see the module docstring)."""
+    """The gcv score at every tau of the grid (see the module docstring)."""
+    HtH = H.T @ H
+    s = np.trace(HtH) / np.trace(R) if np.trace(R) > 0.0 else 1.0
     try:
-        L, jitter = cho_with_jitter(H.T @ H)
+        mu, V = eigh(HtH, HtH + s * R)
     except np.linalg.LinAlgError:
-        return None
-    if jitter:
-        return None
-    lam, U = eigh(solve_triangular(L, solve_triangular(L, R, lower=True).T, lower=True))
-    lam = np.maximum(lam, 0.0)
-    Q = H @ solve_triangular(L, U, lower=True, trans="T")
+        raise SingularSystemError("penalized normal equations H'H + s R are singular") from None
+    # mu within rounding of 0 marks a null direction of H, which S(tau) ignores.
+    keep = mu > mu.size * np.finfo(float).eps * mu.max()
+    mu, V = mu[keep], V[:, keep]
+    lam = np.maximum((1.0 - mu) / (s * mu), 0.0)
+    Q = H @ (V / np.sqrt(mu))
     Y = np.atleast_2d(centered).T
     Z = Q.T @ Y
     # The out-of-span residual is summed directly: subtracting the fitted
@@ -117,14 +117,11 @@ def tau_grid(n_tau: int = TAU_GRID_SIZE) -> np.ndarray:
 def select_tau(H, R, centered, n_tau: int = TAU_GRID_SIZE) -> float:
     """Grid minimizer of the GCV score; ties break toward smaller tau.
 
-    The whole curve comes from one eigendecomposition when H'H factors
-    without jitter; otherwise each grid point is one direct `gcv` call.
+    The whole curve comes from one generalized eigendecomposition, for any
+    basis count.  Raises SingularSystemError when H'H + s R is not definite.
     """
     grid = tau_grid(n_tau)
-    values = _gcv_curve(grid, H, R, centered)
-    if values is None:
-        values = [gcv(t, H, R, centered) for t in grid]
-    return float(grid[int(np.argmin(values))])
+    return float(grid[int(np.argmin(_gcv_curve(grid, H, R, centered)))])
 
 
 def effective_nb(kind: str, n_b: int, order: int = 4) -> int:

@@ -56,24 +56,24 @@ def test_fit_surrogate_linear_toy():
     assert err <= 1e-3
 
 
-def test_gcv_fast_path_leaves_the_model_unchanged(monkeypatch):
-    # Each growth round's tau from the one-eigendecomposition GCV curve must
-    # give the same model as scoring every grid point with the direct gcv.
+@pytest.mark.parametrize("nb_override, rounds", [(None, [8, 16]), (401, [401])])
+def test_select_tau_gives_the_model_of_the_direct_gcv_argmin(monkeypatch, nb_override, rounds):
+    # Each round's tau from the one-eigensolve GCV curve must give the same
+    # model as the grid argmin of the direct gcv, with n_b below the 401
+    # nodes or equal to them.
     ens = bench.generate_dataset("duffing", 12, fq.make_rng(3))
-    cfg = FitConfig(reducer="kfdr-b", n_starts=1, budget=10)
-    curve = smoothing._gcv_curve
-    fast_rounds = []
-
-    def recorded(*args):
-        values = curve(*args)
-        fast_rounds.append(values is not None)
-        return values
-
-    monkeypatch.setattr(smoothing, "_gcv_curve", recorded)
+    cfg = FitConfig(reducer="kfdr-b", n_starts=1, budget=10, nb_override=nb_override)
     fast = surrogate_to_dict(fit_surrogate(ens, cfg, fq.make_rng(4)))
-    assert len(fast_rounds) >= 2 and all(fast_rounds)
-    monkeypatch.setattr(smoothing, "_gcv_curve", lambda *args: None)
+    scored = []
+
+    def direct_argmin(H, R, centered, n_tau):
+        scored.append(H.shape[1])
+        grid = smoothing.tau_grid(n_tau)
+        return float(grid[int(np.argmin([smoothing.gcv(t, H, R, centered) for t in grid]))])
+
+    monkeypatch.setattr(smoothing, "select_tau", direct_argmin)
     assert surrogate_to_dict(fit_surrogate(ens, cfg, fq.make_rng(4))) == fast
+    assert scored == rounds
 
 
 def test_refit_same_seed_identical_file_bytes(tmp_path):
@@ -445,8 +445,10 @@ def test_model_file_rejects_bad_fields(three_mode_doc, message, edit):
         surrogate_from_dict(doc)
 
 
-def _set_theta_entry(doc):
-    doc["models"][0]["theta"][1] = "1e-2"
+def _set_theta(start, *entries):
+    def edit(doc):
+        doc["models"][0]["theta"][start:start + len(entries)] = entries
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -455,11 +457,14 @@ def _set_theta_entry(doc):
         ("models[0].mu", lambda doc: doc["models"][0].update(mu="0.5")),
         ("models[0].mu", lambda doc: doc["models"][0].update(mu=True)),
         ("models[0].mu", lambda doc: doc["models"][0].update(mu=10**400)),
-        ("models[0].theta", _set_theta_entry),
+        ("models[0].theta", _set_theta(1, "1e-2")),
+        ("models[0].theta", _set_theta(1, True)),
+        ("models[0].theta", _set_theta(0, 10**20, "0.5")),
         ("reducer.tau", lambda doc: doc["reducer"].update(tau=10**400)),
         ("X_norm", lambda doc: doc["X_norm"][2].pop()),
     ],
-    ids=["string", "boolean", "huge integer", "string in array", "huge tau", "ragged"],
+    ids=["string", "boolean", "huge integer", "string in array", "boolean in array",
+         "string beside an integer beyond int64", "huge tau", "ragged"],
 )
 def test_model_file_numbers_follow_the_config_rule(three_mode_doc, key, edit):
     # As in a config: strings, booleans and integers too large for a float

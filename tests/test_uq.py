@@ -479,7 +479,10 @@ def dense_kde(samples, eval_points):
     eval_points = np.asarray(eval_points, dtype=float)
     h = silverman_bandwidth(samples)
     z = (eval_points[:, None] - samples[None, :]) / h
-    return np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * math.sqrt(2 * math.pi))
+    # A z whose square overflows contributes exp(-inf) = 0, its exact term.
+    with np.errstate(over="ignore"):
+        terms = np.exp(-0.5 * z * z)
+    return terms.sum(axis=1) / (samples.size * h * math.sqrt(2 * math.pi))
 
 
 def windowed_kde_reference(samples, eval_points):
