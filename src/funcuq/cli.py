@@ -456,7 +456,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main() call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="funcuq",
         description="Latent-space Kriging surrogates and UQ for time-variant responses",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -419,22 +420,49 @@ def write_atomic(path, lines) -> None:
 # FLOAT_FMT's text of the finite values within about 1e299 of the largest
 # double, which rounds up past it and would read back as inf.
 _OVERFLOWING_TEXT = {FLOAT_FMT % v for v in (np.finfo(float).max, -np.finfo(float).max)}
+# Rows per `%` operation of write_table, which bounds its tuple of cells.
+_TABLE_BLOCK_ROWS = 256
 
 
 def write_table(path, header, rows) -> None:
     """Write a CSV table through write_atomic: the header cells, then one line
     per row; a cell that is a string as it is, a number with FLOAT_FMT, or
-    with 17 significant digits where FLOAT_FMT would round it to inf."""
+    with 17 significant digits where FLOAT_FMT would round it to inf.
+
+    Rows (an ndarray, read through .tolist(), or any iterable, read once) go
+    in blocks of _TABLE_BLOCK_ROWS, each rendered by one `%` over its
+    flattened cells: %s in the columns where the block's first row has a
+    string, FLOAT_FMT in the others.  A block whose rows differ in length or
+    in where their strings are, or whose text has an overflowing cell, is
+    rendered again cell by cell."""
     def cell(c):
         if isinstance(c, str):
             return c
         text = FLOAT_FMT % c
         return "%.17g" % c if text in _OVERFLOWING_TEXT else text
 
-    def line(cells):
-        return ",".join(map(cell, cells))
+    def render(block):
+        first = block[0]
+        strings = [j for j, c in enumerate(first) if isinstance(c, str)]
+        if len(set(map(len, block))) == 1 and all(
+                isinstance(row[j], str) for row in block for j in strings):
+            fmt = ",".join("%s" if j in strings else FLOAT_FMT for j in range(len(first)))
+            try:
+                text = "\n".join([fmt] * len(block)) % tuple(itertools.chain.from_iterable(block))
+            except TypeError:
+                pass
+            else:
+                if not any(t in text for t in _OVERFLOWING_TEXT):
+                    return text
+        return "\n".join(",".join(map(cell, row)) for row in block)
 
-    write_atomic(path, [line(header)] + [line(row) for row in rows])
+    if isinstance(rows, np.ndarray):
+        blocks = (rows[i:i + _TABLE_BLOCK_ROWS].tolist()
+                  for i in range(0, len(rows), _TABLE_BLOCK_ROWS))
+    else:
+        it = iter(rows)
+        blocks = iter(lambda: list(itertools.islice(it, _TABLE_BLOCK_ROWS)), [])
+    write_atomic(path, [render([list(header)])] + [render(block) for block in blocks])
 
 
 def _parses(text: str) -> bool:

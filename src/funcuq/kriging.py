@@ -248,21 +248,28 @@ def _log10_gradient(Q, K, D, theta, sigma_n2):
     dA/d ln theta_d = -theta_d K o D_d, dA/d ln sigma_n2 = sigma_n2 I and
     dA/d ln sigma_z2 = K.  The GLS mean is stationary, so it adds no term
     (envelope theorem).  D is _squared_differences of the training inputs as
-    a (p, N*N) array.
+    a (p, N*N) array.  K, C-contiguous, is overwritten with Q o K.
     """
-    W = Q * K
-    d_theta = -theta * (D @ W.ravel())
-    return 0.5 * math.log(10.0) * np.append(d_theta, [sigma_n2 * np.trace(Q), W.sum()])
+    p = theta.size
+    W = np.multiply(Q, K, out=K)
+    grad = np.empty(p + 2)
+    np.multiply(-theta, D @ W.ravel(), out=grad[:p])
+    grad[p] = sigma_n2 * np.trace(Q)
+    grad[p + 1] = W.sum()
+    grad *= 0.5 * math.log(10.0)
+    return grad
 
 
-def _neg_lml(D, y, theta, sigma_z2, nugget, on_cut=None):
+def _neg_lml(D, y, theta, sigma_z2, nugget, on_cut=None, ones_y=None):
     """-LML of targets y under the GLS mean, its _log10_gradient, and sigma_z2.
 
     With sigma_z2=None the nugget is the ratio g = sigma_n2 / sigma_z2 and
     sigma_z2 is profiled out: clip(r'C^-1 r / N, SIGMA_Z2_BOUNDS) with
     C = E + g I, E = exp(-sum_d theta_d D_d).  Otherwise the nugget is
     sigma_n2 and A = sigma_z2 E + sigma_n2 I.  One Cholesky factorization
-    serves the value and the gradient; LinAlgError when it fails.
+    serves the value and the gradient; LinAlgError when it fails.  ones_y
+    is column_stack([1, y]), which the search passes in once instead of
+    every call building it.
 
     Entries of E whose exponent exceeds CUT are set to exactly 0.0, and
     on_cut() is called when any is.  Such an entry is below 3.7e-44 and
@@ -270,27 +277,37 @@ def _neg_lml(D, y, theta, sigma_z2, nugget, on_cut=None):
     or near the subnormal range make exp, dpotrf and dpotri several times
     slower.  Where every off-diagonal entry is cut, the theta gradient is
     exactly 0.0 instead of a number below about 1e-40.
+
+    Three N x N arrays per call: E (in the buffer of theta.D, later K and
+    then Q o K), M (factored in place, then M^-1, then beta beta' / s) and
+    Q.
     """
     n = y.size
-    arg = theta @ D
-    if arg.max() > CUT:
+    E = theta @ D
+    if E.max() > CUT:
         # exp at exponents clamped to CUT stays on the fast path; the mask
         # then zeroes the cut entries and keeps the others' bits.
-        keep = arg <= CUT
-        E = np.exp(-np.minimum(arg, CUT))
+        keep = E <= CUT
+        np.minimum(E, CUT, out=E)
+        np.negative(E, out=E)
+        np.exp(E, out=E)
         E *= keep
         if on_cut is not None:
             on_cut()
     else:
-        E = np.exp(-arg)
+        np.negative(E, out=E)
+        np.exp(E, out=E)
     E = E.reshape(n, n)
     scale = 1.0 if sigma_z2 is None else sigma_z2
-    M = scale * E
+    # Fortran order, so that dpotrf and dpotri work in this buffer.
+    M = np.multiply(scale, E, out=np.empty((n, n), order="F"))
     M.flat[:: n + 1] += nugget
-    L, info = dpotrf(M, lower=1, clean=1)
+    L, info = dpotrf(M, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError("kernel matrix is not positive definite")
-    w, v = dpotrs(L, np.column_stack([np.ones(n), y]), lower=1)[0].T
+    if ones_y is None:
+        ones_y = np.column_stack([np.ones(n), y])
+    w, v = dpotrs(L, ones_y, lower=1)[0].T
     mu = float(w @ y / w.sum())
     r = y - mu
     beta = v - mu * w  # M^-1 r
@@ -300,12 +317,13 @@ def _neg_lml(D, y, theta, sigma_z2, nugget, on_cut=None):
     logdet = n * math.log(s) + 2.0 * np.sum(np.log(np.diag(L)))
     value = 0.5 * quad / s + 0.5 * logdet + 0.5 * n * math.log(2 * math.pi)
     # dpotri fills the lower triangle of M^-1; the upper one is zero.
-    M_inv = dpotri(L, lower=1)[0]
+    M_inv = dpotri(L, lower=1, overwrite_c=1)[0]
     Q = M_inv + M_inv.T
     Q.flat[:: n + 1] *= 0.5
-    Q -= np.outer(beta, beta / s)
+    Q -= np.outer(beta, beta / s, out=M_inv)
     Q /= s
-    grad = _log10_gradient(Q, s * scale * E, D, theta, s * nugget)
+    E *= s * scale
+    grad = _log10_gradient(Q, E, D, theta, s * nugget)
     if not (math.isfinite(value) and np.all(np.isfinite(grad))):
         raise np.linalg.LinAlgError("non-finite likelihood")
     return value, grad, s * scale
@@ -394,13 +412,15 @@ def fit_kriging(
         nonlocal cut_evaluations
         cut_evaluations += 1
 
+    ones_y = np.column_stack([np.ones(n), ys])
+
     def evaluate(z):
         theta = 10.0 ** z[:p]
         if fix_nugget is None:
-            return _neg_lml(D, ys, theta, None, 10.0 ** z[p], count_cut)
+            return _neg_lml(D, ys, theta, None, 10.0 ** z[p], count_cut, ones_y)
         if fix_nugget == 0.0:
-            return _neg_lml(D, ys, theta, None, 0.0, count_cut)
-        return _neg_lml(D, ys, theta, 10.0 ** z[p], fix_nugget, count_cut)
+            return _neg_lml(D, ys, theta, None, 0.0, count_cut, ones_y)
+        return _neg_lml(D, ys, theta, 10.0 ** z[p], fix_nugget, count_cut, ones_y)
 
     def search(z0):
         """Best (value, z, sigma_z2) one start evaluated, or None."""

@@ -89,7 +89,11 @@ def _gcv_curve(grid, H, R, centered):
     # mu within rounding of 0 marks a null direction of H, which S(tau) ignores.
     keep = mu > mu.size * np.finfo(float).eps * mu.max()
     mu, V = mu[keep], V[:, keep]
-    lam = np.maximum((1.0 - mu) / (s * mu), 0.0)
+    # 1 - mu within rounding of 0 marks a null direction of R, whose lam is
+    # exactly 0: the rounding noise would bias the score low at large tau.
+    one_minus = 1.0 - mu
+    one_minus[one_minus <= H.shape[1] * np.finfo(float).eps] = 0.0
+    lam = one_minus / (s * mu)
     Q = H @ (V / np.sqrt(mu))
     Y = np.atleast_2d(centered).T
     Z = Q.T @ Y

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -290,6 +290,75 @@ def test_write_table_keeps_the_largest_doubles_finite(tmp_path):
         "a,b\n1.7976931348623157e+308,-1.7976931345e+308\n1.797693134e+308,0.1\n")
     assert read_table("test", path)[1].tolist() == [[DBL_MAX, -1.7976931345e308],
                                                     [1.797693134e308, 0.1]]
+
+
+def per_cell_table(header, rows):
+    """write_table's file text as first written, with one Python call per
+    cell: the oracle for its block-at-a-time rendering."""
+    overflowing = {FLOAT_FMT % v for v in (DBL_MAX, -DBL_MAX)}
+
+    def cell(c):
+        if isinstance(c, str):
+            return c
+        text = FLOAT_FMT % c
+        return "%.17g" % c if text in overflowing else text
+
+    def line(cells):
+        return ",".join(map(cell, cells))
+
+    return "\n".join([line(header)] + [line(row) for row in rows]) + "\n"
+
+
+TABLE_TEXT = st.text("abcxyz_-.e+0123456789 ", max_size=8)
+CELL_KINDS = {
+    "str": TABLE_TEXT,
+    "int": st.integers(-10**15, 10**15),
+    "float": TABLE_FLOATS,
+    "float64": TABLE_FLOATS.map(np.float64),
+    # A column that is text in some rows and a number in others.
+    "mixed": st.one_of(TABLE_TEXT, TABLE_FLOATS),
+}
+
+
+@settings(max_examples=150)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=4),
+    n_rows=st.sampled_from([1, 2, 3, 5, 255, 256, 257, 600]),
+    container=st.sampled_from(["ndarray", "list", "generator"]),
+    float_header=st.booleans(),
+    data=st.data(),
+)
+def test_write_table_equals_per_cell_oracle(tmp_path_factory, kinds, n_rows, container,
+                                            float_header, data):
+    # Long tables span several blocks of rows: each row takes the next
+    # value of its column's short pool.
+    pools = [data.draw(st.lists(CELL_KINDS[k], min_size=1, max_size=7)) for k in kinds]
+    rows = [[pool[i % len(pool)] for pool in pools] for i in range(n_rows)]
+    if float_header:
+        # Like the time nodes of a responses file.
+        header = np.array(data.draw(st.lists(TABLE_FLOATS, min_size=len(kinds),
+                                             max_size=len(kinds))))
+    else:
+        header = [f"c{j}" for j in range(len(kinds))]
+    table = rows
+    if container == "ndarray":
+        numeric = not {"str", "mixed"} & set(kinds)
+        table = np.array(rows) if numeric else np.array(rows, dtype=object)
+    want = per_cell_table(header, table)
+    if container == "generator":
+        table = (tuple(row) for row in rows)
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    write_table(path, header, table)
+    # As lists of lines: pytest's diff of two long strings takes minutes.
+    assert path.read_text(encoding="utf-8").split("\n") == want.split("\n")
+
+
+def test_write_table_writes_ragged_rows_as_given(tmp_path):
+    # Rows of other lengths whose cell count adds up to a full block's.
+    path = tmp_path / "t.csv"
+    rows = [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]
+    write_table(path, ["a", "b"], rows)
+    assert path.read_text(encoding="utf-8") == "a,b\n1,2\n3\n4,5,6\n"
 
 
 @pytest.mark.parametrize("text, location", [

@@ -22,6 +22,7 @@ from funcuq.kriging import (
     normalize_inputs,
 )
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.spatial.distance import cdist
 
 
@@ -498,3 +499,90 @@ def test_every_entry_cut_gives_a_zero_theta_gradient(monkeypatch):
     rec = fit_kriging(X, y, fq.make_rng(3), n_starts=3, budget=30).search
     assert rec["evaluations"] == len(counted)
     assert rec["cut_evaluations"] == sum(counted) > 0
+
+
+# ---------------------------------------------------------------------------
+# _neg_lml works in three N x N buffers; the allocating form is its oracle
+
+
+def allocating_neg_lml(D, y, theta, sigma_z2, nugget):
+    """_neg_lml with fresh arrays at every step, as first written: the
+    reference its buffered form must equal bit for bit."""
+    n = y.size
+    arg = theta @ D
+    if arg.max() > CUT:
+        keep = arg <= CUT
+        E = np.exp(-np.minimum(arg, CUT))
+        E *= keep
+    else:
+        E = np.exp(-arg)
+    E = E.reshape(n, n)
+    scale = 1.0 if sigma_z2 is None else sigma_z2
+    M = scale * E
+    M.flat[:: n + 1] += nugget
+    L, info = dpotrf(M, lower=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("kernel matrix is not positive definite")
+    w, v = dpotrs(L, np.column_stack([np.ones(n), y]), lower=1)[0].T
+    mu = float(w @ y / w.sum())
+    r = y - mu
+    beta = v - mu * w
+    quad = float(r @ beta)
+    s = float(np.clip(quad / n, *SIGMA_Z2_BOUNDS)) if sigma_z2 is None else 1.0
+    logdet = n * math.log(s) + 2.0 * np.sum(np.log(np.diag(L)))
+    value = 0.5 * quad / s + 0.5 * logdet + 0.5 * n * math.log(2 * math.pi)
+    M_inv = dpotri(L, lower=1)[0]
+    Q = M_inv + M_inv.T
+    Q.flat[:: n + 1] *= 0.5
+    Q -= np.outer(beta, beta / s)
+    Q /= s
+    W = Q * (s * scale * E)
+    d_theta = -theta * (D @ W.ravel())
+    grad = 0.5 * math.log(10.0) * np.append(d_theta, [s * nugget * np.trace(Q), W.sum()])
+    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+        raise np.linalg.LinAlgError("non-finite likelihood")
+    return value, grad, s * scale
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    p=st.integers(1, 3),
+    log_theta=st.lists(LOG_THETA, min_size=3, max_size=3),
+    u=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    case=st.sampled_from(["free", "zero", "fixed"]),
+    pass_ones_y=st.booleans(),
+)
+@example(seed=0, n=12, p=3, log_theta=[4.0] * 3, u=0.5, case="free", pass_ones_y=True)
+@example(seed=2, n=12, p=3, log_theta=[2.0] * 3, u=0.5, case="fixed", pass_ones_y=True)
+@example(seed=3, n=12, p=2, log_theta=[-1.0] * 3, u=0.0, case="zero", pass_ones_y=False)
+def test_neg_lml_equals_allocating_reference(seed, n, p, log_theta, u, case, pass_ones_y):
+    X, y = search_problem(seed, n, p)
+    D = _squared_differences(X)
+    D_before, y_before = D.copy(), y.copy()
+    theta = 10.0 ** np.array(log_theta[:p])
+    if case == "zero":
+        args = (None, 0.0)
+    else:
+        lo, hi = np.log10(NUGGET_RATIO_BOUNDS if case == "free" else SIGMA_Z2_BOUNDS)
+        extra = 10.0 ** (lo + u * (hi - lo))
+        # The free nugget is the ratio g; a pinned one is sigma_n2 beside sigma_z2.
+        args = (None, extra) if case == "free" else (extra, 0.05)
+    ones_y = np.column_stack([np.ones(n), y]) if pass_ones_y else None
+    try:
+        want = allocating_neg_lml(D, y, theta, *args)
+    except np.linalg.LinAlgError:
+        want = None
+    try:
+        got = _neg_lml(D, y, theta, *args, None, ones_y)
+    except np.linalg.LinAlgError:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        value, grad, sigma_z2 = got
+        assert np.array_equal(value, want[0])
+        assert np.array_equal(grad, want[1])
+        assert np.array_equal(sigma_z2, want[2])
+    assert np.array_equal(D, D_before) and np.array_equal(y, y_before)
+    if pass_ones_y:
+        assert np.array_equal(ones_y, np.column_stack([np.ones(n), y]))

@@ -244,6 +244,29 @@ def test_gcv_curve_matches_direct_gcv(
         _assert_direct_argmin(fq.select_tau(H, R, rows), direct)
 
 
+def test_gcv_curve_matches_high_precision_gcv_at_large_tau():
+    # 12 B-splines on 8 nodes: the roughness null directions have mu = 1 and
+    # lam = 0; rounding noise in 1 - mu taken as a lam > 0 biased the score
+    # low by up to 3.3e-6 at tau = 1e6.
+    mpmath = pytest.importorskip("mpmath")
+    grid = fq.TimeGrid(0.0, 1.0, 8)
+    sys = fq.BasisSystem(BSPLINE, 12, 0.0, 1.0)
+    H = fq.design_matrix(sys, grid)
+    R = fq.roughness_matrix(sys)
+    y = fq.make_rng(0).normal(size=(1, grid.n_t))
+    taus = tau_grid(25)
+    with mpmath.workdps(50):
+        Hm, Rm, ym = (mpmath.matrix(a.tolist()) for a in (H, R, y[0]))
+        exact = []
+        for tau in taus:
+            S = Hm * mpmath.inverse(Hm.T * Hm + mpmath.mpf(tau) * Rm) * Hm.T
+            sse = sum(r**2 for r in ym - S * ym)
+            trace = sum(S[i, i] for i in range(grid.n_t))
+            exact.append(float(grid.n_t * sse / (grid.n_t - trace) ** 2))
+    fast = smoothing._gcv_curve(taus, H, R, y)
+    assert np.max(np.abs(fast / np.array(exact) - 1.0)) <= 1e-6
+
+
 def test_effective_nb():
     assert effective_nb("fourier", 10) == 11
     assert effective_nb("fourier", 11) == 11
