@@ -358,7 +358,7 @@ def cmd_forward(args) -> int:
         outside = (X < model.input_lo) | (X > model.input_hi)
         report["n_outside"] = int(np.count_nonzero(outside.any(axis=1)))
         report["n_outside_by_input"] = {
-            entry.get("name", f"x{j}"): int(count)
+            entry.get("name", f"x{j + 1}"): int(count)
             for j, (entry, count) in enumerate(zip(entries, outside.sum(axis=0)))
         }
     result = uq.forward_uq(model, X, kde_points=fw["kde_points"])

@@ -5,6 +5,11 @@ mean and the process variance profiled out, and mean/variance prediction.
 Inputs are mapped to the unit hypercube and targets standardized before
 fitting; the hyperparameter search ranges assume that scaling.
 
+Every Gaussian kernel of the layer, in the search's likelihood,
+conditioning, the log likelihood and prediction, is exp(-theta.D) with
+theta.D one GEMV over the C-ordered squared differences D of
+_squared_differences, so it has the same bits wherever it is built.
+
 The search sweeps log10 theta across its whole box.  At large theta most
 kernel entries exp(-theta.D) fall into the subnormal range or just above it,
 where exp, dpotrf and dpotri take the processor's slow path and one
@@ -12,10 +17,9 @@ evaluation can take five times as long.  So the search's likelihood sets
 every entry whose exponent theta.D exceeds CUT to exactly 0.0 and counts
 the evaluations where it did.  exp(-CUT) is about 3.7e-44, far below eps^2
 next to the unit diagonal, so no rounded value changes.  Conditioning and
-prediction build the kernel without the cut.  Conditioning and the log
-likelihood use _kernel_matrix, on inputs scaled by sqrt(theta).  Prediction
-(predict_stack) builds the cross-kernels of every model that shares a
-training design from one set of per-dimension squared differences.
+prediction build the kernel without the cut.  Prediction (predict_stack)
+builds the cross-kernels of every model that shares a training design from
+one set of squared differences.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
 
 from .core import cho_with_jitter, latin_hypercube
 
@@ -50,39 +52,23 @@ DEFAULT_BUDGET = 400
 PREDICT_ROWS = 128
 
 
-def _kernel_matrix(sigma_z2, theta, A, B=None):
-    """Gaussian kernel sigma_z2 * exp(-cdist(...)) between the rows of A and
-    of B (default A), on inputs scaled by sqrt(theta): the form that
-    conditioning and the log likelihood factor."""
-    root = np.sqrt(np.asarray(theta, dtype=float))
-    As = np.atleast_2d(A) * root
-    Bs = As if B is None else np.atleast_2d(B) * root
-    K = cdist(As, Bs, "sqeuclidean")
-    np.negative(K, out=K)
-    np.exp(K, out=K)
-    K *= sigma_z2
-    return K
-
-
 def log_marginal_likelihood(X, y, mu, sigma_z2, theta, sigma_n2) -> float:
     """Marginal log likelihood of targets y at inputs X.
 
     -(1/2) r' A^-1 r - (1/2) ln|A| - (N/2) ln(2 pi) with A = K + sigma_n2 I
-    and r = y - mu; the log-determinant comes from a Cholesky factorization.
-    Returns -inf when the factorization fails.
+    and r = y - mu, from condition()'s factor.  Returns -inf when A does
+    not factorize without jitter; raises ValueError on a NaN or inf in A.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    A = _kernel_matrix(sigma_z2, theta, X)
-    A[np.diag_indices_from(A)] += sigma_n2
     try:
-        cho = cho_factor(A, lower=True)
+        L, jitter, _, alpha = condition(_squared_differences(X), y, sigma_z2, theta, sigma_n2, mu)
     except np.linalg.LinAlgError:
         return -math.inf
-    r = y - mu
-    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    if jitter > 0.0:
+        return -math.inf
     return float(
-        -0.5 * r @ cho_solve(cho, r) - 0.5 * logdet - 0.5 * y.size * math.log(2 * math.pi)
+        -0.5 * (y - mu) @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y.size * math.log(2 * math.pi)
     )
 
 
@@ -145,13 +131,16 @@ class KrigingModel:
         return means[:, 0], None if var is None else var[:, 0]
 
 
-def condition(X_norm, y_std, sigma_z2, theta, sigma_n2, mu=None):
-    """(L, jitter, mu, alpha) of A = K + sigma_n2 I on normalized inputs:
-    cho_with_jitter's factor and jitter (its LinAlgError passes through),
-    mu as given or, when None, the GLS mean (1' A^-1 y) / (1' A^-1 1), and
-    alpha = A^-1 (y - mu)."""
-    A = _kernel_matrix(sigma_z2, theta, X_norm)
-    A[np.diag_indices_from(A)] += sigma_n2
+def condition(D, y_std, sigma_z2, theta, sigma_n2, mu=None):
+    """(L, jitter, mu, alpha) of A = K + sigma_n2 I on the training design
+    whose _squared_differences are D, with K the one-model
+    _stacked_kernels: cho_with_jitter's factor and jitter (its errors pass
+    through), mu as given or, when None, the GLS mean
+    (1' A^-1 y) / (1' A^-1 1), and alpha = A^-1 (y - mu)."""
+    n = y_std.size
+    A = _stacked_kernels(D, np.asarray(theta, dtype=float).reshape(1, -1),
+                         np.array([sigma_z2], dtype=float)).reshape(n, n)
+    A.flat[:: n + 1] += sigma_n2
     L, jitter = cho_with_jitter(A)
     if mu is None:
         ones = np.ones_like(y_std)
@@ -182,11 +171,12 @@ def predict_stack(models, Xn, with_var: bool = True):
     theta = np.array([mod.theta for mod in models])
     sigma_z2 = np.array([mod.sigma_z2 for mod in models])
     alpha = np.array([mod._alpha for mod in models])[:, None, :]
-    rows = min(n, PREDICT_ROWS)
-    D_buf, K_buf = np.empty(X_norm.size * rows), np.empty(m * X_norm.shape[0] * rows)
+    N, rows = X_norm.shape[0], min(n, PREDICT_ROWS)
+    D_buf, K_buf = np.empty(X_norm.size * rows), np.empty(m * N * rows)
     for start in range(0, n, PREDICT_ROWS):
         stop = min(start + PREDICT_ROWS, n)
-        K = _stacked_kernels(X_norm, Xn[start:stop], theta, sigma_z2, D_buf, K_buf)
+        D = _squared_differences(X_norm, Xn[start:stop], D_buf)
+        K = _stacked_kernels(D, theta, sigma_z2, K_buf).reshape(m, N, stop - start)
         means[start:stop] = np.matmul(alpha, K)[:, 0].T
         if with_var:
             for k, mod in enumerate(models):
@@ -202,41 +192,39 @@ def predict_stack(models, Xn, with_var: bool = True):
     return means, var
 
 
-def _stacked_kernels(X_norm, Xn, theta, sigma_z2, D_buf, K_buf):
-    """(m, N, n) Gaussian cross-kernels sigma_z2[k] exp(-theta[k].D) between
-    the N rows of X_norm and the n rows of Xn, for the m rows of theta,
-    built in the leading entries of the flat buffers D_buf and K_buf.
+def _stacked_kernels(D, theta, sigma_z2, out=None):
+    """(m, D.shape[1]) Gaussian kernels sigma_z2[k] exp(-theta[k].D) for the
+    m rows of theta, on squared differences D from _squared_differences,
+    built in the leading entries of the flat buffer `out` when one is given.
 
-    The squared differences D are computed once for all m kernels, in C
-    order: a GEMV over a C-ordered D is about four times as fast as over
-    the F-ordered one that broadcasting allocates, and its bits differ.
-    Each exponent -theta[k].D is its own GEMV: a GEMM row across the models
-    would differ from the same model's GEMV in its last bits (FMA).  exp
-    and the sigma_z2 scale then run once over the whole stack.
+    Each exponent -theta[k].D is its own GEMV, as theta.D is in the
+    search's likelihood: a GEMM row across the models would differ from the
+    same model's GEMV in its last bits (FMA).  exp and the sigma_z2 scale
+    then run once over the whole stack.
     """
-    (N, p), n, m = X_norm.shape, Xn.shape[0], theta.shape[0]
-    D = _squared_differences(X_norm, Xn, D_buf[: p * N * n].reshape(p, N, n))
-    K = K_buf[: m * N * n].reshape(m, N * n)
+    m, size = theta.shape[0], D.shape[1]
+    K = np.empty((m, size)) if out is None else out[: m * size].reshape(m, size)
     neg_theta = -theta
     for k in range(m):
         np.matmul(neg_theta[k], D, out=K[k])
     np.exp(K, out=K)
-    K = K.reshape(m, N, n)
-    K *= sigma_z2[:, None, None]
+    K *= sigma_z2[:, None]
     return K
 
 
 def _squared_differences(A, B=None, out=None):
     """(p, len(A) * len(B)) per-dimension squared differences
-    (a_id - b_jd)^2 between the rows of A and of B (default A), each row a
-    flattened (len(A), len(B)) matrix D_d.  Built in `out`, a C-contiguous
-    (p, len(A), len(B)) array, when one is given, and otherwise in the
-    order broadcasting allocates, which the search's bits depend on."""
+    (a_id - b_jd)^2 between the rows of A and of B (default A), C-ordered:
+    row d is the flattened (len(A), len(B)) matrix D_d.  Built in the
+    leading entries of the flat buffer `out` when one is given.  Every
+    kernel of the layer is a GEMV over this one layout."""
     AT = A.T
     BT = AT if B is None else B.T
-    D = np.subtract(AT[:, :, None], BT[:, None, :], out=out)
+    shape = (AT.shape[0], AT.shape[1], BT.shape[1])
+    D = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
+    np.subtract(AT[:, :, None], BT[:, None, :], out=D)
     np.square(D, out=D)
-    return D.reshape(D.shape[0], -1)
+    return D.reshape(shape[0], -1)
 
 
 def _log10_gradient(Q, K, D, theta, sigma_n2):
@@ -474,7 +462,7 @@ def fit_kriging(
         sigma_n2 = float(fix_nugget)
 
     try:
-        L, jitter, mu, alpha = condition(Xn, ys, sigma_z2, theta, sigma_n2)
+        L, jitter, mu, alpha = condition(D, ys, sigma_z2, theta, sigma_n2)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"kernel matrix is {err}") from None
     neg_lml = 0.5 * (ys - mu) @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * math.log(2 * math.pi)

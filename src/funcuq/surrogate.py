@@ -26,7 +26,8 @@ from .core import (
     write_atomic,
 )
 from .fpca import Reducer
-from .kriging import KrigingModel, condition, fit_kriging, normalize_inputs, predict_stack
+from .kriging import (KrigingModel, _squared_differences, condition, fit_kriging,
+                      normalize_inputs, predict_stack)
 
 FORMAT_VERSION = "funcuq-surrogate-v2"
 
@@ -266,14 +267,15 @@ def save_surrogate(s: LatentSurrogate, path) -> None:
     write_atomic(path, [json.dumps(surrogate_to_dict(s), sort_keys=True, separators=(",", ":"))])
 
 
-def _rebuild_kriging(d: dict, where: str, input_lo, input_hi, X_norm) -> KrigingModel:
+def _rebuild_kriging(d: dict, where: str, input_lo, input_hi, X_norm, D) -> KrigingModel:
+    """A model file's score model, conditioned on D = _squared_differences(X_norm)."""
     if not isinstance(d, dict):
         raise ValueError(f"model file: {where} must be an object, got {d!r}")
     ys = json_field(d, "model file", where, "y_std", shape=(X_norm.shape[0],))
     theta = json_field(d, "model file", where, "theta", shape=(input_lo.size,))
     v = {key: json_field(d, "model file", where, key) for key in MODEL_SCALARS}
     try:
-        L, _, _, alpha = condition(X_norm, ys, v["sigma_z2"], theta, v["sigma_n2"], v["mu"])
+        L, _, _, alpha = condition(D, ys, v["sigma_z2"], theta, v["sigma_n2"], v["mu"])
     except np.linalg.LinAlgError as err:
         raise ValueError(f"model file: {where} has a kernel matrix that is {err}") from None
     return KrigingModel(input_lo=input_lo, input_hi=input_hi, X_norm=X_norm, y_std=ys,
@@ -348,8 +350,9 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
         raise ValueError(
             f"model file: models has {len(entries)} entries, expected m = {reducer.m}"
         )
+    D = _squared_differences(X_norm) if entries else None
     models = [
-        _rebuild_kriging(d, f"models[{j}]", input_lo, input_hi, X_norm)
+        _rebuild_kriging(d, f"models[{j}]", input_lo, input_hi, X_norm, D)
         for j, d in enumerate(entries)
     ]
     metadata = json_field(doc, "model file", "", "metadata", dict) if "metadata" in doc else {}

@@ -430,6 +430,24 @@ def test_forward_counts_samples_outside_the_training_box(tmp_path):
     np.testing.assert_allclose(outside.sum(axis=0) / n, 0.5, atol=0.03)
 
 
+def test_forward_names_unnamed_inputs_from_x1(tmp_path, fitted_model):
+    # A model file without input names and distributions without names:
+    # the report names the inputs x1..xp, as ResponseEnsemble does.
+    model_path, _ = fitted_model
+    doc = json.loads(model_path.read_text())
+    del doc["metadata"]["input_names"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    dists = [{key: v for key, v in d.items() if key != "name"} for d in DUFFING_DISTS]
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, forward={"model_file": str(model), "distributions": dists,
+                                    "n_mcs": 50, "kde_points": 16})
+    out = tmp_path / "fwd"
+    assert main(["forward", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "forward_report.json").read_text())
+    assert list(report["n_outside_by_input"]) == ["x1", "x2", "x3", "x4"]
+
+
 def test_forward_wrong_distribution_names(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     bad = [dict(d) for d in DUFFING_DISTS]

@@ -103,13 +103,11 @@ def test_every_module_level_name_is_read():
     assert dead == []
 
 
-def name_uses(tree, names, skip=frozenset()) -> list:
+def name_uses(tree, names) -> list:
     """(line, name) of each import, name or attribute of `tree` that is one
-    of `names`, except the nodes whose ids are in `skip`."""
+    of `names`."""
     uses = []
     for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
         if isinstance(node, ast.ImportFrom):
             found = [a.name for a in node.names]
         elif isinstance(node, ast.Name):
@@ -122,34 +120,24 @@ def name_uses(tree, names, skip=frozenset()) -> list:
     return uses
 
 
-def cholesky_wrapper_uses(module: str, source: str) -> list:
+def cholesky_wrapper_uses(source: str) -> list:
     """(line, name) of each import or reference of scipy's cho_factor or
-    cho_solve, except in kriging.log_marginal_likelihood, which keeps them
-    as the reference the tests compare against."""
-    tree = ast.parse(source)
-    skip = set()
-    if module == "kriging.py":
-        skip = {id(n) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == "log_marginal_likelihood":
-                skip |= {id(n) for n in ast.walk(node)}
-    return name_uses(tree, ("cho_factor", "cho_solve"), skip)
+    cho_solve."""
+    return name_uses(ast.parse(source), ("cho_factor", "cho_solve"))
 
 
 def test_check_finds_a_cholesky_wrapper():
     source = ("from scipy.linalg import cho_solve\nimport scipy\n"
               "def log_marginal_likelihood():\n    cho_solve()\n"
               "def other():\n    scipy.linalg.cho_factor()\n")
-    assert cholesky_wrapper_uses("core.py", source) == [(1, "cho_solve"), (4, "cho_solve"),
-                                                        (6, "cho_factor")]
-    assert cholesky_wrapper_uses("kriging.py", source) == [(6, "cho_factor")]
+    assert cholesky_wrapper_uses(source) == [(1, "cho_solve"), (4, "cho_solve"), (6, "cho_factor")]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_one_cholesky_factor_type(module):
-    # Every factor comes from core.cho_with_jitter (dpotrf's lower factor)
-    # and every solve is one dpotrs call.
-    assert cholesky_wrapper_uses(module, (SRC / module).read_text(encoding="utf-8")) == []
+    # Every factor is dpotrf's lower factor, directly or through
+    # core.cho_with_jitter, and every solve is one dpotrs call.
+    assert cholesky_wrapper_uses((SRC / module).read_text(encoding="utf-8")) == []
 
 
 TABLE_FORMAT_NAMES = ("loadtxt", "FLOAT_FMT")

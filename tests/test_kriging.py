@@ -14,9 +14,10 @@ from funcuq.kriging import (
     SIGMA_N2_BOUNDS,
     SIGMA_Z2_BOUNDS,
     THETA_BOUNDS,
-    _kernel_matrix,
     _neg_lml,
     _squared_differences,
+    _stacked_kernels,
+    condition,
     fit_kriging,
     log_marginal_likelihood,
     normalize_inputs,
@@ -38,27 +39,96 @@ def dense_lml(X, y, mu, sigma_z2, theta, sigma_n2):
     return -0.5 * r @ np.linalg.inv(K) @ r - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi)
 
 
+def kernel(sigma_z2, theta, A, B):
+    """The layer's (len(A), len(B)) kernel between the rows of A and of B."""
+    A, B = np.atleast_2d(np.asarray(A, dtype=float)), np.atleast_2d(np.asarray(B, dtype=float))
+    K = _stacked_kernels(_squared_differences(A, B), np.atleast_2d(theta), np.array([sigma_z2]))
+    return K.reshape(len(A), len(B))
+
+
+def cdist_kernel(sigma_z2, theta, A, B):
+    """sigma_z2 exp(-|sqrt(theta) (a - b)|^2) through cdist on inputs scaled
+    by sqrt(theta): an independent form, whose exponent differs from the
+    layer's by a few ulps."""
+    root = np.sqrt(np.asarray(theta, dtype=float))
+    return sigma_z2 * np.exp(-cdist(np.atleast_2d(A) * root, np.atleast_2d(B) * root, "sqeuclidean"))
+
+
 def test_kernel_zero_distance():
-    assert _kernel_matrix(2.5, [1.0, 3.0], [[0.2, 0.4]], [[0.2, 0.4]])[0, 0] == 2.5
+    assert kernel(2.5, [1.0, 3.0], [[0.2, 0.4]], [[0.2, 0.4]])[0, 0] == 2.5
 
 
 def test_kernel_unit_case():
-    val = _kernel_matrix(1.0, [1.0], [[1.0]], [[0.0]])[0, 0]
+    val = kernel(1.0, [1.0], [[1.0]], [[0.0]])[0, 0]
     assert val == pytest.approx(np.exp(-1), rel=1e-12)
 
 
 def test_kernel_weighted_case():
-    val = _kernel_matrix(1.0, [2.0, 3.0], [[1.0, 1.0]], [[0.0, 0.0]])[0, 0]
+    val = kernel(1.0, [2.0, 3.0], [[1.0, 1.0]], [[0.0, 0.0]])[0, 0]
     assert val == pytest.approx(np.exp(-5.0), rel=1e-12)
 
 
-def test_kernel_matrix_equals_allocating_expression():
+def test_kernel_matches_cdist_reference():
+    # Exponents up to about 370: an entry differs by about |exponent| eps.
     rng = fq.make_rng(40)
     A, B = rng.uniform(0, 1, (9, 3)), rng.uniform(-0.5, 1.5, (13, 3))
     theta, sigma_z2 = np.array([0.3, 12.0, 150.0]), 2.7
-    root = np.sqrt(theta)
-    expected = sigma_z2 * np.exp(-cdist(A * root, B * root, "sqeuclidean"))
-    assert np.array_equal(_kernel_matrix(sigma_z2, theta, A, B), expected)
+    np.testing.assert_allclose(kernel(sigma_z2, theta, A, B),
+                               cdist_kernel(sigma_z2, theta, A, B), rtol=1e-12)
+
+
+def test_squared_differences_are_c_ordered_rows():
+    rng = fq.make_rng(41)
+    A, B = rng.random((5, 3)), rng.random((7, 3))
+    D = _squared_differences(A, B)
+    assert D.shape == (3, 35) and D.flags.c_contiguous
+    for d in range(3):
+        assert np.array_equal(D[d].reshape(5, 7), np.subtract.outer(A[:, d], B[:, d]) ** 2)
+    buf = np.full(200, np.nan)
+    assert np.array_equal(_squared_differences(A, B, buf), D)
+    assert np.shares_memory(_squared_differences(A, B, buf), buf)
+    assert np.array_equal(_squared_differences(A), _squared_differences(A, A))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    p=st.integers(1, 5),
+    log_theta=st.lists(st.floats(-4.0, 4.0), min_size=5, max_size=5),
+    log_sigma_z2=st.floats(-4.0, 2.0),
+)
+@example(seed=0, n=40, p=4, log_theta=[-4.0] * 5, log_sigma_z2=0.0)
+@example(seed=1, n=33, p=5, log_theta=[4.0] * 5, log_sigma_z2=2.0)
+@example(seed=2, n=17, p=1, log_theta=[2.0] * 5, log_sigma_z2=-4.0)
+def test_one_kernel_in_search_conditioning_and_prediction(seed, n, p, log_theta, log_sigma_z2):
+    X = fq.make_rng(seed).random((n, p))
+    D = _squared_differences(X)
+    theta, sigma_z2 = 10.0 ** np.array(log_theta[:p]), 10.0**log_sigma_z2
+    # With no nugget, the matrices the search and conditioning factor are
+    # their kernels.  The stubs keep a copy and stop there.
+    factored = []
+
+    def search_dpotrf(M, **kwargs):
+        factored.append(np.array(M))
+        return M, 1
+
+    def conditioning_cho(A):
+        factored.append(A.copy())
+        return np.eye(n), 0.0
+
+    with mock.patch.object(kriging, "dpotrf", search_dpotrf):
+        with pytest.raises(np.linalg.LinAlgError):
+            _neg_lml(D, np.zeros(n), theta, sigma_z2, 0.0)
+    with mock.patch.object(kriging, "cho_with_jitter", conditioning_cho):
+        condition(D, np.zeros(n), sigma_z2, theta, 0.0)
+    search, conditioned = factored
+    stacked = _stacked_kernels(_squared_differences(X, X), theta[None], np.array([sigma_z2]))
+    assert np.array_equal(stacked.reshape(n, n), conditioned)
+    # The search takes the entries with exponent above CUT as 0.0: the
+    # others are the same bits.
+    cut = (theta @ D).reshape(n, n) > CUT
+    assert np.array_equal(search, np.where(cut, 0.0, conditioned))
+    assert np.all(conditioned[cut] <= sigma_z2 * math.exp(-CUT))
 
 
 def test_lml_scalar_case():
@@ -77,6 +147,16 @@ def test_lml_dense_oracle():
         mu, sz2, sn2 = 0.3, 1.7, 0.05
         got = log_marginal_likelihood(X, y, mu, sz2, theta, sn2)
         assert got == pytest.approx(dense_lml(X, y, mu, sz2, theta, sn2), abs=1e-10)
+
+
+def test_lml_failed_factorization_and_non_finite_kernel():
+    # Identical inputs with no nugget: a rank-one kernel matrix.
+    X, y = np.zeros((3, 2)), np.array([0.1, -0.2, 0.3])
+    assert log_marginal_likelihood(X, y, 0.0, 1.0, [1.0, 2.0], 0.0) == -math.inf
+    assert math.isfinite(log_marginal_likelihood(X, y, 0.0, 1.0, [1.0, 2.0], 0.1))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            log_marginal_likelihood(X, y, 0.0, bad, [1.0, 2.0], 0.1)
 
 
 def test_logdet_monotone_in_nugget():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import funcuq as fq
 from funcuq import bench, fpca, smoothing, surrogate
 from funcuq.core import one_blas_thread
-from funcuq.kriging import PREDICT_ROWS, _kernel_matrix, _stacked_kernels, normalize_inputs
+from funcuq.kriging import PREDICT_ROWS, _squared_differences, _stacked_kernels, normalize_inputs
 from funcuq.surrogate import (
     FitConfig,
     cross_validate,
@@ -529,18 +529,15 @@ def test_score_columns_do_not_depend_on_the_stack(three_mode_stacks, rows, m, ou
         assert np.array_equal(curves, np.broadcast_to(s.reducer.mean_curve, curves.shape))
         assert np.array_equal(curve_var, np.zeros_like(curves))
         return
-    # The stacked cross-kernels against conditioning's kernel: the two
-    # exponents differ by a few ulps, so an entry differs by about
-    # |exponent| eps relative, within 1e-12 up to exp's underflow near
-    # 745; the atol covers the subnormal range below it.
+    # The stacked cross-kernels against each model's sigma_z2 exp(-theta.D)
+    # on the same squared differences, the search's GEMV: the same bits.
     X_norm, Xn = s.models[0].X_norm, normalize_inputs(X, s.input_lo, s.input_hi)
+    D = _squared_differences(X_norm, Xn)
     theta = np.array([mod.theta for mod in s.models])
     sigma_z2 = np.array([mod.sigma_z2 for mod in s.models])
-    K = _stacked_kernels(X_norm, Xn, theta, sigma_z2, np.empty(X_norm.size * rows),
-                         np.empty(m * X_norm.shape[0] * rows))
+    K = _stacked_kernels(D, theta, sigma_z2)
     for j, mod in enumerate(s.models):
-        np.testing.assert_allclose(K[j], _kernel_matrix(mod.sigma_z2, mod.theta, X_norm, Xn),
-                                   rtol=1e-12, atol=1e-300)
+        assert np.array_equal(K[j], mod.sigma_z2 * np.exp(-(mod.theta @ D)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
