@@ -68,10 +68,6 @@ class BasisSystem:
         # evaluating it yields all basis values at once.
         return BSpline(self.knots, np.eye(self.n_b), self.order - 1, extrapolate=True)
 
-    @cached_property
-    def _spline_d2(self) -> BSpline:
-        return self._spline.derivative(2)
-
     def _check_inside(self, t: np.ndarray) -> None:
         tol = 1e-12 * max(1.0, abs(self.t0), abs(self.te))
         if np.any(t < self.t0 - tol) or np.any(t > self.te + tol):
@@ -79,35 +75,29 @@ class BasisSystem:
 
     def evaluate(self, t) -> np.ndarray:
         """Basis values at the points t; shape (len(t), n_b)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        self._check_inside(t)
-        if self.kind == BSPLINE:
-            return self._spline(np.clip(t, self.t0, self.te))
-        T = self.span
-        omega = 2.0 * np.pi / T
-        out = np.empty((t.size, self.n_b))
-        out[:, 0] = 1.0 / np.sqrt(T)
-        amp = np.sqrt(2.0 / T)
-        for k in range(1, (self.n_b - 1) // 2 + 1):
-            out[:, 2 * k - 1] = amp * np.sin(k * omega * t)
-            out[:, 2 * k] = amp * np.cos(k * omega * t)
-        return out
+        return self._evaluate(t, 0)
 
     def evaluate_d2(self, t) -> np.ndarray:
         """Second derivatives of all basis functions at t; shape (len(t), n_b)."""
+        return self._evaluate(t, 2)
+
+    def _evaluate(self, t, nu: int) -> np.ndarray:
+        """The nu-th derivatives (nu 0 or 2) of all basis functions at t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         self._check_inside(t)
         if self.kind == BSPLINE:
-            return self._spline_d2(np.clip(t, self.t0, self.te))
+            spline = self._spline.derivative(nu) if nu else self._spline
+            return spline(np.clip(t, self.t0, self.te))
         T = self.span
         omega = 2.0 * np.pi / T
         out = np.empty((t.size, self.n_b))
-        out[:, 0] = 0.0
+        out[:, 0] = 0.0 if nu else 1.0 / np.sqrt(T)
         amp = np.sqrt(2.0 / T)
         for k in range(1, (self.n_b - 1) // 2 + 1):
-            w2 = (k * omega) ** 2
-            out[:, 2 * k - 1] = -w2 * amp * np.sin(k * omega * t)
-            out[:, 2 * k] = -w2 * amp * np.cos(k * omega * t)
+            # Twice differentiated, sin and cos(k omega t) gain -(k omega)^2.
+            scale = -(k * omega) ** 2 * amp if nu else amp
+            out[:, 2 * k - 1] = scale * np.sin(k * omega * t)
+            out[:, 2 * k] = scale * np.cos(k * omega * t)
         return out
 
 

@@ -36,6 +36,7 @@ from .core import (
     write_table,
 )
 from .surrogate import (
+    REDUCERS,
     FitConfig,
     LatentSurrogate,
     fit_surrogate,
@@ -100,9 +101,10 @@ def load_config(path=None) -> dict:
     """The defaults, overridden by the JSON config at path.  A top level
     that is not an object, an unknown section or section key (keys below
     that level, e.g. inverse.fixed's parameter names, are not checked), a
-    section that is not an object, a non-boolean basis.mirror, a count of
-    forward or inverse that is not a nonnegative integer and a non-finite
-    inverse.burn_in fail, naming the file and the key."""
+    section that is not an object, a non-boolean basis.mirror, a
+    surrogate.reducer or study.methods entry that is not a reducer, a count
+    of forward or inverse that is not a nonnegative integer and a
+    non-finite inverse.burn_in fail, naming the file and the key."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path, "r", encoding="utf-8") as fh:
@@ -126,6 +128,11 @@ def load_config(path=None) -> dict:
                                ("inverse", "walkers", int), ("inverse", "iterations", int),
                                ("inverse", "burn_in", float)):
         json_field(cfg[section], f"config {path}", section, key, kind, shape=None)
+    methods = json_field(cfg["study"], f"config {path}", "study", "methods", list)
+    for key, value in [("surrogate.reducer", cfg["surrogate"]["reducer"])] + [
+            (f"study.methods[{j}]", method) for j, method in enumerate(methods)]:
+        if value not in REDUCERS:
+            raise ValueError(f"config {path}: {key} must be one of {list(REDUCERS)}, got {value!r}")
     return cfg
 
 
@@ -350,6 +357,9 @@ def cmd_forward(args) -> int:
     ])
     if names:
         _check_names([e.get("name") for e in entries], names, "distribution")
+    elif len(entries) != model.input_lo.size:
+        raise ValueError(f"config {args.config}: a model file without input names needs "
+                         f"{model.input_lo.size} forward.distributions entries, got {len(entries)}")
     X = dist.sample(make_rng(derive_seed(seed, "forward/mcs")), fw["n_mcs"])
     report = {"n_mcs": X.shape[0], "n_outside": None, "n_outside_by_input": None}
     if not fw["use_exact_model"]:
@@ -417,6 +427,10 @@ def cmd_inverse(args) -> int:
     if names:
         _check_names(calibrated, [n for n in names if n not in fixed], "prior")
         model = _calibration_model(model, names, fixed, calibrated)
+    elif fixed or len(entries) != model.input_lo.size:
+        raise ValueError(f"config {args.config}: a model file without input names needs "
+                         f"{model.input_lo.size} inverse.priors entries and no inverse.fixed, "
+                         f"got {len(entries)} and {sorted(fixed)}")
 
     if not inv["sigma_prior"]:
         raise ValueError("inverse needs a sigma_prior range")

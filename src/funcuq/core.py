@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import itertools
 import multiprocessing
@@ -155,7 +156,7 @@ def cho_with_jitter(A):
         raise ValueError("matrix has a non-finite entry")
     scale = np.abs(np.diag(A)).max()
     for rel in JITTERS:
-        L, info = dpotrf(A + rel * scale * np.eye(A.shape[0]), lower=1)
+        L, info = dpotrf(A + rel * scale * np.eye(A.shape[0]) if rel else A, lower=1)
         if info == 0:
             return L, rel * scale
     raise np.linalg.LinAlgError(
@@ -164,14 +165,16 @@ def cho_with_jitter(A):
     )
 
 
-def _loaded_openblas() -> list:
+@functools.cache
+def _loaded_openblas() -> tuple:
     """(setter, getter) ctypes functions of each bundled OpenBLAS that
-    /proc/self/maps lists in this process; none where it cannot be read."""
+    /proc/self/maps lists in this process; none where it cannot be read.
+    Cached: this module's imports have loaded both before the first call."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
-        return []
+        return ()
     paths = sorted({f[5].strip() for f in fields
                     if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()})
     found = []
@@ -183,7 +186,7 @@ def _loaded_openblas() -> list:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 found.append((setter, getter))
-    return found
+    return tuple(found)
 
 
 @contextlib.contextmanager
@@ -195,7 +198,7 @@ def one_blas_thread():
     A BLAS call split over threads sums in an order that depends on the
     thread count, so results computed under the pin have the same bits
     whatever OPENBLAS_NUM_THREADS is.  Processes forked inside the block
-    inherit the pin.
+    inherit the pin.  Blocks may nest.
     """
     libs = _loaded_openblas()
     previous = [getter() for _, getter in libs]
@@ -213,14 +216,15 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def run_tasks(task, tasks: range, cpus: int, name, what: str) -> list:
-    """[task(i) for i in tasks], computed on up to min(cpus, len(tasks))
-    processes: this one and helpers forked from it, where the platform can
-    fork.  Every process takes the next i from one shared counter, and a
-    helper sends its results once, after the counter runs out, so a full
-    pipe never stalls it while this process still computes.  Callers pass
-    cpus > 1 only with BLAS pinned (one_blas_thread), which the helpers
-    inherit; unpinned, each would start its own BLAS threads.  Helpers are
+def run_tasks(task, tasks: range, name, what: str) -> list:
+    """[task(i) for i in tasks], computed with BLAS at one thread
+    (one_blas_thread) on up to min(usable_cpus(), len(tasks)) processes:
+    this one and helpers forked from it, which inherit the pin.  Where no
+    BLAS can be pinned, or the platform cannot fork, every task runs in
+    this process: an unpinned helper would start its own BLAS threads.
+    Every process takes the next i from one shared counter, and a helper
+    sends its results once, after the counter runs out, so a full pipe
+    never stalls it while this process still computes.  Helpers are
     forked, not spawned: a spawned one imports numpy and scipy afresh, and
     it gets `task` without pickling it.
 
@@ -232,56 +236,57 @@ def run_tasks(task, tasks: range, cpus: int, name, what: str) -> list:
     with its exit code, naming `what` it did not send.  No helper outlives
     the call.
     """
-    fork = cpus > 1 and len(tasks) > 1 and "fork" in multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if fork else None)
-    counter = ctx.Value("i", 0)
+    with one_blas_thread() as pinned:
+        fork = pinned and "fork" in multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if fork else None)
+        counter = ctx.Value("i", 0)
 
-    def share():
-        """(the (i, result) pairs computed, (i, exception) or None)."""
-        done = []
-        while True:
-            with counter.get_lock():
-                k = counter.value
-                counter.value += 1
-            if k >= len(tasks):
-                return done, None
-            i = tasks[k]
-            try:
-                done.append((i, task(i)))
-            except Exception as err:
-                err.args = (f"{name(i)}: {err}",)
+        def share():
+            """(the (i, result) pairs computed, (i, exception) or None)."""
+            done = []
+            while True:
                 with counter.get_lock():
-                    counter.value = len(tasks)
-                return done, (i, err)
+                    k = counter.value
+                    counter.value += 1
+                if k >= len(tasks):
+                    return done, None
+                i = tasks[k]
+                try:
+                    done.append((i, task(i)))
+                except Exception as err:
+                    err.args = (f"{name(i)}: {err}",)
+                    with counter.get_lock():
+                        counter.value = len(tasks)
+                    return done, (i, err)
 
-    def helper(conn) -> None:
-        conn.send(share())
-        conn.close()
+        def helper(conn) -> None:
+            conn.send(share())
+            conn.close()
 
-    helpers = []
-    try:
-        for _ in range(min(cpus, len(tasks)) - 1 if fork else 0):
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=helper, args=(sender,))
-            proc.start()
-            helpers.append((proc, receiver))
-            sender.close()
-        shares = [share()]
-        for proc, receiver in helpers:
-            try:
-                shares.append(receiver.recv())
-            except EOFError:
+        helpers = []
+        try:
+            for _ in range(min(usable_cpus(), len(tasks)) - 1 if fork else 0):
+                receiver, sender = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=helper, args=(sender,))
+                proc.start()
+                helpers.append((proc, receiver))
+                sender.close()
+            shares = [share()]
+            for proc, receiver in helpers:
+                try:
+                    shares.append(receiver.recv())
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"a helper process exited with code {proc.exitcode} "
+                        f"before sending its {what}"
+                    ) from None
+        finally:
+            for proc, receiver in helpers:
+                if proc.is_alive():
+                    proc.terminate()
                 proc.join()
-                raise RuntimeError(
-                    f"a helper process exited with code {proc.exitcode} "
-                    f"before sending its {what}"
-                ) from None
-    finally:
-        for proc, receiver in helpers:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-            receiver.close()
+                receiver.close()
     failures = [failed for _, failed in shares if failed]
     if failures:
         raise min(failures, key=lambda pair: pair[0])[1]

@@ -22,7 +22,6 @@ from .core import (
     model_nrmse,
     one_blas_thread,
     run_tasks,
-    usable_cpus,
     write_atomic,
 )
 from .fpca import Reducer
@@ -136,9 +135,8 @@ def fit_surrogate(
     model per retained score on the training inputs.
 
     The fit runs with BLAS at one thread (core.one_blas_thread), so the
-    model is the same whatever the host's BLAS thread count.  When that pin
-    holds, the score models are fitted on up to usable_cpus() processes
-    (core.run_tasks).
+    model is the same whatever the host's BLAS thread count: the reducer
+    in this process, and the score models in core.run_tasks' pool.
     """
     config = config or FitConfig()
     rng = rng if rng is not None else make_rng(0)
@@ -148,7 +146,7 @@ def fit_surrogate(
             "surrogate accuracy may suffer",
             stacklevel=2,
         )
-    with one_blas_thread() as pinned:
+    with one_blas_thread():
         nb_trace: list = []
         if config.reducer == PCA:
             reducer, scores = fpca.fit_pca_reducer(ensemble)
@@ -166,21 +164,20 @@ def fit_surrogate(
                 nb_override=config.nb_override,
                 nb_trace=nb_trace,
             )
-        lo, hi = ensemble.inputs.min(axis=0), ensemble.inputs.max(axis=0)
-        model_seeds = rng.integers(0, 2**63 - 1, size=max(reducer.m, 1))
+    lo, hi = ensemble.inputs.min(axis=0), ensemble.inputs.max(axis=0)
+    model_seeds = rng.integers(0, 2**63 - 1, size=max(reducer.m, 1))
 
-        def fit_score_model(j):
-            # The module attribute, looked up per call, so that a traced
-            # or substituted fit_kriging sees this process's calls.
-            return fit_kriging(ensemble.inputs, scores[:, j], make_rng(model_seeds[j]),
-                               n_starts=config.n_starts, budget=config.budget,
-                               fix_nugget=config.fix_nugget)
+    def fit_score_model(j):
+        # The module attribute, looked up per call, so that a traced
+        # or substituted fit_kriging sees this process's calls.
+        return fit_kriging(ensemble.inputs, scores[:, j], make_rng(model_seeds[j]),
+                           n_starts=config.n_starts, budget=config.budget,
+                           fix_nugget=config.fix_nugget)
 
-        # A model depends only on its score column and seed, so the models
-        # are the same for any number of processes.
-        models = run_tasks(fit_score_model, range(scores.shape[1]),
-                           usable_cpus() if pinned else 1, lambda j: f"score model {j}",
-                           "models")
+    # A model depends only on its score column and seed, so the models
+    # are the same for any number of processes.
+    models = run_tasks(fit_score_model, range(scores.shape[1]), lambda j: f"score model {j}",
+                       "models")
     metadata = {
         "reducer": config.reducer,
         "n_train": ensemble.n,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import one_blas_thread, read_table, run_tasks, usable_cpus, write_table
+from .core import read_table, run_tasks, write_table
 
 DEFAULT_WALKERS = 100
 DEFAULT_ITERATIONS = 300
@@ -203,16 +203,16 @@ def forward_uq(model, samples, batch_size: int = 4096, kde_points: int = 512) ->
     standard deviation are accumulated around the first curve, so the
     variance of nearly degenerate inputs is not lost to cancellation.
 
-    Blocks of batch_size samples are evaluated with BLAS at one thread
-    (core.one_blas_thread).  Block 0 is evaluated in this process and
-    fixes the first curve; the later blocks are shared by up to
-    usable_cpus() processes (core.run_tasks), each evaluating one block
-    at a time and freeing its curves before the next.  A block gives its
-    maxima, its minima and its column sums of shifted curves and of their
-    squares, and the sums are added in block order, so every result field
-    has the same bits for any process count.  A hook runs in whichever
-    process evaluates its block, so this process may not see its side
-    effects.  An error names its block and rows.
+    Blocks of batch_size samples are evaluated in core.run_tasks' pool,
+    with BLAS at one thread.  Block 0 is evaluated alone, in this process,
+    and fixes the first curve; the later blocks are shared by the pool's
+    processes, each evaluating one block at a time and freeing its curves
+    before the next.  A block gives its maxima, its minima and its column
+    sums of shifted curves and of their squares, and the sums are added in
+    block order, so every result field has the same bits for any process
+    count.  A hook runs in whichever process evaluates its block, so this
+    process may not see its side effects.  An error names its block and
+    rows.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
@@ -240,11 +240,9 @@ def forward_uq(model, samples, batch_size: int = 4096, kde_points: int = 512) ->
         stop = min(starts[b] + batch_size, n_mcs)
         return f"Monte Carlo block {b} (rows {starts[b]}-{stop - 1})"
 
-    with one_blas_thread() as pinned:
-        # Block 0 sets ref before any helper is forked.
-        stats = run_tasks(block_stats, range(1), 1, block_name, "blocks")
-        stats += run_tasks(block_stats, range(1, len(starts)),
-                           usable_cpus() if pinned else 1, block_name, "blocks")
+    # Block 0 sets ref before any helper is forked.
+    stats = run_tasks(block_stats, range(1), block_name, "blocks")
+    stats += run_tasks(block_stats, range(1, len(starts)), block_name, "blocks")
     maxima = np.concatenate([s[0] for s in stats])
     minima = np.concatenate([s[1] for s in stats])
     shift_sum, shift_sumsq = np.zeros(ref.size), np.zeros(ref.size)

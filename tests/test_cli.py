@@ -430,15 +430,23 @@ def test_forward_counts_samples_outside_the_training_box(tmp_path):
     np.testing.assert_allclose(outside.sum(axis=0) / n, 0.5, atol=0.03)
 
 
-def test_forward_names_unnamed_inputs_from_x1(tmp_path, fitted_model):
-    # A model file without input names and distributions without names:
-    # the report names the inputs x1..xp, as ResponseEnsemble does.
-    model_path, _ = fitted_model
-    doc = json.loads(model_path.read_text())
+def unnamed_model(tmp_path, fitted_model):
+    """fitted_model's model file (4 inputs) without metadata.input_names."""
+    doc = json.loads(fitted_model[0].read_text())
     del doc["metadata"]["input_names"]
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
-    dists = [{key: v for key, v in d.items() if key != "name"} for d in DUFFING_DISTS]
+    return model
+
+
+UNNAMED_DISTS = [{key: v for key, v in d.items() if key != "name"} for d in DUFFING_DISTS]
+
+
+def test_forward_names_unnamed_inputs_from_x1(tmp_path, fitted_model):
+    # A model file without input names and distributions without names:
+    # the report names the inputs x1..xp, as ResponseEnsemble does.
+    model = unnamed_model(tmp_path, fitted_model)
+    dists = UNNAMED_DISTS
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, forward={"model_file": str(model), "distributions": dists,
                                     "n_mcs": 50, "kde_points": 16})
@@ -446,6 +454,38 @@ def test_forward_names_unnamed_inputs_from_x1(tmp_path, fitted_model):
     assert main(["forward", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads((out / "forward_report.json").read_text())
     assert list(report["n_outside_by_input"]) == ["x1", "x2", "x3", "x4"]
+
+
+WITHOUT_NAMES = "a model file without input names needs 4 "
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("forward", lambda cfg: cfg["forward"]["distributions"].pop(),
+     WITHOUT_NAMES + "forward.distributions entries, got 3"),
+    ("inverse", lambda cfg: cfg["inverse"]["priors"].pop(),
+     WITHOUT_NAMES + "inverse.priors entries and no inverse.fixed, got 3 and []"),
+    ("inverse", lambda cfg: cfg["inverse"].update(priors=cfg["inverse"]["priors"][:3],
+                                                  fixed={"y0": -5e-5}),
+     WITHOUT_NAMES + "inverse.priors entries and no inverse.fixed, got 3 and ['y0']"),
+    ("inverse", lambda cfg: cfg["inverse"].update(fixed={"y0": -5e-5}),
+     WITHOUT_NAMES + "inverse.priors entries and no inverse.fixed, got 4 and ['y0']"),
+], ids=["forward, 3 distributions", "inverse, 3 priors", "inverse, 3 priors and fixed",
+        "inverse, 4 priors and fixed"])
+def test_a_model_file_without_input_names_checks_the_entries(tmp_path, capsys, fitted_model,
+                                                             command, edit, message):
+    # Without names, entries match the model's inputs by position only.
+    model = unnamed_model(tmp_path, fitted_model)
+    cfg_path = make_inverse_config(tmp_path, write_duffing_observations(tmp_path),
+                                   use_exact_model=False, model_file=str(model))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["forward"] = {"model_file": str(model), "distributions": UNNAMED_DISTS, "n_mcs": 50,
+                      "kde_points": 16}
+    edit(cfg)
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config {cfg_path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_forward_wrong_distribution_names(tmp_path):
@@ -663,8 +703,12 @@ def test_unknown_config_section_rejected(tmp_path):
     ({"basis": 16}, "basis"),
     ({"forward": {"n_mcs": 1e3}}, "forward.n_mcs must be a nonnegative integer, got 1000.0"),
     ({"forward": {"kde_points": -1}}, "forward.kde_points must be a nonnegative integer, got -1"),
+    ({"surrogate": {"reducer": "kfdr"}}, "surrogate.reducer must be one of"),
+    ({"study": {"methods": ["pca", "fpca"]}}, "study.methods[1] must be one of"),
+    ({"study": {"methods": "pca"}}, "study.methods must be an array"),
 ], ids=["mirror string", "mirror integer", "key typo", "dropped key", "section not an object",
-        "float count", "negative count"])
+        "float count", "negative count", "unknown reducer", "unknown method",
+        "methods not an array"])
 def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(override))

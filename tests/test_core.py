@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import funcuq as fq
+from funcuq import core
 from funcuq.core import (
     FLOAT_FMT,
     JITTERS,
@@ -17,6 +21,7 @@ from funcuq.core import (
     mirror_rows,
     one_blas_thread,
     read_table,
+    run_tasks,
     write_atomic,
     write_table,
 )
@@ -445,3 +450,36 @@ def test_one_blas_thread_pins_and_restores_each_bundled_blas():
         assert pinned == bool(libs)
         assert [getter() for _, getter in libs] == [1] * len(libs)
     assert [getter() for _, getter in libs] == before
+
+
+def test_run_tasks_runs_every_task_here_where_blas_cannot_be_pinned(monkeypatch):
+    # An unpinned helper would start its own BLAS threads, so none is forked.
+    # Each task takes long enough for a forked helper to take the next one.
+    monkeypatch.setattr(core, "_loaded_openblas", lambda: ())
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+
+    def task(i):
+        time.sleep(0.05)
+        return os.getpid()
+
+    assert run_tasks(task, range(4), str, "pids") == [os.getpid()] * 4
+
+
+def test_run_tasks_forks_a_helper_under_the_pin(monkeypatch, tmp_path):
+    if not _loaded_openblas() or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no bundled OpenBLAS to pin, or no fork, so run_tasks forks no helper")
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    main_pid, marker = os.getpid(), tmp_path / "helper"
+    deadline = time.monotonic() + 60.0
+
+    def task(i):
+        # A helper marks that it took a task; this process waits for that.
+        if os.getpid() != main_pid:
+            marker.touch()
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return os.getpid()
+
+    pids = run_tasks(task, range(2), str, "pids")
+    assert main_pid in pids and len(set(pids)) == 2
+    assert multiprocessing.active_children() == []

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import funcuq as fq
-from funcuq import bench, fpca, smoothing, surrogate
+from funcuq import bench, core, fpca, smoothing, surrogate
 from funcuq.core import one_blas_thread
 from funcuq.kriging import PREDICT_ROWS, _squared_differences, _stacked_kernels, normalize_inputs
 from funcuq.surrogate import (
@@ -573,7 +573,7 @@ def test_process_count_leaves_the_model_unchanged(reducer, n_modes, seed):
     docs = []
     with pytest.MonkeyPatch.context() as mp:
         for cpus in (1, 2, 3):
-            mp.setattr(surrogate, "usable_cpus", lambda: cpus)
+            mp.setattr(core, "usable_cpus", lambda: cpus)
             s = fit_surrogate(ens, cfg, fq.make_rng(seed))
             docs.append(surrogate_to_dict(s))
     assert s.m <= n_modes and (s.m == n_modes or n_modes > 1)
@@ -591,7 +591,7 @@ def two_processes(monkeypatch, tmp_path):
     with one_blas_thread() as pinned:
         if not pinned:
             pytest.skip("no bundled OpenBLAS to pin, so the fit starts no helper")
-    monkeypatch.setattr(surrogate, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     ens = modes_ensemble(3, 4)
     scores = fpca.fit_pca_reducer(ens)[1]
     assert scores.shape[1] == 3
@@ -640,7 +640,7 @@ def test_the_lowest_failing_score_model_is_named_for_any_cpu_count(monkeypatch, 
         if j in (1, 2):
             raise np.linalg.LinAlgError(f"failed on column {j}")
 
-    monkeypatch.setattr(surrogate, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(surrogate, "fit_kriging", fake_fit)
     with pytest.raises(np.linalg.LinAlgError, match=r"^score model 1: failed on column 1$"):
         fit_surrogate(ens, FitConfig(reducer="pca"), fq.make_rng(0))

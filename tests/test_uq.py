@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import funcuq as fq
-from funcuq import uq
+from funcuq import core, uq
 from funcuq.core import one_blas_thread, write_table
 from funcuq.kriging import PREDICT_ROWS, normalize_inputs
 from funcuq.uq import (
@@ -300,7 +300,7 @@ def test_forward_uq_copies_results_that_are_not_c_ordered(monkeypatch):
     # works on a C-ordered copy, leaves the hook's array alone, and gives
     # the same bits as for a C-ordered result.  One process, so that every
     # block the hook evaluates is kept in this process's list.
-    monkeypatch.setattr(uq, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 1)
     kept = []
 
     def view_hook(X):
@@ -326,7 +326,7 @@ def test_forward_uq_is_the_same_on_any_number_of_processes(batch_surrogate, kind
     results = []
     with pytest.MonkeyPatch.context() as mp:
         for cpus in (1, 2, 3):
-            mp.setattr(uq, "usable_cpus", lambda: cpus)
+            mp.setattr(core, "usable_cpus", lambda: cpus)
             results.append(forward_uq(model, samples, batch_size=batch_size))
     for res in results[1:]:
         for f in dataclasses.fields(res):
@@ -354,7 +354,7 @@ def test_forward_uq_names_the_lowest_failing_block_for_any_cpu_count(monkeypatch
             raise ArithmeticError(f"failed on block {block}")
         return linear_hook(X)
 
-    monkeypatch.setattr(uq, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
     with pytest.raises(ArithmeticError,
                        match=r"^Monte Carlo block 2 \(rows 200-299\): failed on block 2$"):
         forward_uq(hook, INDEXED_SAMPLES, batch_size=100)
@@ -379,7 +379,7 @@ def test_forward_uq_reports_a_helper_that_dies(monkeypatch, tmp_path):
                 time.sleep(0.01)
         return linear_hook(X)
 
-    monkeypatch.setattr(uq, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match="exited with code 3 before sending its blocks"):
         forward_uq(hook, INDEXED_SAMPLES, batch_size=100)
     assert multiprocessing.active_children() == []
