@@ -182,15 +182,24 @@ def _build_marginal(path, key: str, entry, kinds=tuple(_DIST_KINDS)):
         raise ValueError(f"config {path}: {key}: {err}") from None
 
 
-def _check_names(given, expected, what: str) -> None:
-    if list(given) != list(expected):
-        raise ValueError(
-            f"{what} names {list(given)} do not match model parameters {list(expected)}"
-        )
+def _marginals(args, key: str, inputs) -> list:
+    """The marginals of the config entries at `key` (forward.distributions
+    or inverse.priors).  Entry j is named by its "name", or x{j + 1}; names
+    that are not `inputs`, in order, fail naming the config file and the
+    key."""
+    section, field = key.split(".")
+    entries = json_field(args.cfg[section], f"config {args.config}", section, field, list)
+    marginals = [_build_marginal(args.config, f"{key}[{j}]", e) for j, e in enumerate(entries)]
+    names = [e.get("name", f"x{j + 1}") for j, e in enumerate(entries)]
+    if names != list(inputs):
+        raise ValueError(f"config {args.config}: {key} names {names} do not match "
+                         f"the model's inputs {list(inputs)}")
+    return marginals
 
 
 def _forward_model(cfg: dict, section: str):
-    """Return (model, grid, param_names) for forward/inverse runs."""
+    """Return (model, grid, input names) for forward/inverse runs.  A model
+    file's input names are its metadata.input_names, or x1..xp."""
     sec = cfg[section]
     if sec["use_exact_model"]:
         model_name = cfg["model"]
@@ -204,8 +213,8 @@ def _forward_model(cfg: dict, section: str):
     if not path:
         raise ValueError(f"{section} needs model_file or use_exact_model")
     sur = load_surrogate(path)
-    names = tuple(sur.metadata.get("input_names", ()))
-    return sur, sur.grid, names
+    names = sur.metadata.get("input_names") or [f"x{j + 1}" for j in range(sur.input_lo.size)]
+    return sur, sur.grid, tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +274,11 @@ def cmd_fit(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
     ens = _load_training_data(cfg, seed)
     t0 = time.perf_counter()
-    # fit_surrogate pins BLAS itself; the pin here only reports whether it held.
-    with one_blas_thread() as blas_pinned:
-        sur = fit_surrogate(ens, _fit_config(cfg), make_rng(derive_seed(seed, "fit")))
+    sur = fit_surrogate(ens, _fit_config(cfg), make_rng(derive_seed(seed, "fit")))
     elapsed = time.perf_counter() - t0
     os.makedirs(out_dir, exist_ok=True)
     save_surrogate(sur, os.path.join(out_dir, "model.json"))
-    report = _fit_report(sur, seed, blas_pinned, elapsed)
+    report = _fit_report(sur, seed, args.blas_pinned, elapsed)
     write_atomic(
         os.path.join(out_dir, "fit_report.json"),
         [json.dumps(report, sort_keys=True, indent=2)],
@@ -294,9 +301,7 @@ def cmd_predict(args) -> int:
             f"inputs file {inputs_path}: {X.shape[1]} columns, the model has "
             f"{sur.input_lo.size} inputs"
         )
-    # A BLAS call split over threads changes the predictions' last bits.
-    with one_blas_thread():
-        means, var = sur.predict_curves(X)
+    means, var = sur.predict_curves(X)
     os.makedirs(out_dir, exist_ok=True)
     for name, table in (("predictions.csv", means), ("predictions_std.csv", np.sqrt(var))):
         write_table(os.path.join(out_dir, name), sur.grid.nodes, table)
@@ -348,18 +353,7 @@ def cmd_forward(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
     fw = cfg["forward"]
     model, grid, names = _forward_model(cfg, "forward")
-    entries = fw["distributions"]
-    if not entries:
-        raise ValueError("forward needs input distributions")
-    dist = uq.InputDistribution([
-        _build_marginal(args.config, f"forward.distributions[{j}]", e)
-        for j, e in enumerate(entries)
-    ])
-    if names:
-        _check_names([e.get("name") for e in entries], names, "distribution")
-    elif len(entries) != model.input_lo.size:
-        raise ValueError(f"config {args.config}: a model file without input names needs "
-                         f"{model.input_lo.size} forward.distributions entries, got {len(entries)}")
+    dist = uq.InputDistribution(_marginals(args, "forward.distributions", names))
     X = dist.sample(make_rng(derive_seed(seed, "forward/mcs")), fw["n_mcs"])
     report = {"n_mcs": X.shape[0], "n_outside": None, "n_outside_by_input": None}
     if not fw["use_exact_model"]:
@@ -367,10 +361,7 @@ def cmd_forward(args) -> int:
         # input, outside the surrogate's training box.
         outside = (X < model.input_lo) | (X > model.input_hi)
         report["n_outside"] = int(np.count_nonzero(outside.any(axis=1)))
-        report["n_outside_by_input"] = {
-            entry.get("name", f"x{j + 1}"): int(count)
-            for j, (entry, count) in enumerate(zip(entries, outside.sum(axis=0)))
-        }
+        report["n_outside_by_input"] = dict(zip(names, map(int, outside.sum(axis=0))))
     result = uq.forward_uq(model, X, kde_points=fw["kde_points"])
     os.makedirs(out_dir, exist_ok=True)
     write_table(os.path.join(out_dir, "mean_std.csv"), ["t", "mean", "std"],
@@ -394,8 +385,6 @@ def _calibration_model(model, names, fixed: dict, calibrated):
     order = {n: i for i, n in enumerate(names)}
     full = np.zeros(len(names))
     for name, value in fixed.items():
-        if name not in order:
-            raise ValueError(f"fixed parameter {name!r} unknown to the model")
         full[order[name]] = value
     cal_idx = np.array([order[n] for n in calibrated], dtype=int)
 
@@ -416,21 +405,16 @@ def cmd_inverse(args) -> int:
     times, observations = uq.load_observations(inv["observations"])
     check_nodes(f"observations file {inv['observations']}", times, grid, "model grid")
 
-    entries = inv["priors"]
-    if not entries:
-        raise ValueError("inverse needs calibration priors")
-    priors = [
-        _build_marginal(args.config, f"inverse.priors[{j}]", e) for j, e in enumerate(entries)
-    ]
-    fixed = dict(inv["fixed"] or {})
-    calibrated = [e.get("name") for e in entries]
-    if names:
-        _check_names(calibrated, [n for n in names if n not in fixed], "prior")
-        model = _calibration_model(model, names, fixed, calibrated)
-    elif fixed or len(entries) != model.input_lo.size:
-        raise ValueError(f"config {args.config}: a model file without input names needs "
-                         f"{model.input_lo.size} inverse.priors entries and no inverse.fixed, "
-                         f"got {len(entries)} and {sorted(fixed)}")
+    source = f"config {args.config}"
+    fixed = json_field(inv, source, "inverse", "fixed", dict)
+    fixed = {name: json_field(fixed, source, "inverse.fixed", name, shape=None) for name in fixed}
+    unknown = sorted(set(fixed) - set(names))
+    if unknown:
+        raise ValueError(f"{source}: inverse.fixed names {unknown} are not model inputs "
+                         f"{list(names)}")
+    calibrated = [n for n in names if n not in fixed]
+    priors = _marginals(args, "inverse.priors", calibrated)
+    model = _calibration_model(model, names, fixed, calibrated)
 
     if not inv["sigma_prior"]:
         raise ValueError("inverse needs a sigma_prior range")
@@ -508,7 +492,10 @@ def main(argv=None) -> int:
         args.cfg = load_config(args.config)
         args.seed = args.cfg["seed"] if args.seed is None else args.seed
         args.out = args.out or args.cfg["out_dir"]
-        return COMMANDS[args.command](args)
+        # Every command runs with BLAS at one thread: a BLAS call split over
+        # threads sums in another order and changes the outputs' last bits.
+        with one_blas_thread() as args.blas_pinned:
+            return COMMANDS[args.command](args)
     except Exception as exc:  # surface module provenance, fail nonzero
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -96,9 +96,9 @@ class KrigingModel:
     Stores the normalization bounds and normalized training inputs, the
     standardized targets, the hyperparameters, and condition()'s factor L
     and weights alpha.  sigma_z2 and sigma_n2 live on the standardized
-    scale; noise_variance_raw reports the nugget on the original target
-    scale.  `search` holds fit_kriging's search record; it is empty for a
-    model rebuilt from a file.
+    scale (times y_scale**2 on the original target scale).  `search` holds
+    fit_kriging's search record; it is empty for a model rebuilt from a
+    file.
     """
 
     input_lo: np.ndarray
@@ -114,10 +114,6 @@ class KrigingModel:
     _L: np.ndarray = field(repr=False)
     _alpha: np.ndarray = field(repr=False)
     search: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def noise_variance_raw(self) -> float:
-        return self.sigma_n2 * self.y_scale**2
 
     def predict_batch(self, X_star, with_var: bool = True):
         """Predictive means (and variances) at raw input rows: predict_stack

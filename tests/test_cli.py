@@ -186,6 +186,33 @@ def test_predict_arrays_do_not_depend_on_the_blas_thread_count(tmp_path, monkeyp
     assert np.array_equal(written[0], written[2]) and np.array_equal(written[1], written[3])
 
 
+def test_main_runs_every_command_under_the_blas_pin(monkeypatch):
+    # This process's BLAS is set to two threads; every command sees one,
+    # and main restores two afterwards.
+    libs = _loaded_openblas()
+    if not libs:
+        pytest.skip("no bundled OpenBLAS whose thread count can be set")
+    commands, seen = list(cli.COMMANDS), []
+
+    def stub(args):
+        seen.append(([getter() for _, getter in libs], args.blas_pinned))
+        return 0
+
+    monkeypatch.setattr(cli, "COMMANDS", dict.fromkeys(commands, stub))
+    previous = [getter() for _, getter in libs]
+    try:
+        for setter, _ in libs:
+            setter(2)
+        for command in commands:
+            assert main([command]) == 0
+        after = [getter() for _, getter in libs]
+    finally:
+        for (setter, _), count in zip(libs, previous):
+            setter(count)
+    assert seen == [([1] * len(libs), True)] * len(commands)
+    assert after == [2] * len(libs)
+
+
 @pytest.mark.parametrize("missing", ["inputs", "responses"])
 def test_fit_missing_dataset_fails_without_outputs(tmp_path, capsys, missing):
     data = tmp_path / "data"
@@ -456,24 +483,24 @@ def test_forward_names_unnamed_inputs_from_x1(tmp_path, fitted_model):
     assert list(report["n_outside_by_input"]) == ["x1", "x2", "x3", "x4"]
 
 
-WITHOUT_NAMES = "a model file without input names needs 4 "
+X_INPUTS = "the model's inputs ['x1', 'x2', 'x3', 'x4']"
 
 
 @pytest.mark.parametrize("command, edit, message", [
     ("forward", lambda cfg: cfg["forward"]["distributions"].pop(),
-     WITHOUT_NAMES + "forward.distributions entries, got 3"),
+     "forward.distributions names ['x1', 'x2', 'x3'] do not match " + X_INPUTS),
     ("inverse", lambda cfg: cfg["inverse"]["priors"].pop(),
-     WITHOUT_NAMES + "inverse.priors entries and no inverse.fixed, got 3 and []"),
+     "inverse.priors names ['alpha', 'beta', 'c'] do not match " + X_INPUTS),
     ("inverse", lambda cfg: cfg["inverse"].update(priors=cfg["inverse"]["priors"][:3],
                                                   fixed={"y0": -5e-5}),
-     WITHOUT_NAMES + "inverse.priors entries and no inverse.fixed, got 3 and ['y0']"),
+     "inverse.fixed names ['y0'] are not model inputs ['x1', 'x2', 'x3', 'x4']"),
     ("inverse", lambda cfg: cfg["inverse"].update(fixed={"y0": -5e-5}),
-     WITHOUT_NAMES + "inverse.priors entries and no inverse.fixed, got 4 and ['y0']"),
+     "inverse.fixed names ['y0'] are not model inputs ['x1', 'x2', 'x3', 'x4']"),
 ], ids=["forward, 3 distributions", "inverse, 3 priors", "inverse, 3 priors and fixed",
         "inverse, 4 priors and fixed"])
 def test_a_model_file_without_input_names_checks_the_entries(tmp_path, capsys, fitted_model,
                                                              command, edit, message):
-    # Without names, entries match the model's inputs by position only.
+    # Without names, the model's inputs are x1..x4, and entries match them by name.
     model = unnamed_model(tmp_path, fitted_model)
     cfg_path = make_inverse_config(tmp_path, write_duffing_observations(tmp_path),
                                    use_exact_model=False, model_file=str(model))
@@ -488,25 +515,63 @@ def test_a_model_file_without_input_names_checks_the_entries(tmp_path, capsys, f
     assert not out.exists()
 
 
-def test_forward_wrong_distribution_names(tmp_path):
+def test_forward_wrong_distribution_names(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     bad = [dict(d) for d in DUFFING_DISTS]
     bad[0]["name"] = "mass"
     write_config(cfg_path, forward={"use_exact_model": True,
                                     "distributions": bad, "n_mcs": 50})
     assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+    assert (f"config {cfg_path}: forward.distributions names ['mass', 'beta', 'c', 'y0'] do not "
+            "match the model's inputs ['alpha', 'beta', 'c', 'y0']") in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_inverse_names_unnamed_inputs_from_x1(tmp_path, fitted_model):
+    # A model file without input names and priors without names: the
+    # calibrated inputs are x1..x4, as forward names them.
+    model = unnamed_model(tmp_path, fitted_model)
+    priors = [{key: v for key, v in p.items() if key != "name"} for p in INVERSE_PRIORS]
+    cfg_path = make_inverse_config(tmp_path, write_duffing_observations(tmp_path),
+                                   use_exact_model=False, model_file=str(model), priors=priors,
+                                   iterations=4)
+    out = tmp_path / "inv"
+    assert main(["inverse", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header = (out / "posterior_draws.csv").read_text().splitlines()[0]
+    assert header == "x1,x2,x3,x4,sigma"
+
+
+@pytest.mark.parametrize("fixed, message", [
+    ({"mass": 1.0}, "inverse.fixed names ['mass'] are not model inputs "
+                    "['alpha', 'beta', 'c', 'y0']"),
+    ({"y0": "abc"}, "inverse.fixed.y0 must be a finite number, got 'abc'"),
+    ({"y0": None}, "inverse.fixed.y0 must be a finite number, got None"),
+    ({"y0": float("nan")}, "inverse.fixed.y0 must be a finite number, got nan"),
+    ({"y0": True}, "inverse.fixed.y0 must be a finite number, got True"),
+    ([-5e-5], "inverse.fixed must be an object, got [-5e-05]"),
+], ids=["unknown name", "string", "null", "NaN", "boolean", "array"])
+def test_inverse_fixed_fails_naming_the_config_and_the_key(tmp_path, capsys, fixed, message):
+    cfg_path = make_inverse_config(tmp_path, write_duffing_observations(tmp_path),
+                                   priors=INVERSE_PRIORS[:3], fixed=fixed)
+    out = tmp_path / "inv"
+    assert main(["inverse", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config {cfg_path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+INVERSE_PRIORS = [
+    {"name": "alpha", "dist": "uniform", "lower": 0.6, "upper": 1.4},
+    {"name": "beta", "dist": "uniform", "lower": 1.5, "upper": 2.5},
+    {"name": "c", "dist": "uniform", "lower": 0.6, "upper": 1.4},
+    {"name": "y0", "dist": "uniform", "lower": -1e-4, "upper": 0.0},
+]
 
 
 def make_inverse_config(tmp_path, observations_path, **inv_overrides):
     inverse = {
         "use_exact_model": True,
         "observations": str(observations_path),
-        "priors": [
-            {"name": "alpha", "dist": "uniform", "lower": 0.6, "upper": 1.4},
-            {"name": "beta", "dist": "uniform", "lower": 1.5, "upper": 2.5},
-            {"name": "c", "dist": "uniform", "lower": 0.6, "upper": 1.4},
-            {"name": "y0", "dist": "uniform", "lower": -1e-4, "upper": 0.0},
-        ],
+        "priors": INVERSE_PRIORS,
         "sigma_prior": {"lower": 1e-7, "upper": 1e-3},
         "walkers": 12,
         "iterations": 20,
@@ -584,8 +649,8 @@ def test_inverse_with_surrogate_and_fixed_parameter(tmp_path):
 
 def test_forward_and_inverse_bytes_do_not_depend_on_the_blas_thread_count(tmp_path,
                                                                           predict_argv):
-    # inverse runs without the BLAS pin, and forward's helpers inherit it:
-    # both must write the same bytes at one and two threads.  With predict's
+    # Every command runs under the BLAS pin, and forward's helpers inherit
+    # it: both must write the same bytes at one and two threads.  With predict's
     # 12-score model on 40 points, 128 walkers score up to 64 proposals per
     # call, and 8,200 samples make two full forward blocks of 4,096 and a
     # partial one.

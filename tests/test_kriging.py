@@ -205,7 +205,7 @@ def test_fit_noiseless_smooth_function():
     X = np.linspace(0, 1, 20)[:, None]
     y = np.sin(5 * X[:, 0]) + 2.0
     model = fit_kriging(X, y, fq.make_rng(2))
-    assert model.noise_variance_raw <= 1e-4
+    assert model.sigma_n2 * model.y_scale**2 <= 1e-4
     xs = np.linspace(0.05, 0.95, 9)[:, None]
     means, _ = model.predict_batch(xs)
     assert np.abs(means - (np.sin(5 * xs[:, 0]) + 2.0)).max() <= 1e-3
