@@ -163,23 +163,23 @@ def _load_training_data(cfg: dict, seed: int, sample: bool = False) -> ResponseE
 _DIST_KINDS = {"normal": uq.Normal, "lognormal": uq.Lognormal, "uniform": uq.Uniform}
 
 
-def _build_marginal(path, key: str, entry, kinds=tuple(_DIST_KINDS)):
+def _build_marginal(source: str, key: str, entry, kinds=tuple(_DIST_KINDS)):
     """The marginal of config entry `key`, of its "dist" kind, one of
     `kinds`; a missing "dist" means the only kind when there is one.  A
     missing, non-numeric or non-finite parameter, a kind not in `kinds`
-    and a value the distribution rejects fail, naming the config file and
-    the key."""
+    and a value the distribution rejects fail, naming the config (`source`,
+    as main() words it) and the key."""
     if not isinstance(entry, dict):
-        raise ValueError(f"config {path}: {key} must be an object, got {entry!r}")
+        raise ValueError(f"{source}: {key} must be an object, got {entry!r}")
     kind = entry.get("dist", kinds[0] if len(kinds) == 1 else None)
     if kind not in kinds:
-        raise ValueError(f"config {path}: {key}.dist must be one of {sorted(kinds)}, got {kind!r}")
-    params = [json_field(entry, f"config {path}", key, name, shape=None)
+        raise ValueError(f"{source}: {key}.dist must be one of {sorted(kinds)}, got {kind!r}")
+    params = [json_field(entry, source, key, name, shape=None)
               for name in (("lower", "upper") if kind == "uniform" else ("mean", "std"))]
     try:
         return _DIST_KINDS[kind](*params)
     except ValueError as err:
-        raise ValueError(f"config {path}: {key}: {err}") from None
+        raise ValueError(f"{source}: {key}: {err}") from None
 
 
 def _marginals(args, key: str, inputs) -> list:
@@ -188,30 +188,34 @@ def _marginals(args, key: str, inputs) -> list:
     that are not `inputs`, in order, fail naming the config file and the
     key."""
     section, field = key.split(".")
-    entries = json_field(args.cfg[section], f"config {args.config}", section, field, list)
-    marginals = [_build_marginal(args.config, f"{key}[{j}]", e) for j, e in enumerate(entries)]
+    entries = json_field(args.cfg[section], args.source, section, field, list)
+    marginals = [_build_marginal(args.source, f"{key}[{j}]", e) for j, e in enumerate(entries)]
     names = [e.get("name", f"x{j + 1}") for j, e in enumerate(entries)]
     if names != list(inputs):
-        raise ValueError(f"config {args.config}: {key} names {names} do not match "
+        raise ValueError(f"{args.source}: {key} names {names} do not match "
                          f"the model's inputs {list(inputs)}")
     return marginals
 
 
-def _forward_model(cfg: dict, section: str):
+def _forward_model(cfg: dict, section: str, source: str):
     """Return (model, grid, input names) for forward/inverse runs.  A model
-    file's input names are its metadata.input_names, or x1..xp."""
+    file's input names are its metadata.input_names, or x1..xp.  Neither a
+    model file nor the exact model, and the exact model without a known
+    model name, fail naming the config (`source`) and the key."""
     sec = cfg[section]
     if sec["use_exact_model"]:
         model_name = cfg["model"]
         if model_name not in bench.MODEL_GRIDS:
-            raise ValueError("use_exact_model requires a known model name")
+            raise ValueError(f"{source}: model must be one of {sorted(bench.MODEL_GRIDS)} "
+                             f"for {section}.use_exact_model, got {model_name!r}")
         grid = bench.MODEL_GRIDS[model_name]
         hook = functools.partial(bench.MODEL_SOLVERS[model_name], grid=grid,
                                  substeps=cfg["dataset"]["substeps"])
         return hook, grid, bench.MODEL_NAMES[model_name]
     path = sec["model_file"]
     if not path:
-        raise ValueError(f"{section} needs model_file or use_exact_model")
+        raise ValueError(f"{source}: {section}.model_file is not set and "
+                         f"{section}.use_exact_model is false; {section} needs one of them")
     sur = load_surrogate(path)
     names = sur.metadata.get("input_names") or [f"x{j + 1}" for j in range(sur.input_lo.size)]
     return sur, sur.grid, tuple(names)
@@ -352,7 +356,7 @@ def cmd_study(args) -> int:
 def cmd_forward(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
     fw = cfg["forward"]
-    model, grid, names = _forward_model(cfg, "forward")
+    model, grid, names = _forward_model(cfg, "forward", args.source)
     dist = uq.InputDistribution(_marginals(args, "forward.distributions", names))
     X = dist.sample(make_rng(derive_seed(seed, "forward/mcs")), fw["n_mcs"])
     report = {"n_mcs": X.shape[0], "n_outside": None, "n_outside_by_input": None}
@@ -399,13 +403,14 @@ def _calibration_model(model, names, fixed: dict, calibrated):
 def cmd_inverse(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
     inv = cfg["inverse"]
-    model, grid, names = _forward_model(cfg, "inverse")
+    source = args.source
+    model, grid, names = _forward_model(cfg, "inverse", source)
     if not inv["observations"]:
-        raise ValueError("inverse needs an observations file")
+        raise ValueError(f"{source}: inverse.observations is not set; inverse needs an "
+                         "observations file")
     times, observations = uq.load_observations(inv["observations"])
     check_nodes(f"observations file {inv['observations']}", times, grid, "model grid")
 
-    source = f"config {args.config}"
     fixed = json_field(inv, source, "inverse", "fixed", dict)
     fixed = {name: json_field(fixed, source, "inverse.fixed", name, shape=None) for name in fixed}
     unknown = sorted(set(fixed) - set(names))
@@ -417,8 +422,9 @@ def cmd_inverse(args) -> int:
     model = _calibration_model(model, names, fixed, calibrated)
 
     if not inv["sigma_prior"]:
-        raise ValueError("inverse needs a sigma_prior range")
-    sigma_prior = _build_marginal(args.config, "inverse.sigma_prior", inv["sigma_prior"],
+        raise ValueError(f"{source}: inverse.sigma_prior is not set; inverse needs a "
+                         "sigma_prior range")
+    sigma_prior = _build_marginal(source, "inverse.sigma_prior", inv["sigma_prior"],
                                   ("uniform",))
 
     def logpost(thetas):
@@ -490,6 +496,8 @@ def main(argv=None) -> int:
     try:
         # Resolve the config and the --seed/--out overrides once for every command.
         args.cfg = load_config(args.config)
+        # How errors name the config: its path, or the defaults without --config.
+        args.source = "default config" if args.config is None else f"config {args.config}"
         args.seed = args.cfg["seed"] if args.seed is None else args.seed
         args.out = args.out or args.cfg["out_dir"]
         # Every command runs with BLAS at one thread: a BLAS call split over

@@ -8,7 +8,9 @@ fitting; the hyperparameter search ranges assume that scaling.
 Every Gaussian kernel of the layer, in the search's likelihood,
 conditioning, the log likelihood and prediction, is exp(-theta.D) with
 theta.D one GEMV over the C-ordered squared differences D of
-_squared_differences, so it has the same bits wherever it is built.
+_squared_differences, so it has the same bits wherever it is built.  The
+search's likelihood takes its gradient from one triangle of the inverse
+kernel matrix, as dpotri and a rank-one dsyr update leave it.
 
 The search sweeps log10 theta across its whole box.  At large theta most
 kernel entries exp(-theta.D) fall into the subnormal range or just above it,
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
@@ -223,29 +226,9 @@ def _squared_differences(A, B=None, out=None):
     return D.reshape(shape[0], -1)
 
 
-def _log10_gradient(Q, K, D, theta, sigma_n2):
-    """d(-LML)/d log10 of (theta_1..theta_p, sigma_n2, sigma_z2) at fixed mu.
-
-    Each entry is (ln 10 / 2) tr(Q dA/d ln psi), with Q = A^-1 - alpha alpha'
-    and alpha = A^-1 r (Rasmussen & Williams 2006, eq. 5.9).  For
-    A = K + sigma_n2 I and K = sigma_z2 exp(-sum_d theta_d D_d):
-    dA/d ln theta_d = -theta_d K o D_d, dA/d ln sigma_n2 = sigma_n2 I and
-    dA/d ln sigma_z2 = K.  The GLS mean is stationary, so it adds no term
-    (envelope theorem).  D is _squared_differences of the training inputs as
-    a (p, N*N) array.  K, C-contiguous, is overwritten with Q o K.
-    """
-    p = theta.size
-    W = np.multiply(Q, K, out=K)
-    grad = np.empty(p + 2)
-    np.multiply(-theta, D @ W.ravel(), out=grad[:p])
-    grad[p] = sigma_n2 * np.trace(Q)
-    grad[p + 1] = W.sum()
-    grad *= 0.5 * math.log(10.0)
-    return grad
-
-
 def _neg_lml(D, y, theta, sigma_z2, nugget, on_cut=None, ones_y=None):
-    """-LML of targets y under the GLS mean, its _log10_gradient, and sigma_z2.
+    """-LML of targets y under the GLS mean, its gradient in log10 of
+    (theta_1..theta_p, sigma_n2, sigma_z2) at fixed mu, and sigma_z2.
 
     With sigma_z2=None the nugget is the ratio g = sigma_n2 / sigma_z2 and
     sigma_z2 is profiled out: clip(r'C^-1 r / N, SIGMA_Z2_BOUNDS) with
@@ -262,31 +245,46 @@ def _neg_lml(D, y, theta, sigma_z2, nugget, on_cut=None, ones_y=None):
     slower.  Where every off-diagonal entry is cut, the theta gradient is
     exactly 0.0 instead of a number below about 1e-40.
 
-    Three N x N arrays per call: E (in the buffer of theta.D, later K and
-    then Q o K), M (factored in place, then M^-1, then beta beta' / s) and
-    Q.
+    Gradient entry psi is (ln 10 / 2) tr(Q dA/d ln psi), Q = A^-1 - alpha
+    alpha', alpha = A^-1 r (Rasmussen & Williams 2006, eq. 5.9), with
+    dA/d ln theta_d = -theta_d K_A o D_d, dA/d ln sigma_n2 = sigma_n2 I and
+    dA/d ln sigma_z2 = K_A for the kernel part K_A of A.  The GLS mean is
+    stationary, so it adds no term (envelope theorem).  Here A = s M with
+    M = K + nugget I and K = scale E, so Q = P / s for P = M^-1 - beta
+    beta' / s, beta = M^-1 r, and the entries are -theta_d sum(P o K o D_d),
+    nugget tr P and sum(P o K).  P is read from one triangle: dpotri and
+    dsyr leave U = tril(P) in the factor's buffer, and W = U' o K (U' its
+    C-ordered transpose view) overwrites K.  As D_d is symmetric with a
+    zero diagonal and diag(K) = scale, sum(P o K o D_d) = 2 sum(W o D_d),
+    sum(P o K) = 2 sum(W) - scale tr U and tr P = tr U.
+
+    Two N x N arrays per call: K (theta.D, then E, K and W) and dpotrf's
+    Fortran-ordered copy of M (L, then M^-1, then U).
     """
-    n = y.size
-    E = theta @ D
-    if E.max() > CUT:
-        # exp at exponents clamped to CUT stays on the fast path; the mask
+    n, p = y.size, theta.size
+    E = (-theta) @ D
+    if E.min() < -CUT:
+        # exp at exponents clamped to -CUT stays on the fast path; the mask
         # then zeroes the cut entries and keeps the others' bits.
-        keep = E <= CUT
-        np.minimum(E, CUT, out=E)
-        np.negative(E, out=E)
+        keep = E >= -CUT
+        np.maximum(E, -CUT, out=E)
         np.exp(E, out=E)
         E *= keep
         if on_cut is not None:
             on_cut()
     else:
-        np.negative(E, out=E)
         np.exp(E, out=E)
-    E = E.reshape(n, n)
-    scale = 1.0 if sigma_z2 is None else sigma_z2
-    # Fortran order, so that dpotrf and dpotri work in this buffer.
-    M = np.multiply(scale, E, out=np.empty((n, n), order="F"))
-    M.flat[:: n + 1] += nugget
-    L, info = dpotrf(M, lower=1, clean=1, overwrite_a=1)
+    K = E.reshape(n, n)
+    scale = 1.0
+    if sigma_z2 is not None:
+        scale = sigma_z2
+        K *= scale
+    # dpotrf factors a Fortran-ordered copy of M = K + nugget I, so the
+    # nugget stays on K's diagonal for that call only: K_ii = scale exp(0).
+    diag = K.ravel()[:: n + 1]
+    diag += nugget
+    L, info = dpotrf(K, lower=1, clean=1)
+    diag[:] = scale
     if info != 0:
         raise np.linalg.LinAlgError("kernel matrix is not positive definite")
     if ones_y is None:
@@ -297,18 +295,19 @@ def _neg_lml(D, y, theta, sigma_z2, nugget, on_cut=None, ones_y=None):
     beta = v - mu * w  # M^-1 r
     quad = float(r @ beta)
     # A = s M: s is the profiled sigma_z2, or 1 when M is already A.
-    s = float(np.clip(quad / n, *SIGMA_Z2_BOUNDS)) if sigma_z2 is None else 1.0
-    logdet = n * math.log(s) + 2.0 * np.sum(np.log(np.diag(L)))
+    s = min(max(quad / n, SIGMA_Z2_BOUNDS[0]), SIGMA_Z2_BOUNDS[1]) if sigma_z2 is None else 1.0
+    logdet = n * math.log(s) + 2.0 * np.sum(np.log(L.ravel(order="K")[:: n + 1]))
     value = 0.5 * quad / s + 0.5 * logdet + 0.5 * n * math.log(2 * math.pi)
-    # dpotri fills the lower triangle of M^-1; the upper one is zero.
-    M_inv = dpotri(L, lower=1, overwrite_c=1)[0]
-    Q = M_inv + M_inv.T
-    Q.flat[:: n + 1] *= 0.5
-    Q -= np.outer(beta, beta / s, out=M_inv)
-    Q /= s
-    E *= s * scale
-    grad = _log10_gradient(Q, E, D, theta, s * nugget)
-    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+    # clean=1 zeroed the upper triangle; dpotri and dsyr fill the lower one.
+    U = dsyr(-1.0 / s, beta, a=dpotri(L, lower=1, overwrite_c=1)[0], lower=1, overwrite_a=1)
+    trace = U.ravel(order="K")[:: n + 1].sum()
+    W = np.multiply(U.T, K, out=K)
+    grad = np.empty(p + 2)
+    np.multiply(theta, D @ W.ravel(), out=grad[:p])
+    grad[:p] *= -2.0
+    grad[p], grad[p + 1] = nugget * trace, 2.0 * W.sum() - scale * trace
+    grad *= 0.5 * math.log(10.0)
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
         raise np.linalg.LinAlgError("non-finite likelihood")
     return value, grad, s * scale
 
@@ -388,7 +387,8 @@ def fit_kriging(
         names.append("sigma_z2")
         box.append(SIGMA_Z2_BOUNDS)
         keep.append(p + 1)
-    bounds = np.log10(box)
+    # The gradient entries the search moves, as an index array built once.
+    bounds, keep = np.log10(box), np.array(keep)
 
     cut_evaluations = 0
 

@@ -122,10 +122,18 @@ def select_tau(H, R, centered, n_tau: int = TAU_GRID_SIZE) -> float:
     """Grid minimizer of the GCV score; ties break toward smaller tau.
 
     The whole curve comes from one generalized eigendecomposition, for any
-    basis count.  Raises SingularSystemError when H'H + s R is not definite.
+    basis count.  Raises SingularSystemError when H'H + s R is not definite,
+    or when no grid point has a finite score (the smoother reproduces the
+    curves at every tau, e.g. on no more nodes than the roughness null
+    space has dimensions).
     """
     grid = tau_grid(n_tau)
-    return float(grid[int(np.argmin(_gcv_curve(grid, H, R, centered)))])
+    scores = _gcv_curve(grid, H, R, centered)
+    if not np.isfinite(scores).any():
+        raise SingularSystemError(
+            f"GCV has no finite score on the tau grid for {H.shape[1]} basis functions on "
+            f"{H.shape[0]} nodes: the smoother reproduces the curves at every tau")
+    return float(grid[int(np.argmin(scores))])
 
 
 def effective_nb(kind: str, n_b: int, order: int = 4) -> int:

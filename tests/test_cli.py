@@ -695,6 +695,38 @@ def test_calibration_model_block_matches_scalar_posterior():
         assert value == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("command, edit, message", [
+    ("inverse", lambda cfg: cfg["inverse"].update(observations=None),
+     "inverse.observations is not set; inverse needs an observations file"),
+    ("inverse", lambda cfg: cfg["inverse"].update(sigma_prior=None),
+     "inverse.sigma_prior is not set; inverse needs a sigma_prior range"),
+    ("forward", lambda cfg: cfg["forward"].update(use_exact_model=False),
+     "forward.model_file is not set and forward.use_exact_model is false; "
+     "forward needs one of them"),
+    ("inverse", lambda cfg: cfg.update(model=None),
+     "model must be one of ['boucwen', 'duffing'] for inverse.use_exact_model, got None"),
+], ids=["observations", "sigma_prior", "model_file", "model"])
+def test_model_run_settings_fail_naming_the_config_and_the_key(tmp_path, capsys, command, edit,
+                                                                message):
+    cfg_path = make_inverse_config(tmp_path, write_duffing_observations(tmp_path))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["forward"] = {"use_exact_model": True, "distributions": DUFFING_DISTS, "n_mcs": 50}
+    edit(cfg)
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config {cfg_path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_run_without_config_names_the_default_config(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["inverse", "--out", str(out)]) == 1
+    assert ("default config: inverse.model_file is not set and inverse.use_exact_model is "
+            "false") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inverse_zero_observations_errors(tmp_path, capsys):
     grid = fq.TimeGrid(0.0, 2.0, 401)
     path = tmp_path / "empty_obs.csv"

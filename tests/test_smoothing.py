@@ -156,6 +156,22 @@ def test_select_tau_tie_breaks_small():
     assert fq.select_tau(H, R, Yc) == pytest.approx(1e-6)
 
 
+@pytest.mark.parametrize("kind, n_b, n_t", [(BSPLINE, 4, 2), (FOURIER, 3, 1)],
+                         ids=["4 B-splines on 2 nodes", "3 Fourier functions on 1 node"])
+def test_select_tau_fails_by_name_without_a_finite_score(kind, n_b, n_t):
+    # The smoother reproduces any curve on these nodes at every tau, so GCV
+    # is 0/0 on the whole grid.
+    nodes = np.linspace(0.0, 1.0, n_t) if n_t > 1 else np.array([0.3])
+    sys = fq.BasisSystem(kind, n_b, 0.0, 1.0)
+    H = fq.design_matrix(sys, nodes)
+    R = fq.roughness_matrix(sys)
+    Yc = fq.make_rng(16).normal(size=(3, n_t))
+    assert not np.isfinite(smoothing._gcv_curve(tau_grid(25), H, R, Yc)).any()
+    with pytest.raises(SingularSystemError,
+                       match=f"for {n_b} basis functions on {n_t} nodes"):
+        fq.select_tau(H, R, Yc)
+
+
 def _count_gcv_calls(monkeypatch):
     calls = []
     direct = smoothing.gcv
