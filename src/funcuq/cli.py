@@ -102,9 +102,12 @@ def load_config(path=None) -> dict:
     that is not an object, an unknown section or section key (keys below
     that level, e.g. inverse.fixed's parameter names, are not checked), a
     section that is not an object, a non-boolean basis.mirror, a
-    surrogate.reducer or study.methods entry that is not a reducer, a count
-    of forward or inverse that is not a nonnegative integer and a
-    non-finite inverse.burn_in fail, naming the file and the key."""
+    surrogate.reducer or study.methods entry that is not a reducer, a seed
+    that is not an integer, a count or size (of forward, inverse, kriging,
+    dataset and study, smoothing.n_tau, basis.order and each
+    study.train_sizes entry) that is not a nonnegative integer, and a
+    non-finite inverse.burn_in, dataset.noise_std, study.noise_std or
+    smoothing.delta_r fail, naming the file and the key."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     with open(path, "r", encoding="utf-8") as fh:
@@ -124,10 +127,21 @@ def load_config(path=None) -> dict:
     if mirror is not None and not isinstance(mirror, bool):
         raise ValueError(f"config {path}: basis.mirror must be true, false or null, got {mirror!r}")
     cfg = _merge(DEFAULT_CONFIG, user)
+    # A seed may be negative, as --seed's; json_field's int is nonnegative.
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
+        raise ValueError(f"config {path}: seed must be an integer, got {cfg['seed']!r}")
     for section, key, kind in (("forward", "n_mcs", int), ("forward", "kde_points", int),
                                ("inverse", "walkers", int), ("inverse", "iterations", int),
-                               ("inverse", "burn_in", float)):
+                               ("kriging", "n_starts", int), ("kriging", "budget", int),
+                               ("smoothing", "n_tau", int), ("basis", "order", int),
+                               ("dataset", "n_train", int), ("dataset", "substeps", int),
+                               ("study", "repetitions", int), ("study", "test_size", int),
+                               ("inverse", "burn_in", float), ("dataset", "noise_std", float),
+                               ("study", "noise_std", float), ("smoothing", "delta_r", float)):
         json_field(cfg[section], f"config {path}", section, key, kind, shape=None)
+    sizes = json_field(cfg["study"], f"config {path}", "study", "train_sizes", list)
+    for j, size in enumerate(sizes):
+        json_field({f"train_sizes[{j}]": size}, f"config {path}", "study", f"train_sizes[{j}]", int)
     methods = json_field(cfg["study"], f"config {path}", "study", "methods", list)
     for key, value in [("surrogate.reducer", cfg["surrogate"]["reducer"])] + [
             (f"study.methods[{j}]", method) for j, method in enumerate(methods)]:
@@ -142,19 +156,25 @@ def _fit_config(cfg: dict) -> FitConfig:
                         for key, value in cfg[section].items() if key != "kind"})
 
 
-def _load_training_data(cfg: dict, seed: int, sample: bool = False) -> ResponseEnsemble:
-    """The dataset files if both are given and `sample` is not set, else
+def _load_training_data(args, sample: bool = False) -> ResponseEnsemble:
+    """The dataset files if either is given and `sample` is not set, else
     the config's model sampled under the data/train seed (what `generate`
-    writes)."""
-    ds = cfg["dataset"]
-    if ds["inputs"] and ds["responses"] and not sample:
+    writes).  One dataset path without the other, and neither the paths nor
+    a model, fail naming the config (args.source) and the key."""
+    cfg, ds = args.cfg, args.cfg["dataset"]
+    if (ds["inputs"] or ds["responses"]) and not sample:
+        missing = [key for key in ("inputs", "responses") if not ds[key]]
+        if missing:
+            raise ValueError(f"{args.source}: dataset.{missing[0]} is not set; the training "
+                             "data needs both dataset.inputs and dataset.responses")
         return load_ensemble(ds["responses"], ds["inputs"])
     if cfg["model"] is None:
-        raise ValueError("config needs either dataset paths or a model name")
+        raise ValueError(f"{args.source}: model is not set; the training data needs a model "
+                         "or dataset.inputs and dataset.responses")
     return bench.generate_dataset(
         cfg["model"],
         ds["n_train"],
-        make_rng(derive_seed(seed, "data/train")),
+        make_rng(derive_seed(args.seed, "data/train")),
         noise_std=ds["noise_std"],
         substeps=ds["substeps"],
     )
@@ -226,7 +246,7 @@ def _forward_model(cfg: dict, section: str, source: str):
 
 
 def cmd_generate(args) -> int:
-    cfg, seed, out_dir = args.cfg, args.seed, args.out
+    cfg, out_dir = args.cfg, args.out
     ds = cfg["dataset"]
     cfg["model"] = args.model or cfg["model"]
     if cfg["model"] is None:
@@ -234,7 +254,7 @@ def cmd_generate(args) -> int:
     for key, value in (("n_train", args.n), ("noise_std", args.noise)):
         if value is not None:
             ds[key] = value
-    ens = _load_training_data(cfg, seed, sample=True)
+    ens = _load_training_data(args, sample=True)
     os.makedirs(out_dir, exist_ok=True)
     save_ensemble(
         ens,
@@ -276,7 +296,7 @@ def _fit_report(sur: LatentSurrogate, seed: int, blas_pinned: bool, elapsed: flo
 
 def cmd_fit(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
-    ens = _load_training_data(cfg, seed)
+    ens = _load_training_data(args)
     t0 = time.perf_counter()
     sur = fit_surrogate(ens, _fit_config(cfg), make_rng(derive_seed(seed, "fit")))
     elapsed = time.perf_counter() - t0
@@ -316,7 +336,7 @@ def cmd_predict(args) -> int:
 def cmd_study(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
     if cfg["model"] is None:
-        raise ValueError("study needs a model in the config")
+        raise ValueError(f"{args.source}: model is not set; study needs a model")
     st = cfg["study"]
     substeps = cfg["dataset"]["substeps"]
 

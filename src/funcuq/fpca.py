@@ -2,11 +2,11 @@
 analysis, and plain PCA as the baseline.
 
 In the functional reduction, curves are fitted to a basis by penalized
-least squares, the coefficient-space covariance eigenproblem is symmetrized
-through the Gram matrix square root, and the leading eigenpairs give an
-orthonormal set of latent functions.  Either fitter returns a Reducer and
-the training curves' score vectors; a curve is rebuilt from its scores as
-the mean curve plus the latent functions times the scores.
+least squares, the coefficient-space covariance eigenproblem is solved by
+one SVD of the Cholesky-weighted coefficients, and the leading eigenpairs
+give an orthonormal set of latent functions.  Either fitter returns a
+Reducer and the training curves' score vectors; a curve is rebuilt from
+its scores as the mean curve plus the latent functions times the scores.
 """
 
 from __future__ import annotations
@@ -14,17 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import solve_triangular
 
 from .basis import BSPLINE, FOURIER, BasisSystem, gram_matrix
 from .core import ResponseEnsemble, TimeGrid, fit_nodes, mirror_rows
 from .smoothing import effective_nb, fit_basis, select_nb
 
 VARIANCE_TARGET = 0.99
-
-# Eigenvalues of the symmetrized covariance below -1e-10 * lambda_1 indicate
-# a broken Gram factorization rather than roundoff.
-_EIG_CLAMP_REL = 1e-10
 
 
 def select_m(eigenvalues) -> int:
@@ -43,32 +39,27 @@ def select_m(eigenvalues) -> int:
     return int(np.searchsorted(fractions, VARIANCE_TARGET) + 1)
 
 
-def _retain(lam: np.ndarray, Y: np.ndarray):
-    """(m, variance_fraction) for a nonnegative descending spectrum of the
-    curves Y: no latent modes and fraction 1 when the curves are identical
+def _principal_axes(X: np.ndarray, Y: np.ndarray):
+    """(lam, V, m, variance_fraction) of the N-row data matrix X of curves Y:
+    lam = s^2 / (N-1) of X's singular values s, V the first m right singular
+    vectors as columns; m = 0 and fraction 1 when the curves are identical
     (the total is roundoff at the data's scale), else select_m's count."""
+    _, svals, Vt = np.linalg.svd(X, full_matrices=False)
+    lam = svals**2 / (X.shape[0] - 1)
     total = lam.sum()
     scale = float(np.max(np.abs(Y))) if Y.size else 0.0
     if total <= 1e-14 * max(1.0, scale**2):
-        return 0, 1.0
-    m = select_m(lam)
-    return m, float(lam[:m].sum() / total)
-
-
-def _matrix_sqrt(W: np.ndarray):
-    vals, vecs = eigh(W)
-    if vals.min() <= 0.0:
-        raise np.linalg.LinAlgError("Gram matrix is not positive definite")
-    root = np.sqrt(vals)
-    return (vecs * root) @ vecs.T, (vecs / root) @ vecs.T
+        m, fraction = 0, 1.0
+    else:
+        m = select_m(lam)
+        fraction = float(lam[:m].sum() / total)
+    return lam, Vt[:m].T.copy(), m, fraction
 
 
 def _fix_signs(B: np.ndarray) -> np.ndarray:
     # Reproducible eigenvector orientation: largest-magnitude entry positive.
-    for j in range(B.shape[1]):
-        idx = np.argmax(np.abs(B[:, j]))
-        if B[idx, j] < 0:
-            B[:, j] = -B[:, j]
+    peaks = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
+    B[:, peaks < 0] *= -1.0
     return B
 
 
@@ -84,7 +75,8 @@ class Reducer:
     phi : ndarray (n_t, m)
         The retained latent functions sampled on the grid.
     eigenvalues : ndarray
-        Full spectrum, sorted descending, nonnegative.
+        Spectrum, sorted descending, nonnegative: min(N, n_b) entries for a
+        functional reduction of N curves, min(N, n_t) for PCA.
     m : int
         Retained latent dimension.
     variance_fraction : float
@@ -126,9 +118,10 @@ def fit_reducer(
     """Fit a functional reducer to an ensemble.
 
     Centers the curves, selects the basis count and smoothing parameter,
-    fits coefficients, and solves the symmetrized covariance eigenproblem
-    (N-1)^-1 W^(1/2) C C' W^(1/2) u = lambda u, retaining enough latent
-    functions to cover 99% of the variance.
+    fits coefficients C, and solves the covariance eigenproblem
+    (N-1)^-1 W^(1/2) C C' W^(1/2) u = lambda u through the SVD of C' L,
+    W = L L' the Gram matrix's Cholesky factorization, retaining enough
+    latent functions to cover 99% of the variance.
 
     Parameters
     ----------
@@ -177,19 +170,14 @@ def fit_reducer(
         )
 
     W = gram_matrix(basis)
-    W_half, W_half_inv = _matrix_sqrt(W)
-
-    G = W_half @ C
-    M = (G @ G.T) / (ensemble.n - 1)
-    lam, U = eigh(M)
-    lam, U = lam[::-1], U[:, ::-1]
-    if lam.size and lam[0] > 0 and lam.min() < -_EIG_CLAMP_REL * lam[0]:
-        raise np.linalg.LinAlgError(
-            f"covariance eigenvalue {lam.min():.3e} is too negative"
-        )
-    lam = np.clip(lam, 0.0, None)
-    m, variance_fraction = _retain(lam, Y)
-    B = _fix_signs(W_half_inv @ U[:, :m])
+    try:
+        L = np.linalg.cholesky(W)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("Gram matrix is numerically singular (redundant basis)") from exc
+    # With W^(1/2) = Q L' (Q orthogonal), X'X = L' C C' L is similar to
+    # W^(1/2) C C' W^(1/2): eigenvectors u = Q v, and B = W^(-1/2) u = L^-T v.
+    lam, V, m, variance_fraction = _principal_axes(C.T @ L, Y)
+    B = _fix_signs(solve_triangular(L, V, trans="T", lower=True))
     scores = (B.T @ (W @ C)).T
 
     reducer = Reducer(
@@ -215,10 +203,8 @@ def fit_pca_reducer(ensemble: ResponseEnsemble):
     Y = ensemble.responses
     mean_curve = Y.mean(axis=0)
     centered = Y - mean_curve
-    _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
-    lam = np.clip(svals**2 / (ensemble.n - 1), 0.0, None)
-    m, variance_fraction = _retain(lam, Y)
-    components = _fix_signs(Vt[:m].T.copy())
+    lam, V, m, variance_fraction = _principal_axes(centered, Y)
+    components = _fix_signs(V)
     scores = centered @ components
     reducer = Reducer(
         grid=ensemble.grid,

@@ -230,6 +230,38 @@ def test_fit_missing_dataset_fails_without_outputs(tmp_path, capsys, missing):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("unset", ["inputs", "responses"])
+def test_fit_with_one_dataset_path_fails_naming_the_other(tmp_path, capsys, unset):
+    # Without the check, fit would sample the config's model instead.
+    dataset = {"inputs": str(tmp_path / "inputs.csv"), "responses": str(tmp_path / "r.csv")}
+    dataset[unset] = None
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dataset=dataset)
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert (f"config {cfg_path}: dataset.{unset} is not set; the training data needs both "
+            "dataset.inputs and dataset.responses") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("fit", "model is not set; the training data needs a model or dataset.inputs and "
+            "dataset.responses"),
+    ("study", "model is not set; study needs a model"),
+], ids=["fit", "study"])
+@pytest.mark.parametrize("with_config", [True, False], ids=["config", "default config"])
+def test_a_run_without_a_model_names_the_config(tmp_path, capsys, command, message,
+                                                 with_config):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model=None)
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out)] + (["--config", str(cfg_path)] if with_config else [])
+    assert main(argv) == 1
+    source = f"config {cfg_path}" if with_config else "default config"
+    assert f"{source}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "forward"])
 def test_missing_model_file_fails_without_outputs(tmp_path, capsys, command):
     missing = tmp_path / "nope" / "model.json"
@@ -803,9 +835,29 @@ def test_unknown_config_section_rejected(tmp_path):
     ({"surrogate": {"reducer": "kfdr"}}, "surrogate.reducer must be one of"),
     ({"study": {"methods": ["pca", "fpca"]}}, "study.methods[1] must be one of"),
     ({"study": {"methods": "pca"}}, "study.methods must be an array"),
+    ({"kriging": {"n_starts": 1.5}}, "kriging.n_starts must be a nonnegative integer, got 1.5"),
+    ({"kriging": {"budget": "10"}}, "kriging.budget must be a nonnegative integer"),
+    ({"smoothing": {"n_tau": 25.0}}, "smoothing.n_tau must be a nonnegative integer, got 25.0"),
+    ({"basis": {"order": True}}, "basis.order must be a nonnegative integer, got True"),
+    ({"dataset": {"n_train": -5}}, "dataset.n_train must be a nonnegative integer, got -5"),
+    ({"dataset": {"substeps": None}}, "dataset.substeps must be a nonnegative integer, got None"),
+    ({"study": {"repetitions": "10"}}, "study.repetitions must be a nonnegative integer"),
+    ({"study": {"test_size": 1e3}}, "study.test_size must be a nonnegative integer, got 1000.0"),
+    ({"study": {"train_sizes": [100, 50.5]}},
+     "study.train_sizes[1] must be a nonnegative integer, got 50.5"),
+    ({"study": {"train_sizes": 100}}, "study.train_sizes must be an array, got 100"),
+    ({"dataset": {"noise_std": "0.1"}}, "dataset.noise_std must be a finite number"),
+    ({"study": {"noise_std": float("nan")}}, "study.noise_std must be a finite number, got nan"),
+    ({"smoothing": {"delta_r": None}}, "smoothing.delta_r must be a finite number, got None"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
 ], ids=["mirror string", "mirror integer", "key typo", "dropped key", "section not an object",
         "float count", "negative count", "unknown reducer", "unknown method",
-        "methods not an array"])
+        "methods not an array", "float n_starts", "string budget", "float n_tau",
+        "boolean order", "negative n_train", "null substeps", "string repetitions",
+        "float test_size", "float train size", "train_sizes not an array",
+        "string dataset noise", "NaN study noise", "null delta_r", "float seed",
+        "boolean seed"])
 def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(override))
@@ -814,6 +866,12 @@ def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
     assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_seed_may_be_negative(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": -3}))
+    assert load_config(cfg_path)["seed"] == -3
 
 
 @pytest.mark.parametrize("document", ["[]", "5", '"x"', "null"])

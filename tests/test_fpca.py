@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh, solve_triangular
 
 import funcuq as fq
 from funcuq import fpca, smoothing
 from funcuq.basis import FOURIER, BasisSystem
 from funcuq.core import fit_nodes, mirror_rows
-from funcuq.fpca import fit_reducer, select_m
+from funcuq.fpca import VARIANCE_TARGET, fit_reducer, select_m
 from funcuq.smoothing import effective_nb, select_nb, select_tau
 
 
@@ -119,14 +121,79 @@ def test_eigenfunction_w_orthonormality():
 
 
 def test_eigenvalue_trace_identity():
+    # The spectrum sums to the covariance's trace tr(C' W C) / (N-1).
     rng = fq.make_rng(23)
     ens, _ = make_ensemble(rng)
-    red, _ = fit_reducer(ens, kind="fourier", mirror=False, tau_override=0.0, n_b0=7)
-    H = fq.design_matrix(red.basis, ens.grid)
-    C = np.linalg.solve(H.T @ H, H.T @ (ens.responses - red.mean_curve).T)
-    W_half = fpca._matrix_sqrt(fq.gram_matrix(red.basis))[0]
-    M = W_half @ C @ C.T @ W_half / (ens.n - 1)
-    assert red.eigenvalues.sum() == pytest.approx(np.trace(M), rel=1e-10)
+    for kind, n_b in (("fourier", 7), ("bspline", 12)):
+        red, _ = fit_reducer(ens, kind=kind, mirror=False, tau_override=0.0, nb_override=n_b)
+        H = fq.design_matrix(red.basis, ens.grid)
+        C = np.linalg.solve(H.T @ H, H.T @ (ens.responses - red.mean_curve).T)
+        trace = np.trace(C.T @ fq.gram_matrix(red.basis) @ C) / (ens.n - 1)
+        assert red.eigenvalues.sum() == pytest.approx(trace, rel=1e-10)
+
+
+def w_half_eigenpairs(W, C, n):
+    """The eigenequation (N-1)^-1 W^(1/2) C C' W^(1/2) u = lambda u written
+    out: the descending eigenvalues and the coordinates W^(-1/2) u."""
+    vals, vecs = eigh(W)
+    root = np.sqrt(vals)
+    G = ((vecs * root) @ vecs.T) @ C
+    lam, U = eigh(G @ G.T / (n - 1))
+    return lam[::-1], ((vecs / root) @ vecs.T) @ U[:, ::-1]
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["bspline", "fourier"]),
+    mirror=st.booleans(),
+    n=st.integers(3, 30),
+    n_b=st.integers(4, 40),
+    tau=st.one_of(st.just(0.0), st.floats(1e-10, 1e-3)),
+)
+def test_reducer_solves_the_w_half_eigenequation(seed, kind, mirror, n, n_b, tau):
+    rng = fq.make_rng(seed)
+    grid = fq.TimeGrid(0.0, 1.0, 61)
+    t = grid.nodes
+    shapes = np.array([np.sin((k + 1) * np.pi * t) + t**k for k in range(6)])
+    Y = (rng.normal(size=(n, 6)) * 0.5 ** np.arange(6)) @ shapes + rng.normal()
+    ens = fq.ResponseEnsemble(rng.normal(size=(n, 2)), Y, grid)
+    red, _ = fit_reducer(ens, kind=kind, mirror=mirror, nb_override=n_b, tau_override=tau)
+    nodes, _ = fit_nodes(grid, mirror)
+    Y_fit = mirror_rows(Y) if mirror else Y
+    H = fq.design_matrix(red.basis, nodes)
+    C = fq.fit_coefficients(H, fq.roughness_matrix(red.basis), tau, Y_fit - Y_fit.mean(axis=0))
+    W = fq.gram_matrix(red.basis)
+    lam_ref, B_ref = w_half_eigenpairs(W, C, n)
+    scale = lam_ref[0]
+    # min(N, n_b) eigenvalues; the rest are zero by rank.
+    k = min(n, red.basis.n_b)
+    assert red.eigenvalues.shape == (k,)
+    assert np.abs(red.eigenvalues - lam_ref[:k]).max() <= 1e-10 * scale
+    assert np.abs(lam_ref[k:]).max(initial=0.0) <= 1e-10 * scale
+    B = np.asarray(red.B)
+    assert np.abs(B.T @ W @ B - np.eye(red.m)).max() <= 1e-12
+    m_ref = select_m(np.clip(lam_ref, 0.0, None))
+    fractions = np.cumsum(lam_ref) / lam_ref.sum()
+    if np.abs(fractions - VARIANCE_TARGET).min() > 1e-9:
+        assert red.m == m_ref
+    # Latent functions up to sign, where the eigenvalue is apart from its
+    # neighbours (an eigenvector is defined only up to that gap).
+    phi_ref = (H @ B_ref)[: grid.n_t]
+    padded = np.concatenate([[np.inf], lam_ref, [-np.inf]])
+    for j in range(min(red.m, m_ref)):
+        if min(padded[j] - padded[j + 1], padded[j + 1] - padded[j + 2]) <= 1e-6 * scale:
+            continue
+        ref = phi_ref[:, j] * np.sign(phi_ref[:, j] @ red.phi[:, j])
+        assert np.abs(red.phi[:, j] - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_a_singular_gram_matrix_fails_by_name(monkeypatch):
+    ens, _ = make_ensemble(fq.make_rng(34))
+    monkeypatch.setattr(fpca, "gram_matrix", lambda basis: np.ones((basis.n_b, basis.n_b)))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^Gram matrix is numerically singular \(redundant basis\)$"):
+        fit_reducer(ens, kind="bspline", nb_override=8)
 
 
 def test_score_statistics():
@@ -275,14 +342,13 @@ def refit_reference(ens, kind, n_b0=None, tau_override=None, nb_override=None):
         tau = select_tau(H, R, centered)
     C = fq.fit_coefficients(H, R, tau, centered)
     W = fq.gram_matrix(basis)
-    W_half, W_half_inv = fpca._matrix_sqrt(W)
-    G = W_half @ C
-    lam, U = eigh((G @ G.T) / (ens.n - 1))
-    lam, U = np.clip(lam[::-1], 0.0, None), U[:, ::-1]
+    L = np.linalg.cholesky(W)
+    _, svals, Vt = np.linalg.svd(C.T @ L, full_matrices=False)
+    lam = svals**2 / (ens.n - 1)
     if lam.sum() <= 1e-14 * max(1.0, np.abs(Y).max() ** 2):
         B, scores = np.zeros((n_b, 0)), np.zeros((ens.n, 0))
     else:
-        B = fpca._fix_signs(W_half_inv @ U[:, :select_m(lam)])
+        B = fpca._fix_signs(solve_triangular(L, Vt[: select_m(lam)].T, trans="T", lower=True))
         scores = (B.T @ (W @ C)).T
     n_t = ens.grid.n_t
     return {"phi": (H @ B)[:n_t], "B": B, "mean_curve": mean[:n_t], "eigenvalues": lam}, scores
