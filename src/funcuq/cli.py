@@ -14,6 +14,7 @@ import copy
 import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
 import time
@@ -44,109 +45,99 @@ from .surrogate import (
     save_surrogate,
 )
 
-DEFAULT_CONFIG = {
-    "model": None,
-    "seed": 0,
-    "out_dir": ".",
-    "dataset": {
-        "inputs": None,
-        "responses": None,
-        "n_train": 100,
-        "noise_std": 0.0,
-        "substeps": bench.DEFAULT_SUBSTEPS,
-    },
-    "basis": {"kind": "bspline", "n_b0": None, "order": 4, "mirror": None},
-    "smoothing": {"n_tau": 25, "delta_r": 0.05, "tau_override": None},
-    "kriging": {"n_starts": 10, "budget": 400, "fix_nugget": None},
-    "surrogate": {"reducer": "kfdr-b"},
-    "study": {
-        "train_sizes": [100],
-        "repetitions": 10,
-        "test_size": 1000,
-        "noise_std": 0.0,
-        "methods": ["kfdr-f", "kfdr-b", "pca"],
-    },
-    "forward": {
-        "model_file": None,
-        "use_exact_model": False,
-        "distributions": [],
-        "n_mcs": 100_000,
-        "kde_points": 512,
-    },
-    "inverse": {
-        "model_file": None,
-        "use_exact_model": False,
-        "observations": None,
-        "priors": [],
-        "sigma_prior": None,
-        "fixed": {},
-        "walkers": 100,
-        "iterations": 300,
-        "burn_in": 0.5,
-    },
+# Every config key: its default, its kind and, for a number, the bounds it
+# must meet (e.g. ">= 2").  A kind is one of core.json_field's (int, float,
+# str, bool, dict, list), a tuple of accepted strings, [kind] for an array of
+# kind or {str: kind} for an object of kind; int is any integer here, and a
+# float a finite number.  A key whose default is None also accepts null.
+# The fit sections' keys are FitConfig's fields, and its defaults theirs.
+SCHEMA = {
+    "model": (None, tuple(sorted(bench.MODEL_GRIDS))),
+    "seed": (0, int),
+    "out_dir": (".", str),
+    "dataset": {"inputs": (None, str), "responses": (None, str), "n_train": (100, int, ">= 1"),
+                "noise_std": (0.0, float, ">= 0"),
+                "substeps": (bench.DEFAULT_SUBSTEPS, int, ">= 1")},
+    # basis.kind is not read: the reducer chooses the basis.
+    "basis": {"kind": ("bspline", ("bspline",)), "n_b0": (FitConfig.n_b0, int, ">= 2"),
+              "order": (FitConfig.order, int, ">= 0"), "mirror": (FitConfig.mirror, bool)},
+    "smoothing": {"n_tau": (FitConfig.n_tau, int, ">= 2"),
+                  "delta_r": (FitConfig.delta_r, float, "> 0"),
+                  "tau_override": (FitConfig.tau_override, float, ">= 0")},
+    "kriging": {"n_starts": (FitConfig.n_starts, int, ">= 1"),
+                "budget": (FitConfig.budget, int, ">= 1"),
+                "fix_nugget": (FitConfig.fix_nugget, float, ">= 0")},
+    "surrogate": {"reducer": (FitConfig.reducer, REDUCERS)},
+    "study": {"train_sizes": ([100], [int], ">= 1"), "repetitions": (10, int, ">= 0"),
+              "test_size": (1000, int, ">= 1"), "noise_std": (0.0, float, ">= 0"),
+              "methods": (list(REDUCERS), [REDUCERS])},
+    "forward": {"model_file": (None, str), "use_exact_model": (False, bool),
+                "distributions": ([], [dict]), "n_mcs": (100_000, int, ">= 2"),
+                "kde_points": (512, int, ">= 0")},
+    # uq.ensemble_mcmc checks the walker floor, 2 (d + 1), which depends on the model.
+    "inverse": {"model_file": (None, str), "use_exact_model": (False, bool),
+                "observations": (None, str), "priors": ([], [dict]), "sigma_prior": (None, dict),
+                "fixed": ({}, {str: float}), "walkers": (100, int, ">= 0"),
+                "iterations": (300, int, ">= 2"), "burn_in": (0.5, float, ">= 0", "< 1")},
 }
+DEFAULT_CONFIG = {key: {k: e[0] for k, e in entry.items()} if isinstance(entry, dict) else entry[0]
+                  for key, entry in SCHEMA.items()}
+
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_WORDS = {(int, ()): "an integer", (int, (">= 0",)): "a nonnegative integer",
+          (float, ()): "a finite number"}
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _check(source: str, name: str, value, kind, *bounds: str) -> None:
+    """Raise ValueError `source: name must be ..., got value` unless value is
+    of `kind`, in one of SCHEMA's forms, and meets each bound."""
+    if isinstance(kind, (list, dict)):
+        _check(source, name, value, type(kind))
+        for key, entry in value.items() if isinstance(kind, dict) else enumerate(value):
+            _check(source, f"{name}.{key}" if isinstance(kind, dict) else f"{name}[{key}]",
+                   entry, kind[str] if isinstance(kind, dict) else kind[0], *bounds)
+        return
+    if isinstance(kind, tuple):
+        ok, want = value in kind, f"one of {list(kind)}"
+    elif kind is int or kind is float:
+        # bool is not a number; NaN, inf and integers beyond a float are not finite.
+        ok = ((type(value) is int or kind is float and type(value) is float)
+              and (kind is int or abs(value) <= sys.float_info.max)
+              and all(_BOUNDS[op](value, float(limit)) for op, limit in map(str.split, bounds)))
+        want = _WORDS.get((kind, bounds)) or f"{_WORDS[kind, ()]} {' and '.join(bounds)}"
+    else:
+        json_field({name: value}, source, "", name, kind)
+        return
+    if not ok:
+        raise ValueError(f"{source}: {name} must be {want}, got {value!r}")
 
 
 def load_config(path=None) -> dict:
     """The defaults, overridden by the JSON config at path.  A top level
-    that is not an object, an unknown section or section key (keys below
-    that level, e.g. inverse.fixed's parameter names, are not checked), a
-    section that is not an object, a non-boolean basis.mirror, a
-    surrogate.reducer or study.methods entry that is not a reducer, a seed
-    that is not an integer, a count or size (of forward, inverse, kriging,
-    dataset and study, smoothing.n_tau, basis.order and each
-    study.train_sizes entry) that is not a nonnegative integer, and a
-    non-finite inverse.burn_in, dataset.noise_std, study.noise_std or
-    smoothing.delta_r fail, naming the file and the key."""
+    that is not an object, a section that is not an object, and a key that
+    is not in SCHEMA or not of its kind fail, naming the file and the key."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
+        return cfg
     with open(path, "r", encoding="utf-8") as fh:
         user = json.load(fh)
+    source = f"config {path}"
     if not isinstance(user, dict):
-        raise ValueError(f"config {path}: the top level must be a JSON object, got {user!r}")
-    unknown = set(user) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise ValueError(f"config {path}: unknown sections {sorted(unknown)}")
-    for section in user:
-        if not isinstance(DEFAULT_CONFIG[section], dict):
-            continue
-        for key in json_field(user, f"config {path}", "", section, dict):
-            if key not in DEFAULT_CONFIG[section]:
-                raise ValueError(f"config {path}: unknown key {section}.{key}")
-    mirror = user.get("basis", {}).get("mirror")
-    if mirror is not None and not isinstance(mirror, bool):
-        raise ValueError(f"config {path}: basis.mirror must be true, false or null, got {mirror!r}")
-    cfg = _merge(DEFAULT_CONFIG, user)
-    # A seed may be negative, as --seed's; json_field's int is nonnegative.
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        raise ValueError(f"config {path}: seed must be an integer, got {cfg['seed']!r}")
-    for section, key, kind in (("forward", "n_mcs", int), ("forward", "kde_points", int),
-                               ("inverse", "walkers", int), ("inverse", "iterations", int),
-                               ("kriging", "n_starts", int), ("kriging", "budget", int),
-                               ("smoothing", "n_tau", int), ("basis", "order", int),
-                               ("dataset", "n_train", int), ("dataset", "substeps", int),
-                               ("study", "repetitions", int), ("study", "test_size", int),
-                               ("inverse", "burn_in", float), ("dataset", "noise_std", float),
-                               ("study", "noise_std", float), ("smoothing", "delta_r", float)):
-        json_field(cfg[section], f"config {path}", section, key, kind, shape=None)
-    sizes = json_field(cfg["study"], f"config {path}", "study", "train_sizes", list)
-    for j, size in enumerate(sizes):
-        json_field({f"train_sizes[{j}]": size}, f"config {path}", "study", f"train_sizes[{j}]", int)
-    methods = json_field(cfg["study"], f"config {path}", "study", "methods", list)
-    for key, value in [("surrogate.reducer", cfg["surrogate"]["reducer"])] + [
-            (f"study.methods[{j}]", method) for j, method in enumerate(methods)]:
-        if value not in REDUCERS:
-            raise ValueError(f"config {path}: {key} must be one of {list(REDUCERS)}, got {value!r}")
+        raise ValueError(f"{source}: the top level must be a JSON object, got {user!r}")
+    for section, settings in user.items():
+        schema = SCHEMA.get(section)
+        if isinstance(schema, dict):
+            _check(source, section, settings, dict)
+            prefix, target = f"{section}.", cfg[section]
+        else:  # a top-level key, or an unknown one
+            schema, prefix, target, settings = SCHEMA, "", cfg, {section: settings}
+        for key, value in settings.items():
+            if key not in schema:
+                raise ValueError(f"{source}: unknown key {prefix}{key}")
+            default, kind, *bounds = schema[key]
+            if value is not None or default is not None:
+                _check(source, prefix + key, value, kind, *bounds)
+            target[key] = value
     return cfg
 
 
@@ -184,13 +175,11 @@ _DIST_KINDS = {"normal": uq.Normal, "lognormal": uq.Lognormal, "uniform": uq.Uni
 
 
 def _build_marginal(source: str, key: str, entry, kinds=tuple(_DIST_KINDS)):
-    """The marginal of config entry `key`, of its "dist" kind, one of
+    """The marginal of config object `key`, of its "dist" kind, one of
     `kinds`; a missing "dist" means the only kind when there is one.  A
     missing, non-numeric or non-finite parameter, a kind not in `kinds`
     and a value the distribution rejects fail, naming the config (`source`,
     as main() words it) and the key."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{source}: {key} must be an object, got {entry!r}")
     kind = entry.get("dist", kinds[0] if len(kinds) == 1 else None)
     if kind not in kinds:
         raise ValueError(f"{source}: {key}.dist must be one of {sorted(kinds)}, got {kind!r}")
@@ -208,7 +197,7 @@ def _marginals(args, key: str, inputs) -> list:
     that are not `inputs`, in order, fail naming the config file and the
     key."""
     section, field = key.split(".")
-    entries = json_field(args.cfg[section], args.source, section, field, list)
+    entries = args.cfg[section][field]
     marginals = [_build_marginal(args.source, f"{key}[{j}]", e) for j, e in enumerate(entries)]
     names = [e.get("name", f"x{j + 1}") for j, e in enumerate(entries)]
     if names != list(inputs):
@@ -250,7 +239,7 @@ def cmd_generate(args) -> int:
     ds = cfg["dataset"]
     cfg["model"] = args.model or cfg["model"]
     if cfg["model"] is None:
-        raise ValueError("generate needs --model or a model in the config")
+        raise ValueError(f"{args.source}: model is not set; generate needs --model or a model")
     for key, value in (("n_train", args.n), ("noise_std", args.noise)):
         if value is not None:
             ds[key] = value
@@ -315,14 +304,16 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     cfg, out_dir = args.cfg, args.out
     model_path = args.model_file or cfg["forward"]["model_file"]
-    inputs_path = args.inputs
-    if not model_path or not inputs_path:
-        raise ValueError("predict needs --model-file and --inputs")
+    if not model_path:
+        raise ValueError(f"{args.source}: forward.model_file is not set; predict needs it "
+                         "or --model-file")
+    if not args.inputs:
+        raise ValueError("predict needs --inputs")
     sur = load_surrogate(model_path)
-    _, X = read_table("inputs", inputs_path)
+    _, X = read_table("inputs", args.inputs)
     if X.shape[1] != sur.input_lo.size:
         raise ValueError(
-            f"inputs file {inputs_path}: {X.shape[1]} columns, the model has "
+            f"inputs file {args.inputs}: {X.shape[1]} columns, the model has "
             f"{sur.input_lo.size} inputs"
         )
     means, var = sur.predict_curves(X)
@@ -431,8 +422,7 @@ def cmd_inverse(args) -> int:
     times, observations = uq.load_observations(inv["observations"])
     check_nodes(f"observations file {inv['observations']}", times, grid, "model grid")
 
-    fixed = json_field(inv, source, "inverse", "fixed", dict)
-    fixed = {name: json_field(fixed, source, "inverse.fixed", name, shape=None) for name in fixed}
+    fixed = inv["fixed"]
     unknown = sorted(set(fixed) - set(names))
     if unknown:
         raise ValueError(f"{source}: inverse.fixed names {unknown} are not model inputs "

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,7 +249,9 @@ def test_fit_with_one_dataset_path_fails_naming_the_other(tmp_path, capsys, unse
     ("fit", "model is not set; the training data needs a model or dataset.inputs and "
             "dataset.responses"),
     ("study", "model is not set; study needs a model"),
-], ids=["fit", "study"])
+    ("generate", "model is not set; generate needs --model or a model"),
+    ("predict", "forward.model_file is not set; predict needs it or --model-file"),
+], ids=["fit", "study", "generate", "predict"])
 @pytest.mark.parametrize("with_config", [True, False], ids=["config", "default config"])
 def test_a_run_without_a_model_names_the_config(tmp_path, capsys, command, message,
                                                  with_config):
@@ -259,6 +262,13 @@ def test_a_run_without_a_model_names_the_config(tmp_path, capsys, command, messa
     assert main(argv) == 1
     source = f"config {cfg_path}" if with_config else "default config"
     assert f"{source}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_without_inputs_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["predict", "--model-file", str(tmp_path / "model.json"), "--out", str(out)]) == 1
+    assert "predict needs --inputs" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -830,34 +840,66 @@ def test_unknown_config_section_rejected(tmp_path):
     ({"kriging": {"n_start": 3}}, "kriging.n_start"),
     ({"smoothing": {"n_b0": 16}}, "smoothing.n_b0"),
     ({"basis": 16}, "basis"),
-    ({"forward": {"n_mcs": 1e3}}, "forward.n_mcs must be a nonnegative integer, got 1000.0"),
+    ({"forward": {"n_mcs": 1e3}}, "forward.n_mcs must be an integer >= 2, got 1000.0"),
     ({"forward": {"kde_points": -1}}, "forward.kde_points must be a nonnegative integer, got -1"),
     ({"surrogate": {"reducer": "kfdr"}}, "surrogate.reducer must be one of"),
     ({"study": {"methods": ["pca", "fpca"]}}, "study.methods[1] must be one of"),
     ({"study": {"methods": "pca"}}, "study.methods must be an array"),
-    ({"kriging": {"n_starts": 1.5}}, "kriging.n_starts must be a nonnegative integer, got 1.5"),
-    ({"kriging": {"budget": "10"}}, "kriging.budget must be a nonnegative integer"),
-    ({"smoothing": {"n_tau": 25.0}}, "smoothing.n_tau must be a nonnegative integer, got 25.0"),
+    ({"kriging": {"n_starts": 1.5}}, "kriging.n_starts must be an integer >= 1, got 1.5"),
+    ({"kriging": {"budget": "10"}}, "kriging.budget must be an integer >= 1"),
+    ({"smoothing": {"n_tau": 25.0}}, "smoothing.n_tau must be an integer >= 2, got 25.0"),
     ({"basis": {"order": True}}, "basis.order must be a nonnegative integer, got True"),
-    ({"dataset": {"n_train": -5}}, "dataset.n_train must be a nonnegative integer, got -5"),
-    ({"dataset": {"substeps": None}}, "dataset.substeps must be a nonnegative integer, got None"),
+    ({"dataset": {"n_train": -5}}, "dataset.n_train must be an integer >= 1, got -5"),
+    ({"dataset": {"substeps": None}}, "dataset.substeps must be an integer >= 1, got None"),
     ({"study": {"repetitions": "10"}}, "study.repetitions must be a nonnegative integer"),
-    ({"study": {"test_size": 1e3}}, "study.test_size must be a nonnegative integer, got 1000.0"),
+    ({"study": {"test_size": 1e3}}, "study.test_size must be an integer >= 1, got 1000.0"),
     ({"study": {"train_sizes": [100, 50.5]}},
-     "study.train_sizes[1] must be a nonnegative integer, got 50.5"),
+     "study.train_sizes[1] must be an integer >= 1, got 50.5"),
     ({"study": {"train_sizes": 100}}, "study.train_sizes must be an array, got 100"),
     ({"dataset": {"noise_std": "0.1"}}, "dataset.noise_std must be a finite number"),
-    ({"study": {"noise_std": float("nan")}}, "study.noise_std must be a finite number, got nan"),
-    ({"smoothing": {"delta_r": None}}, "smoothing.delta_r must be a finite number, got None"),
+    ({"study": {"noise_std": float("nan")}}, "study.noise_std must be a finite number >= 0, got nan"),
+    ({"smoothing": {"delta_r": None}}, "smoothing.delta_r must be a finite number > 0, got None"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"seed": True}, "seed must be an integer, got True"),
+    ({"basis": {"kind": "fourier"}}, "basis.kind must be one of"),
+    ({"forward": {"use_exact_model": "false"}}, "forward.use_exact_model must be true or false"),
+    ({"kriging": {"fix_nugget": "x"}}, "kriging.fix_nugget must be a finite number"),
+    ({"out_dir": 5}, "out_dir must be a string, got 5"),
+    ({"model": "duffin"}, "model must be one of"),
+    ({"inverse": {"fixed": {"y0": "abc"}}}, "inverse.fixed.y0 must be a finite number"),
+    ({"forward": {"n_mcs": 1}}, "forward.n_mcs must be an integer >= 2, got 1"),
+    ({"smoothing": {"n_tau": 0}}, "smoothing.n_tau must be an integer >= 2, got 0"),
+    ({"basis": {"n_b0": 1}}, "basis.n_b0 must be an integer >= 2, got 1"),
+    ({"dataset": {"substeps": 0}}, "dataset.substeps must be an integer >= 1, got 0"),
+    ({"dataset": {"n_train": 0}}, "dataset.n_train must be an integer >= 1, got 0"),
+    ({"study": {"test_size": 0}}, "study.test_size must be an integer >= 1, got 0"),
+    ({"study": {"train_sizes": [100, 0]}}, "study.train_sizes[1] must be an integer >= 1, got 0"),
+    ({"kriging": {"n_starts": 0}}, "kriging.n_starts must be an integer >= 1, got 0"),
+    ({"kriging": {"budget": 0}}, "kriging.budget must be an integer >= 1, got 0"),
+    ({"kriging": {"fix_nugget": -1}}, "kriging.fix_nugget must be a finite number >= 0, got -1"),
+    ({"smoothing": {"tau_override": -1e-3}},
+     "smoothing.tau_override must be a finite number >= 0, got -0.001"),
+    ({"dataset": {"noise_std": -1e-5}}, "dataset.noise_std must be a finite number >= 0, got -1e-05"),
+    ({"study": {"noise_std": -1e-5}}, "study.noise_std must be a finite number >= 0, got -1e-05"),
+    ({"smoothing": {"delta_r": -0.05}}, "smoothing.delta_r must be a finite number > 0, got -0.05"),
+    ({"smoothing": {"delta_r": 0}}, "smoothing.delta_r must be a finite number > 0, got 0"),
+    ({"inverse": {"burn_in": 1.0}},
+     "inverse.burn_in must be a finite number >= 0 and < 1, got 1.0"),
+    ({"inverse": {"burn_in": -0.5}},
+     "inverse.burn_in must be a finite number >= 0 and < 1, got -0.5"),
+    ({"inverse": {"iterations": 1}}, "inverse.iterations must be an integer >= 2, got 1"),
 ], ids=["mirror string", "mirror integer", "key typo", "dropped key", "section not an object",
         "float count", "negative count", "unknown reducer", "unknown method",
         "methods not an array", "float n_starts", "string budget", "float n_tau",
         "boolean order", "negative n_train", "null substeps", "string repetitions",
         "float test_size", "float train size", "train_sizes not an array",
         "string dataset noise", "NaN study noise", "null delta_r", "float seed",
-        "boolean seed"])
+        "boolean seed", "fourier basis kind", "string use_exact_model", "string fix_nugget",
+        "integer out_dir", "unknown model", "string fixed value", "n_mcs 1", "n_tau 0",
+        "n_b0 1", "substeps 0", "n_train 0", "test_size 0", "train size 0", "n_starts 0",
+        "budget 0", "negative fix_nugget", "negative tau_override", "negative dataset noise",
+        "negative study noise", "negative delta_r", "zero delta_r", "burn_in 1",
+        "negative burn_in", "iterations 1"])
 def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(override))
@@ -866,6 +908,50 @@ def test_config_rejects_bad_keys(tmp_path, capsys, override, key):
     assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# One value of another kind for each kind a cli.SCHEMA entry can have.
+WRONG_KIND = {int: 1.5, float: "1.0", str: 5, bool: "false", dict: [], list: {}}
+
+
+def wrong_value(kind):
+    if isinstance(kind, tuple):  # accepted strings
+        return "not-" + kind[0]
+    if isinstance(kind, list):  # an array of kind[0]
+        return [wrong_value(kind[0])]
+    if isinstance(kind, dict):  # an object of kind[str]
+        return {"name": wrong_value(kind[str])}
+    return WRONG_KIND[kind]
+
+
+SCHEMA_ENTRIES = [(f"{section}.{key}", entry) for section, keys in cli.SCHEMA.items()
+                  if isinstance(keys, dict) for key, entry in keys.items()]
+SCHEMA_ENTRIES += [(key, entry) for key, entry in cli.SCHEMA.items() if isinstance(entry, tuple)]
+
+
+@pytest.mark.parametrize("name, entry", SCHEMA_ENTRIES, ids=[name for name, _ in SCHEMA_ENTRIES])
+def test_every_schema_key_rejects_a_value_of_another_kind(tmp_path, capsys, name, entry):
+    value = wrong_value(entry[1])
+    section, _, key = name.rpartition(".")
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({section: {key: value}} if section else {key: value}))
+    out = tmp_path / "o"
+    assert main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config {cfg_path}: {name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A config covering all commands:")[1].split("```json\n")[1]
+    cfg_path = tmp_path / "readme.json"
+    cfg_path.write_text(block.split("```")[0])
+    cfg = load_config(cfg_path)
+    for section, value in json.loads(cfg_path.read_text()).items():
+        if isinstance(value, dict):
+            assert cfg[section] == {**DEFAULT_CONFIG[section], **value}
+        else:
+            assert cfg[section] == value
 
 
 def test_config_seed_may_be_negative(tmp_path):
