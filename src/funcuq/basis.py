@@ -13,6 +13,8 @@ from scipy.interpolate import BSpline
 
 FOURIER = "fourier"
 BSPLINE = "bspline"
+# Cubic, the lowest B-spline order with nonzero piecewise second derivatives.
+MIN_BSPLINE_ORDER = 4
 
 # 5-point Gauss-Legendre per knot interval: exact for polynomial integrands
 # up to degree 9, which covers products of cubic splines.
@@ -37,8 +39,8 @@ class BasisSystem:
             if n_b < 3 or n_b % 2 == 0:
                 raise ValueError(f"Fourier basis count must be odd and >= 3, got {n_b}")
         else:
-            if order < 4:
-                raise ValueError(f"B-spline order must be >= 4, got {order}")
+            if order < MIN_BSPLINE_ORDER:
+                raise ValueError(f"B-spline order must be >= {MIN_BSPLINE_ORDER}, got {order}")
             if n_b < order:
                 raise ValueError(f"need at least {order} B-splines, got {n_b}")
         self.kind = kind

@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from . import bench, uq
+from .basis import MIN_BSPLINE_ORDER
 from .core import (
     ResponseEnsemble,
     check_nodes,
@@ -37,6 +38,7 @@ from .core import (
     write_table,
 )
 from .surrogate import (
+    KFDR_B,
     REDUCERS,
     FitConfig,
     LatentSurrogate,
@@ -58,7 +60,8 @@ SCHEMA = {
     "dataset": {"inputs": (None, str), "responses": (None, str), "n_train": (100, int, ">= 1"),
                 "noise_std": (0.0, float, ">= 0"),
                 "substeps": (bench.DEFAULT_SUBSTEPS, int, ">= 1")},
-    # basis.kind is not read: the reducer chooses the basis.
+    # basis.kind is not read: the reducer chooses the basis.  _fit_config
+    # checks the B-spline order floor, which applies to the B-spline reducer.
     "basis": {"kind": ("bspline", ("bspline",)), "n_b0": (FitConfig.n_b0, int, ">= 2"),
               "order": (FitConfig.order, int, ">= 0"), "mirror": (FitConfig.mirror, bool)},
     "smoothing": {"n_tau": (FitConfig.n_tau, int, ">= 2"),
@@ -74,7 +77,8 @@ SCHEMA = {
     "forward": {"model_file": (None, str), "use_exact_model": (False, bool),
                 "distributions": ([], [dict]), "n_mcs": (100_000, int, ">= 2"),
                 "kde_points": (512, int, ">= 0")},
-    # uq.ensemble_mcmc checks the walker floor, 2 (d + 1), which depends on the model.
+    # cmd_inverse checks the walker floor, uq.min_walkers(d), which depends on
+    # the number of calibrated inputs.
     "inverse": {"model_file": (None, str), "use_exact_model": (False, bool),
                 "observations": (None, str), "priors": ([], [dict]), "sigma_prior": (None, dict),
                 "fixed": ({}, {str: float}), "walkers": (100, int, ">= 0"),
@@ -141,8 +145,13 @@ def load_config(path=None) -> dict:
     return cfg
 
 
-def _fit_config(cfg: dict) -> FitConfig:
-    """FitConfig's fields are the keys of the fit sections; basis.kind is not read."""
+def _fit_config(args, reducers) -> FitConfig:
+    """FitConfig's fields are the keys of the fit sections; basis.kind is not
+    read.  When one of `reducers` fits B-splines, a basis.order below their
+    floor fails naming the config (args.source) and the key."""
+    cfg = args.cfg
+    if KFDR_B in reducers:
+        _check(args.source, "basis.order", cfg["basis"]["order"], int, f">= {MIN_BSPLINE_ORDER}")
     return FitConfig(**{key: value for section in ("basis", "smoothing", "kriging", "surrogate")
                         for key, value in cfg[section].items() if key != "kind"})
 
@@ -240,8 +249,9 @@ def cmd_generate(args) -> int:
     cfg["model"] = args.model or cfg["model"]
     if cfg["model"] is None:
         raise ValueError(f"{args.source}: model is not set; generate needs --model or a model")
-    for key, value in (("n_train", args.n), ("noise_std", args.noise)):
+    for key, flag, value in (("n_train", "--n", args.n), ("noise_std", "--noise", args.noise)):
         if value is not None:
+            _check("command line", flag, value, *SCHEMA["dataset"][key][1:])
             ds[key] = value
     ens = _load_training_data(args, sample=True)
     os.makedirs(out_dir, exist_ok=True)
@@ -285,9 +295,10 @@ def _fit_report(sur: LatentSurrogate, seed: int, blas_pinned: bool, elapsed: flo
 
 def cmd_fit(args) -> int:
     cfg, seed, out_dir = args.cfg, args.seed, args.out
+    config = _fit_config(args, [cfg["surrogate"]["reducer"]])
     ens = _load_training_data(args)
     t0 = time.perf_counter()
-    sur = fit_surrogate(ens, _fit_config(cfg), make_rng(derive_seed(seed, "fit")))
+    sur = fit_surrogate(ens, config, make_rng(derive_seed(seed, "fit")))
     elapsed = time.perf_counter() - t0
     os.makedirs(out_dir, exist_ok=True)
     save_surrogate(sur, os.path.join(out_dir, "model.json"))
@@ -330,12 +341,12 @@ def cmd_study(args) -> int:
         raise ValueError(f"{args.source}: model is not set; study needs a model")
     st = cfg["study"]
     substeps = cfg["dataset"]["substeps"]
+    base = _fit_config(args, st["methods"])
 
     test = bench.generate_dataset(
         cfg["model"], st["test_size"], make_rng(derive_seed(seed, "study/test")),
         substeps=substeps,
     )
-    base = _fit_config(cfg)
     rows = []
     for n_train in st["train_sizes"]:
         for rep in range(st["repetitions"]):
@@ -428,6 +439,9 @@ def cmd_inverse(args) -> int:
         raise ValueError(f"{source}: inverse.fixed names {unknown} are not model inputs "
                          f"{list(names)}")
     calibrated = [n for n in names if n not in fixed]
+    # The sampler draws the calibrated inputs and sigma.
+    _check(source, "inverse.walkers", inv["walkers"], int,
+           f">= {uq.min_walkers(len(calibrated) + 1)}")
     priors = _marginals(args, "inverse.priors", calibrated)
     model = _calibration_model(model, names, fixed, calibrated)
 

@@ -368,6 +368,11 @@ def stretch_draw(rng: np.random.Generator, a: float = STRETCH_A, size=None):
     return ((a - 1.0) * u + 1.0) ** 2 / a
 
 
+def min_walkers(d: int) -> int:
+    """The fewest walkers ensemble_mcmc accepts in d dimensions: 2 (d + 1)."""
+    return 2 * (d + 1)
+
+
 def ensemble_mcmc(
     logpost,
     priors,
@@ -391,8 +396,8 @@ def ensemble_mcmc(
     The first burn_in fraction of iterations is discarded.
     """
     d = len(priors)
-    if walkers < 2 * (d + 1):
-        raise ValueError(f"need at least {2 * (d + 1)} walkers for {d} dimensions")
+    if walkers < min_walkers(d):
+        raise ValueError(f"need at least {min_walkers(d)} walkers for {d} dimensions")
     if iterations < 2:
         raise ValueError("need at least 2 iterations")
     if not 0.0 <= burn_in < 1.0:

@@ -64,6 +64,21 @@ def test_rk4_nonfinite_state_errors():
             rk4_integrate(lambda t, y: y**3, np.array([5.0]), grid)
 
 
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), h=st.floats(1e-3, 0.5))
+def test_rk4_step_rounds_as_written(seed, h):
+    # One substep against the classical formula, term by term, for an f
+    # that returns its input and for one that returns a new array.
+    y0 = fq.make_rng(seed).normal(size=(3, 2))
+    for f in (lambda t, y: y, lambda t, y: np.cos(t) - y * y * y):
+        k1 = f(0.0, y0)
+        k2 = f(0.5 * h, y0 + 0.5 * h * k1)
+        k3 = f(0.5 * h, y0 + 0.5 * h * k2)
+        k4 = f(h, y0 + h * k3)
+        want = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(rk4_integrate(f, y0, fq.TimeGrid(0.0, h, 2), 1)[1], want)
+
+
 def test_rk4_batch_matches_scalar():
     grid = fq.TimeGrid(0.0, 1.0, 31)
 
@@ -118,6 +133,77 @@ SOLVERS = {
 }
 
 
+# The right-hand sides before the forcing was evaluated in blocks, kept as
+# exact oracles: each keeps its last (t, forcing) pair, evaluates the
+# excitation again only when the stage time changes, and forms the cubes
+# as products.
+def cached_forcing(excitation, *args):
+    last_t, last_value = None, None
+
+    def at(t):
+        nonlocal last_t, last_value
+        if t != last_t:
+            last_t, last_value = t, excitation(t, *args)
+        return last_value
+
+    return at
+
+
+def cached_duffing(params, grid, substeps):
+    alpha, beta, c, y0 = np.atleast_2d(params).T
+    forcing = cached_forcing(duffing_excitation, alpha, beta)
+
+    def rhs(t, state):
+        y, v = state[..., 0], state[..., 1]
+        y2 = y * y
+        out = np.empty_like(state)
+        out[..., 0] = v
+        out[..., 1] = (
+            forcing(t) - c * v - DUFFING_K * y - DUFFING_K2 * y2 - DUFFING_K3 * (y2 * y)
+        ) / DUFFING_M
+        return out
+
+    state0 = np.stack([y0, np.zeros_like(y0)], axis=-1)
+    return rk4_integrate(rhs, state0, grid, substeps)[:, :, 0].T
+
+
+def series_excitation(t, m, theta):
+    """Bouc-Wen's excitation at one time t, its series as two 1-D dot products."""
+    phase = 0.1 * np.pi * np.arange(1, 151) * t
+    series = theta[:150] @ np.cos(phase) + theta[150:] @ np.sin(phase)
+    return -np.sqrt(0.006 * np.pi * m) * series
+
+
+def cached_boucwen(params, grid, substeps):
+    m, c, k, alpha, y0 = np.atleast_2d(params).T
+    forcing = cached_forcing(series_excitation, m, boucwen_excitation_coeffs())
+
+    def rhs(t, state):
+        y, v, z = state[..., 0], state[..., 1], state[..., 2]
+        az = np.abs(z)
+        az2 = az * az
+        out = np.empty_like(state)
+        out[..., 0] = v
+        out[..., 1] = (forcing(t) - c * v - k * (alpha * y + (1.0 - alpha) * z)) / m
+        out[..., 2] = (
+            BOUCWEN_A * v
+            - BOUCWEN_BETA * np.abs(v) * az2 * z
+            - BOUCWEN_GAMMA * v * (az2 * az)
+        )
+        return out
+
+    state0 = np.stack([y0, np.zeros_like(y0), np.zeros_like(y0)], axis=-1)
+    return rk4_integrate(rhs, state0, grid, substeps)[:, :, 0].T
+
+
+def three_node_grid(grid):
+    """The first two steps of a model grid."""
+    return fq.TimeGrid(grid.t0, grid.t0 + 2.0 * grid.dt, 3)
+
+
+CACHED = {"duffing": cached_duffing, "boucwen": cached_boucwen}
+
+
 def batch_draws(bounds):
     """1-30 input rows inside the bounds, and a substep count of 1, 2 or 4."""
     row = st.tuples(*(st.floats(lo, hi) for lo, hi in bounds))
@@ -150,6 +236,34 @@ def test_batch_agrees_with_reference_rhs(model, data):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("model", sorted(SOLVERS))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_batch_equals_the_cached_forcing_rhs(model, data):
+    solver, bounds, grid, _, _ = SOLVERS[model]
+    params, substeps = data.draw(batch_draws(bounds))
+    want = CACHED[model](params, grid, substeps)
+    got = solver(params, grid, substeps)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("model", sorted(SOLVERS))
+@pytest.mark.parametrize("n_rows", [50_000, 70_000])
+def test_batch_equals_the_cached_forcing_rhs_across_forcing_blocks(model, n_rows):
+    # A forcing block holds FORCING_BLOCK // n_rows stage times: two at
+    # 50,000 rows and one at 70,000, so the solve crosses block edges.
+    assert bench.FORCING_BLOCK // n_rows == {50_000: 2, 70_000: 1}[n_rows]
+    solver, bounds, grid, _, _ = SOLVERS[model]
+    grid = three_node_grid(grid)
+    params = fq.latin_hypercube(n_rows, len(bounds), bounds, fq.make_rng(n_rows))
+    for substeps in (1, 2, 4):
+        want = CACHED[model](params, grid, substeps)
+        got = solver(params, grid, substeps)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+
+
 def stage_times(grid, substeps):
     """Every time at which rk4_integrate calls f, in call order."""
     h = grid.dt / substeps
@@ -163,26 +277,40 @@ def stage_times(grid, substeps):
     ("duffing", "duffing_excitation"), ("boucwen", "boucwen_excitation")])
 def test_forcing_evaluated_once_per_stage_time(monkeypatch, model, excitation):
     solver, bounds, grid, _, _ = SOLVERS[model]
-    forcing_times, rhs_calls = [], [0]
     excite = getattr(bench, excitation)
+    # 1 row on the model grid, and 70,000 rows on its first two steps, where
+    # a forcing block holds one stage time.
+    for n_rows, grid, n_calls, n_times in ((1, grid, 6400, 3508),
+                                           (70_000, three_node_grid(grid), 32, 19)):
+        forcing_times, forcing_sizes, rhs_calls = [], [], [0]
 
-    def counting_excitation(t, *args):
-        forcing_times.append(t)
-        return excite(t, *args)
+        def counting_excitation(t, *args):
+            value = excite(t, *args)
+            forcing_times.extend(np.ravel(t).tolist())
+            forcing_sizes.append(np.size(value))
+            return value
 
-    def counting_integrate(f, *args):
-        def counted(t, y):
-            rhs_calls[0] += 1
-            return f(t, y)
-        return rk4_integrate(counted, *args)
+        def counting_integrate(f, *args):
+            def counted(t, y):
+                rhs_calls[0] += 1
+                return f(t, y)
+            return rk4_integrate(counted, *args)
 
-    monkeypatch.setattr(bench, excitation, counting_excitation)
-    monkeypatch.setattr(bench, "rk4_integrate", counting_integrate)
-    solver([[lo for lo, _ in bounds]], grid, 4)
-    times = list(stage_times(grid, 4))
-    assert rhs_calls[0] == len(times) == 6400
-    assert sorted(forcing_times) == sorted(set(times))
-    assert len(forcing_times) == 3508
+        monkeypatch.setattr(bench, excitation, counting_excitation)
+        monkeypatch.setattr(bench, "rk4_integrate", counting_integrate)
+        solver(np.tile([lo for lo, _ in bounds], (n_rows, 1)), grid, 4)
+        times = list(stage_times(grid, 4))
+        assert rhs_calls[0] == len(times) == n_calls
+        # Every distinct stage time, each exactly once.
+        assert sorted(forcing_times) == sorted(set(times))
+        assert len(forcing_times) == n_times
+        assert max(forcing_sizes) <= bench.FORCING_BLOCK
+
+
+@pytest.mark.parametrize("model", sorted(SOLVERS))
+def test_solvers_take_zero_rows(model):
+    solver, bounds, grid, _, _ = SOLVERS[model]
+    assert solver(np.empty((0, len(bounds))), grid).shape == (0, grid.n_t)
 
 
 def test_duffing_excitation_at_zero_is_alpha():

@@ -59,6 +59,17 @@ def test_generate_deterministic_bytes(tmp_path):
     assert (a / "inputs.csv").read_bytes() == (b / "inputs.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "0", "--n must be an integer >= 1, got 0"),
+    ("--noise", "-1", "--noise must be a finite number >= 0, got -1.0"),
+], ids=["n", "noise"])
+def test_generate_flags_fail_naming_the_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "data"
+    assert main(["generate", "--model", "duffing", flag, value, "--out", str(out)]) == 1
+    assert f"command line: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_writes_model_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -747,7 +758,12 @@ def test_calibration_model_block_matches_scalar_posterior():
      "forward needs one of them"),
     ("inverse", lambda cfg: cfg.update(model=None),
      "model must be one of ['boucwen', 'duffing'] for inverse.use_exact_model, got None"),
-], ids=["observations", "sigma_prior", "model_file", "model"])
+    # 4 calibrated inputs and sigma: uq.ensemble_mcmc needs 2 (5 + 1) walkers.
+    ("inverse", lambda cfg: cfg["inverse"].update(walkers=11),
+     "inverse.walkers must be an integer >= 12, got 11"),
+    ("fit", lambda cfg: cfg["basis"].update(order=3),
+     "basis.order must be an integer >= 4, got 3"),
+], ids=["observations", "sigma_prior", "model_file", "model", "walkers", "order"])
 def test_model_run_settings_fail_naming_the_config_and_the_key(tmp_path, capsys, command, edit,
                                                                 message):
     cfg_path = make_inverse_config(tmp_path, write_duffing_observations(tmp_path))
