@@ -26,11 +26,11 @@ class BasisSystem:
 
     Fourier uses the orthonormal convention (constant 1/sqrt(T), then
     sqrt(2/T) sin/cos pairs of increasing frequency), so its Gram matrix is
-    the identity.  B-splines use uniform clamped knots and default to order
-    4 (cubic), the lowest order with nonzero piecewise second derivatives.
+    the identity.  B-splines use uniform clamped knots and default to
+    MIN_BSPLINE_ORDER (cubic).
     """
 
-    def __init__(self, kind: str, n_b: int, t0: float, te: float, order: int = 4):
+    def __init__(self, kind: str, n_b: int, t0: float, te: float, order: int = MIN_BSPLINE_ORDER):
         if kind not in (FOURIER, BSPLINE):
             raise ValueError(f"unknown basis kind {kind!r}")
         if not te > t0:

@@ -136,6 +136,7 @@ def _stage_forcing(excitation, grid: TimeGrid, substeps: int, width: int, *args)
     def at(t):
         nonlocal last_t, last_value
         if t != last_t:
+            last_value = None  # frees the previous block, which a row of it keeps alive
             last_t, last_value = next(upcoming)
             if last_t != t:
                 raise RuntimeError(f"stage time {t!r} is not the planned {last_t!r}")
@@ -145,9 +146,15 @@ def _stage_forcing(excitation, grid: TimeGrid, substeps: int, width: int, *args)
 
 
 def duffing_excitation(t, alpha, beta):
-    """alpha cos(beta t) + sin((beta + 3) t) + sin(2 beta t); a column of
-    times gives one row per time."""
-    return alpha * np.cos(beta * t) + np.sin((beta + 3.0) * t) + np.sin(2.0 * beta * t)
+    """alpha cos(beta t) + sin((beta + 3) t) + sin(2 beta t), in place by the
+    formula's operations in its order; a column of times gives one row per
+    time."""
+    out = np.cos(beta * t)
+    out *= alpha
+    part = np.asarray((beta + 3.0) * t)
+    out += np.sin(part, out=part)
+    out += np.sin(np.multiply(2.0 * beta, t, out=part), out=part)
+    return out
 
 
 def duffing_batch(params, grid: TimeGrid = DUFFING_GRID,

@@ -30,7 +30,6 @@ from .core import (
     json_field,
     load_ensemble,
     make_rng,
-    model_nrmse,
     one_blas_thread,
     read_table,
     save_ensemble,
@@ -44,6 +43,7 @@ from .surrogate import (
     LatentSurrogate,
     fit_surrogate,
     load_surrogate,
+    run_study,
     save_surrogate,
 )
 
@@ -340,38 +340,21 @@ def cmd_study(args) -> int:
     if cfg["model"] is None:
         raise ValueError(f"{args.source}: model is not set; study needs a model")
     st = cfg["study"]
-    substeps = cfg["dataset"]["substeps"]
     base = _fit_config(args, st["methods"])
-
-    test = bench.generate_dataset(
-        cfg["model"], st["test_size"], make_rng(derive_seed(seed, "study/test")),
-        substeps=substeps,
+    configs = {method: dataclasses.replace(base, reducer=method) for method in st["methods"]}
+    if len(configs) < len(st["methods"]):
+        raise ValueError(f"{args.source}: study.methods names a method twice: {st['methods']}")
+    records = run_study(
+        cfg["model"], configs, st["train_sizes"], st["repetitions"], st["test_size"],
+        st["noise_std"], cfg["dataset"]["substeps"],
+        lambda stage, n, rep: derive_seed(
+            seed, "study/test" if stage == "test" else f"study/{stage}/n{n}/rep{rep}"),
     )
-    rows = []
-    for n_train in st["train_sizes"]:
-        for rep in range(st["repetitions"]):
-            train = bench.generate_dataset(
-                cfg["model"],
-                n_train,
-                make_rng(derive_seed(seed, f"study/train/n{n_train}/rep{rep}")),
-                noise_std=st["noise_std"],
-                substeps=substeps,
-            )
-            # Identical training data and fit seed for every method within
-            # a repetition, so method comparisons share all randomness.
-            fit_seed = derive_seed(seed, f"study/fit/n{n_train}/rep{rep}")
-            for method in st["methods"]:
-                fit_cfg = dataclasses.replace(base, reducer=method)
-                sur = fit_surrogate(train, fit_cfg, make_rng(fit_seed))
-                err = model_nrmse(
-                    test.responses, sur.predict_mean_curves(test.inputs)
-                )
-                # str(): FLOAT_FMT would print an integer of 11 or more digits in e-notation.
-                rows.append([method, str(n_train), str(rep), err])
     os.makedirs(out_dir, exist_ok=True)
+    # str(): FLOAT_FMT would print an integer of 11 or more digits in e-notation.
     write_table(os.path.join(out_dir, "study.csv"), ["method", "n_train", "repetition", "nrmse"],
-                rows)
-    print(f"wrote {len(rows)} study rows to {out_dir}/study.csv")
+                [[method, str(n), str(rep), err] for method, n, rep, err in records])
+    print(f"wrote {len(records)} study rows to {out_dir}/study.csv")
     return 0
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis import BSPLINE, FOURIER, BasisSystem, gram_matrix
+from .basis import BSPLINE, FOURIER, MIN_BSPLINE_ORDER, BasisSystem, gram_matrix
 from .core import ResponseEnsemble, TimeGrid, fit_nodes, mirror_rows
-from .smoothing import effective_nb, fit_basis, select_nb
+from .smoothing import DEFAULT_DELTA_R, TAU_GRID_SIZE, effective_nb, fit_basis, select_nb
 
 VARIANCE_TARGET = 0.99
 
@@ -106,10 +106,10 @@ class Reducer:
 def fit_reducer(
     ensemble: ResponseEnsemble,
     kind: str = BSPLINE,
-    order: int = 4,
+    order: int = MIN_BSPLINE_ORDER,
     n_b0: int | None = None,
-    delta_r: float = 0.05,
-    n_tau: int = 25,
+    delta_r: float = DEFAULT_DELTA_R,
+    n_tau: int = TAU_GRID_SIZE,
     tau_override: float | None = None,
     mirror: bool | None = None,
     nb_override: int | None = None,

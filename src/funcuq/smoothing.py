@@ -19,7 +19,8 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrs
 
-from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix, roughness_matrix
+from .basis import (BSPLINE, FOURIER, MIN_BSPLINE_ORDER, BasisSystem, design_matrix,
+                    roughness_matrix)
 from .core import cho_with_jitter
 
 # tau grid spans 1e-6 .. 1e6; 25 points give half-decade resolution.
@@ -136,7 +137,7 @@ def select_tau(H, R, centered, n_tau: int = TAU_GRID_SIZE) -> float:
     return float(grid[int(np.argmin(scores))])
 
 
-def effective_nb(kind: str, n_b: int, order: int = 4) -> int:
+def effective_nb(kind: str, n_b: int, order: int = MIN_BSPLINE_ORDER) -> int:
     """Usable basis count: odd (>= 3) for Fourier, >= order for B-splines."""
     if kind == FOURIER:
         n_b = max(n_b, 3)
@@ -156,8 +157,8 @@ def _mean_projection_nrmse(centered: np.ndarray, fitted: np.ndarray) -> float:
 
 
 def fit_basis(kind: str, n_b: int, centered: np.ndarray, nodes: np.ndarray,
-              interval: tuple[float, float], order: int = 4,
-              n_tau: int = TAU_GRID_SIZE, tau_override: float | None = None):
+              interval: tuple[float, float], order: int, n_tau: int,
+              tau_override: float | None):
     """One fit of the centered curves to a basis of n_b functions on the
     interval: its design matrix H on the nodes and roughness matrix R, tau
     from the GCV grid (unless tau_override pins it), and the coefficients.
@@ -178,7 +179,7 @@ def select_nb(
     interval: tuple[float, float],
     n_b0: int | None = None,
     delta_r: float = DEFAULT_DELTA_R,
-    order: int = 4,
+    order: int = MIN_BSPLINE_ORDER,
     n_tau: int = TAU_GRID_SIZE,
     tau_override: float | None = None,
     trace: list | None = None,

@@ -1,6 +1,7 @@
 """Assembly of latent-space surrogates: a functional (or plain PCA)
 reducer plus one Kriging model per retained score, curve-level mean and
-variance prediction, cross-validation, and a versioned text model file.
+variance prediction, cross-validation, run_study (the one study loop, of
+both the `study` command and the acceptance study) and a versioned model file.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fpca
-from .basis import BSPLINE, FOURIER, BasisSystem, design_matrix
+from . import bench, fpca
+from .basis import BSPLINE, FOURIER, MIN_BSPLINE_ORDER, BasisSystem, design_matrix
 from .core import (
     ResponseEnsemble,
     TimeGrid,
@@ -25,8 +26,9 @@ from .core import (
     write_atomic,
 )
 from .fpca import Reducer
-from .kriging import (KrigingModel, _squared_differences, condition, fit_kriging,
-                      normalize_inputs, predict_stack)
+from .kriging import (DEFAULT_BUDGET, DEFAULT_N_STARTS, KrigingModel, _squared_differences,
+                      condition, fit_kriging, normalize_inputs, predict_stack)
+from .smoothing import DEFAULT_DELTA_R, TAU_GRID_SIZE
 
 FORMAT_VERSION = "funcuq-surrogate-v2"
 
@@ -40,18 +42,18 @@ MODEL_SCALARS = ("y_offset", "y_scale", "mu", "sigma_z2", "sigma_n2")
 
 @dataclass
 class FitConfig:
-    """Settings for one surrogate fit; defaults match the study pipeline."""
+    """Settings for one surrogate fit, with the library's defaults."""
 
     reducer: str = KFDR_B
     n_b0: int | None = None
-    order: int = 4
-    delta_r: float = 0.05
-    n_tau: int = 25
+    order: int = MIN_BSPLINE_ORDER
+    delta_r: float = DEFAULT_DELTA_R
+    n_tau: int = TAU_GRID_SIZE
     tau_override: float | None = None
     mirror: bool | None = None
     nb_override: int | None = None
-    n_starts: int = 10
-    budget: int = 400
+    n_starts: int = DEFAULT_N_STARTS
+    budget: int = DEFAULT_BUDGET
     fix_nugget: float | None = None
 
     def __post_init__(self):
@@ -223,6 +225,29 @@ def cross_validate(
         pred = sur.predict_mean_curves(ensemble.inputs[fold])
         errors[i] = model_nrmse(ensemble.responses[fold], pred)
     return errors
+
+
+def run_study(model: str, configs: dict, train_sizes, repetitions: int, test_size: int,
+              noise_std: float, substeps: int, seed_of) -> list:
+    """One (label, n_train, rep, test NRMSE) record per fit, in the order
+    n_train, rep, label.  For each repetition, every labelled FitConfig is
+    fitted on one training set of the benchmark `model` (noise noise_std)
+    with one fit seed, and scored on one clean test set.  seed_of(stage,
+    n_train, rep) seeds each draw: "test" (n_train, rep None), "train", "fit"."""
+    test = bench.generate_dataset(model, test_size, make_rng(seed_of("test", None, None)),
+                                  substeps=substeps)
+    records = []
+    for n_train in train_sizes:
+        for rep in range(repetitions):
+            train_rng = make_rng(seed_of("train", n_train, rep))
+            train = bench.generate_dataset(model, n_train, train_rng, noise_std=noise_std,
+                                           substeps=substeps)
+            fit_seed = seed_of("fit", n_train, rep)
+            for label, config in configs.items():
+                sur = fit_surrogate(train, config, make_rng(fit_seed))
+                err = model_nrmse(test.responses, sur.predict_mean_curves(test.inputs))
+                records.append((label, n_train, rep, err))
+    return records
 
 
 def _array(a) -> list:

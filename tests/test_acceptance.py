@@ -2,8 +2,9 @@
 
 Each criterion runs at its stated tolerance and prints one PASS/FAIL line;
 run with `pytest tests/test_acceptance.py -s` to watch the lines stream.
-Criteria 6 and 7 share one seeded Duffing study (a module-scoped fixture)
-so the expensive fits happen once.
+Criteria 6 and 7 share one seeded Duffing study, a module-scoped fixture
+that calls surrogate.run_study, the loop behind the `study` command, so the
+expensive fits happen once.
 """
 
 import functools
@@ -21,7 +22,7 @@ from funcuq.cli import main as cli_main
 from funcuq.fpca import fit_reducer
 from funcuq.kriging import fit_kriging, log_marginal_likelihood
 from funcuq.smoothing import effective_nb, select_nb, tau_grid
-from funcuq.surrogate import FitConfig, fit_surrogate
+from funcuq.surrogate import FitConfig, run_study
 from funcuq.uq import (
     InputDistribution,
     Normal,
@@ -228,24 +229,16 @@ STUDY_CONFIGS = {
 def duffing_study():
     """10 repetitions, shared noisy training sets, 1000-sample clean test."""
     t_start = time.perf_counter()
-    test = bench.generate_dataset(
-        "duffing", 1000, fq.make_rng(fq.derive_seed(MASTER_SEED, "acc6/test"))
+    records = run_study(
+        "duffing", STUDY_CONFIGS, [100], 10, 1000, 1e-4, bench.DEFAULT_SUBSTEPS,
+        lambda stage, n, rep: fq.derive_seed(
+            MASTER_SEED, "acc6/test" if stage == "test" else f"acc6/{stage}/{rep}"),
     )
-    errors = {label: [] for label in STUDY_CONFIGS}
-    for rep in range(10):
-        train = bench.generate_dataset(
-            "duffing", 100,
-            fq.make_rng(fq.derive_seed(MASTER_SEED, f"acc6/train/{rep}")),
-            noise_std=1e-4,
-        )
-        fit_seed = fq.derive_seed(MASTER_SEED, f"acc6/fit/{rep}")
-        for label, cfg in STUDY_CONFIGS.items():
-            sur = fit_surrogate(train, cfg, fq.make_rng(fit_seed))
-            err = fq.model_nrmse(test.responses, sur.predict_mean_curves(test.inputs))
-            errors[label].append(err)
-            print(f"  study rep {rep} {label}: nrmse={err:.5f}", flush=True)
     elapsed = time.perf_counter() - t_start
-    return {label: np.array(v) for label, v in errors.items()}, elapsed
+    for label, _, rep, err in records:
+        print(f"  study rep {rep} {label}: nrmse={err:.5f}")
+    return {label: np.array([r[3] for r in records if r[0] == label])
+            for label in STUDY_CONFIGS}, elapsed
 
 
 @report(6, "Duffing study: KFDR-B below PCA baseline")

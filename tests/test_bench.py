@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,6 +318,20 @@ def test_solvers_take_zero_rows(model):
 def test_duffing_excitation_at_zero_is_alpha():
     for alpha in (0.6, 1.0, 1.4):
         assert duffing_excitation(0.0, alpha, 2.2) == alpha
+
+
+def test_duffing_solve_holds_few_forcing_blocks():
+    # A block of forcing values is 1 MB.  A 100-row solve peaked at 4.9 MB
+    # holding the previous block and three temporaries, at 3.9-4.0 MB with
+    # either one freed, and at 3.0 MB with both.
+    params = np.tile([lo for lo, _ in DUFFING_BOUNDS], (100, 1))
+    tracemalloc.start()
+    try:
+        duffing_batch(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_duffing_initial_condition_exact():

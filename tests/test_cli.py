@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import funcuq as fq
-from funcuq import cli
+from funcuq import bench, cli
 from funcuq.bench import duffing_batch
-from funcuq.core import _loaded_openblas
+from funcuq.core import FLOAT_FMT, _loaded_openblas
 from funcuq.cli import DEFAULT_CONFIG, _build_marginal, _calibration_model, load_config, main
-from funcuq.surrogate import FitConfig
+from funcuq.surrogate import FitConfig, run_study
 from funcuq.uq import Uniform, log_posterior, log_posterior_block, save_observations
 
 
@@ -403,6 +403,26 @@ def test_study_table_shape_and_determinism(tmp_path):
         assert float(r[3]) >= 0.0
 
 
+def test_study_csv_rows_are_the_run_study_records(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    study = {"train_sizes": [10, 12], "repetitions": 2, "test_size": 6, "noise_std": 1e-4,
+             "methods": ["pca", "kfdr-b"]}
+    cfg = write_config(cfg_path, study=study)
+    out = tmp_path / "s"
+    assert main(["study", "--config", str(cfg_path), "--out", str(out)]) == 0
+    configs = {method: FitConfig(reducer=method, n_b0=16, tau_override=0.0, n_starts=2,
+                                 budget=60) for method in study["methods"]}
+    records = run_study(
+        "duffing", configs, study["train_sizes"], study["repetitions"], study["test_size"],
+        study["noise_std"], bench.DEFAULT_SUBSTEPS,
+        lambda stage, n, rep: fq.derive_seed(
+            cfg["seed"], "study/test" if stage == "test" else f"study/{stage}/n{n}/rep{rep}"),
+    )
+    lines = (out / "study.csv").read_text().splitlines()
+    assert lines[1:] == [f"{method},{n},{rep},{FLOAT_FMT % err}"
+                         for method, n, rep, err in records]
+
+
 def test_study_default_repetitions_is_ten():
     from funcuq.cli import DEFAULT_CONFIG
 
@@ -763,7 +783,9 @@ def test_calibration_model_block_matches_scalar_posterior():
      "inverse.walkers must be an integer >= 12, got 11"),
     ("fit", lambda cfg: cfg["basis"].update(order=3),
      "basis.order must be an integer >= 4, got 3"),
-], ids=["observations", "sigma_prior", "model_file", "model", "walkers", "order"])
+    ("study", lambda cfg: cfg.update(study={"methods": ["pca", "kfdr-b", "pca"]}),
+     "study.methods names a method twice: ['pca', 'kfdr-b', 'pca']"),
+], ids=["observations", "sigma_prior", "model_file", "model", "walkers", "order", "methods"])
 def test_model_run_settings_fail_naming_the_config_and_the_key(tmp_path, capsys, command, edit,
                                                                 message):
     cfg_path = make_inverse_config(tmp_path, write_duffing_observations(tmp_path))

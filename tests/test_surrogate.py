@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import funcuq as fq
-from funcuq import bench, core, fpca, smoothing, surrogate
+from funcuq import bench, core, fpca, kriging, smoothing, surrogate
 from funcuq.core import one_blas_thread
 from funcuq.kriging import PREDICT_ROWS, _squared_differences, _stacked_kernels, normalize_inputs
 from funcuq.surrogate import (
@@ -20,6 +21,7 @@ from funcuq.surrogate import (
     cross_validate,
     fit_surrogate,
     load_surrogate,
+    run_study,
     save_surrogate,
     surrogate_from_dict,
     surrogate_to_dict,
@@ -304,6 +306,27 @@ def test_fit_config_validation():
         with pytest.raises(ValueError, match="mirror"):
             FitConfig(mirror=mirror)
     assert FitConfig(mirror=False).mirror is False
+
+
+def test_fit_config_defaults_are_the_library_keyword_defaults():
+    config, fields = FitConfig(), {f.name for f in dataclasses.fields(FitConfig)}
+    for fn in (fpca.fit_reducer, smoothing.select_nb, kriging.fit_kriging):
+        shared = [p for p in inspect.signature(fn).parameters.values() if p.name in fields]
+        assert shared, fn.__name__
+        for p in shared:
+            assert p.default == getattr(config, p.name), (fn.__name__, p.name)
+
+
+def test_run_study_fits_every_label_on_the_same_data_and_seed():
+    config = FitConfig(reducer="pca", n_starts=1, budget=30)
+    records = run_study("duffing", {"a": config, "b": config}, [8, 10], 2, 4, 1e-4, 1,
+                        lambda stage, n, rep: fq.derive_seed(0, f"{stage}/{n}/{rep}"))
+    assert [r[:3] for r in records] == [(label, n, rep) for n in (8, 10) for rep in (0, 1)
+                                        for label in ("a", "b")]
+    errors = [err for _, _, _, err in records]
+    # The labels agree in every repetition; the repetitions differ.
+    assert errors[0::2] == errors[1::2]
+    assert len(set(errors[0::2])) == 4
 
 
 def test_model_count_matches_m():
