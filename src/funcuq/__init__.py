@@ -19,7 +19,6 @@ from .kriging import KrigingModel, fit_kriging, log_marginal_likelihood
 from .surrogate import (
     FitConfig,
     LatentSurrogate,
-    cross_validate,
     fit_surrogate,
     load_surrogate,
     save_surrogate,

@@ -14,7 +14,6 @@ import copy
 import dataclasses
 import functools
 import json
-import operator
 import os
 import sys
 import time
@@ -31,6 +30,7 @@ from .core import (
     load_ensemble,
     make_rng,
     one_blas_thread,
+    read_json,
     read_table,
     save_ensemble,
     write_atomic,
@@ -48,10 +48,10 @@ from .surrogate import (
 )
 
 # Every config key: its default, its kind and, for a number, the bounds it
-# must meet (e.g. ">= 2").  A kind is one of core.json_field's (int, float,
-# str, bool, dict, list), a tuple of accepted strings, [kind] for an array of
-# kind or {str: kind} for an object of kind; int is any integer here, and a
-# float a finite number.  A key whose default is None also accepts null.
+# must meet (e.g. ">= 2"), as load_config hands them to core.json_field: int,
+# float, str, bool, dict, list, a tuple of accepted strings, [kind] for an
+# array of kind or {str: kind} for an object of kind.  A key whose default is
+# None also accepts null.
 # The fit sections' keys are FitConfig's fields, and its defaults theirs.
 SCHEMA = {
     "model": (None, tuple(sorted(bench.MODEL_GRIDS))),
@@ -87,60 +87,28 @@ SCHEMA = {
 DEFAULT_CONFIG = {key: {k: e[0] for k, e in entry.items()} if isinstance(entry, dict) else entry[0]
                   for key, entry in SCHEMA.items()}
 
-_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
-_WORDS = {(int, ()): "an integer", (int, (">= 0",)): "a nonnegative integer",
-          (float, ()): "a finite number"}
-
-
-def _check(source: str, name: str, value, kind, *bounds: str) -> None:
-    """Raise ValueError `source: name must be ..., got value` unless value is
-    of `kind`, in one of SCHEMA's forms, and meets each bound."""
-    if isinstance(kind, (list, dict)):
-        _check(source, name, value, type(kind))
-        for key, entry in value.items() if isinstance(kind, dict) else enumerate(value):
-            _check(source, f"{name}.{key}" if isinstance(kind, dict) else f"{name}[{key}]",
-                   entry, kind[str] if isinstance(kind, dict) else kind[0], *bounds)
-        return
-    if isinstance(kind, tuple):
-        ok, want = value in kind, f"one of {list(kind)}"
-    elif kind is int or kind is float:
-        # bool is not a number; NaN, inf and integers beyond a float are not finite.
-        ok = ((type(value) is int or kind is float and type(value) is float)
-              and (kind is int or abs(value) <= sys.float_info.max)
-              and all(_BOUNDS[op](value, float(limit)) for op, limit in map(str.split, bounds)))
-        want = _WORDS.get((kind, bounds)) or f"{_WORDS[kind, ()]} {' and '.join(bounds)}"
-    else:
-        json_field({name: value}, source, "", name, kind)
-        return
-    if not ok:
-        raise ValueError(f"{source}: {name} must be {want}, got {value!r}")
-
-
 def load_config(path=None) -> dict:
-    """The defaults, overridden by the JSON config at path.  A top level
-    that is not an object, a section that is not an object, and a key that
-    is not in SCHEMA or not of its kind fail, naming the file and the key."""
+    """The defaults, overridden by the JSON config at path.  Text that is not
+    JSON, a top level or section that is not an object, and a key that is
+    not in SCHEMA or not of its kind fail, naming the file and the key."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return cfg
-    with open(path, "r", encoding="utf-8") as fh:
-        user = json.load(fh)
     source = f"config {path}"
-    if not isinstance(user, dict):
-        raise ValueError(f"{source}: the top level must be a JSON object, got {user!r}")
+    user = read_json(source, path)
     for section, settings in user.items():
         schema = SCHEMA.get(section)
         if isinstance(schema, dict):
-            _check(source, section, settings, dict)
-            prefix, target = f"{section}.", cfg[section]
+            json_field(user, source, "", section, dict)
+            where, target = section, cfg[section]
         else:  # a top-level key, or an unknown one
-            schema, prefix, target, settings = SCHEMA, "", cfg, {section: settings}
+            schema, where, target, settings = SCHEMA, "", cfg, {section: settings}
         for key, value in settings.items():
             if key not in schema:
-                raise ValueError(f"{source}: unknown key {prefix}{key}")
+                raise ValueError(f"{source}: unknown key {where + '.' if where else ''}{key}")
             default, kind, *bounds = schema[key]
             if value is not None or default is not None:
-                _check(source, prefix + key, value, kind, *bounds)
+                json_field(settings, source, where, key, kind, *bounds)
             target[key] = value
     return cfg
 
@@ -151,7 +119,7 @@ def _fit_config(args, reducers) -> FitConfig:
     floor fails naming the config (args.source) and the key."""
     cfg = args.cfg
     if KFDR_B in reducers:
-        _check(args.source, "basis.order", cfg["basis"]["order"], int, f">= {MIN_BSPLINE_ORDER}")
+        json_field(cfg["basis"], args.source, "basis", "order", int, f">= {MIN_BSPLINE_ORDER}")
     return FitConfig(**{key: value for section in ("basis", "smoothing", "kriging", "surrogate")
                         for key, value in cfg[section].items() if key != "kind"})
 
@@ -183,16 +151,15 @@ def _load_training_data(args, sample: bool = False) -> ResponseEnsemble:
 _DIST_KINDS = {"normal": uq.Normal, "lognormal": uq.Lognormal, "uniform": uq.Uniform}
 
 
-def _build_marginal(source: str, key: str, entry, kinds=tuple(_DIST_KINDS)):
+def _build_marginal(source: str, key: str, entry, kinds=tuple(sorted(_DIST_KINDS))):
     """The marginal of config object `key`, of its "dist" kind, one of
     `kinds`; a missing "dist" means the only kind when there is one.  A
     missing, non-numeric or non-finite parameter, a kind not in `kinds`
     and a value the distribution rejects fail, naming the config (`source`,
     as main() words it) and the key."""
-    kind = entry.get("dist", kinds[0] if len(kinds) == 1 else None)
-    if kind not in kinds:
-        raise ValueError(f"{source}: {key}.dist must be one of {sorted(kinds)}, got {kind!r}")
-    params = [json_field(entry, source, key, name, shape=None)
+    kind = json_field({"dist": entry.get("dist", kinds[0] if len(kinds) == 1 else None)},
+                      source, key, "dist", kinds)
+    params = [json_field(entry, source, key, name)
               for name in (("lower", "upper") if kind == "uniform" else ("mean", "std"))]
     try:
         return _DIST_KINDS[kind](*params)
@@ -251,7 +218,7 @@ def cmd_generate(args) -> int:
         raise ValueError(f"{args.source}: model is not set; generate needs --model or a model")
     for key, flag, value in (("n_train", "--n", args.n), ("noise_std", "--noise", args.noise)):
         if value is not None:
-            _check("command line", flag, value, *SCHEMA["dataset"][key][1:])
+            json_field({flag: value}, "command line", "", flag, *SCHEMA["dataset"][key][1:])
             ds[key] = value
     ens = _load_training_data(args, sample=True)
     os.makedirs(out_dir, exist_ok=True)
@@ -423,8 +390,8 @@ def cmd_inverse(args) -> int:
                          f"{list(names)}")
     calibrated = [n for n in names if n not in fixed]
     # The sampler draws the calibrated inputs and sigma.
-    _check(source, "inverse.walkers", inv["walkers"], int,
-           f">= {uq.min_walkers(len(calibrated) + 1)}")
+    json_field(inv, source, "inverse", "walkers", int,
+               f">= {uq.min_walkers(len(calibrated) + 1)}")
     priors = _marginals(args, "inverse.priors", calibrated)
     model = _calibration_model(model, names, fixed, calibrated)
 

@@ -1,7 +1,7 @@
 """Shared numerical primitives: time grids, response ensembles, error
 metrics, Latin hypercube designs, seeded randomness, the periodic
-mirroring preprocessor, the CSV table format, the BLAS thread pin and
-the process pool.
+mirroring preprocessor, the CSV table format, the JSON value check, the
+BLAS thread pin and the process pool.
 
 Random state is always passed in explicitly.
 """
@@ -13,8 +13,11 @@ import ctypes
 import functools
 import hashlib
 import itertools
+import json
 import multiprocessing
+import operator
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,49 +297,86 @@ def run_tasks(task, tasks: range, name, what: str) -> list:
     return [result for _, result in done]
 
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
-               int: "a nonnegative integer"}
+_JSON_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_JSON_WORDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
+               int: "an integer", float: "a finite number"}
 
 
-def json_field(doc: dict, source: str, where: str, key: str, kind: type = float, shape=()):
+def read_json(source: str, path) -> dict:
+    """The JSON object in the file at path; ValueError naming `source` (e.g.
+    "config c.json") when the text is not JSON or its top level is not an
+    object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:  # also a file that is not UTF-8
+            raise ValueError(f"{source}: not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source}: the top level must be a JSON object, got {doc!r}")
+    return doc
+
+
+def json_field(doc: dict, source: str, where: str, key: str, kind=float, *bounds: str,
+               shape=None):
     """doc[key] of the JSON document `source` (e.g. "model file"), where doc
-    sits at key path `where`; ValueError naming `source: where.key` otherwise.
+    sits at key path `where`, if it is of `kind` and, for a number, meets
+    each of `bounds` (e.g. ">= 0"); otherwise ValueError naming
+    `source: where.key`.
 
-    kind dict, list, str, bool or int: a value of that JSON type (int: a
-    nonnegative integer).  kind float: a finite float array of `shape` (an
-    entry None: any length), a float for shape (); or for shape None one
-    finite JSON number, as a float.  Strings, booleans and integers too large
-    for a float are not numbers, in an array or alone.
+    kind dict, list, str or bool: a value of that JSON type.  A tuple: one
+    of its values.  [kind]: an array, {str: kind}: an object, each of whose
+    entries, named key[i] or key.k, is of kind and meets the bounds.  int:
+    an integer; float: a finite number, returned as a float; with a
+    `shape`, a finite float array of that shape (an entry None: any
+    length).  Strings, booleans, NaN, inf and integers too large for a
+    float are not numbers, in an array or alone.
     """
-    name = f"{source}: {where}.{key}" if where else f"{source}: {key}"
+    path = f"{where}.{key}" if where else key
+    name = f"{source}: {path}"
     if key not in doc:
         raise ValueError(f"{name} is missing")
     value = doc[key]
-    if kind is not float:
-        if not isinstance(value, kind) or kind is int and (isinstance(value, bool) or value < 0):
-            raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if shape is not None:
+        try:
+            # An object array keeps each entry's JSON type (bool is not int
+            # here); the cast of an integer too large for a float overflows.
+            array = np.asarray(value, dtype=object)
+            array = array.astype(float) if set(map(type, array.flat)) <= {int, float} else None
+        except (TypeError, ValueError, OverflowError):  # also ragged nesting
+            array = None
+        if array is None:
+            raise ValueError(f"{name} is not an array of numbers")
+        if array.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(array.shape, shape)
+        ):
+            want = tuple("any" if w is None else w for w in shape)
+            raise ValueError(f"{name} has shape {array.shape}, expected {want}")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{name} has a non-finite value")
+        return array
+    if isinstance(kind, (list, dict)):
+        json_field(doc, source, where, key, type(kind))
+        if isinstance(kind, dict):
+            (inner,), entries = kind.values(), ((f"{path}.{k}", v) for k, v in value.items())
+        else:
+            (inner,), entries = kind, ((f"{path}[{i}]", v) for i, v in enumerate(value))
+        for sub, entry in entries:
+            json_field({sub: entry}, source, "", sub, inner, *bounds)
         return value
-    try:
-        # An object array keeps each entry's JSON type (bool is not int here);
-        # the cast of an integer too large for a float overflows.
-        array = np.asarray(value, dtype=object)
-        array = array.astype(float) if set(map(type, array.flat)) <= {int, float} else None
-    except (TypeError, ValueError, OverflowError):  # also ragged nesting
-        array = None
-    if shape is None:
-        if array is None or array.ndim or not np.isfinite(array):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-        return float(array)
-    if array is None:
-        raise ValueError(f"{name} is not an array of numbers")
-    if array.ndim != len(shape) or any(
-        want is not None and got != want for got, want in zip(array.shape, shape)
-    ):
-        want = tuple("any" if w is None else w for w in shape)
-        raise ValueError(f"{name} has shape {array.shape}, expected {want}")
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{name} has a non-finite value")
-    return array if array.ndim else float(array)
+    if isinstance(kind, tuple):
+        ok, want = value in kind, f"one of {list(kind)}"
+    elif kind is int or kind is float:
+        ok = ((type(value) is int or kind is float and type(value) is float)
+              and abs(value) <= sys.float_info.max  # not NaN, inf or beyond a float
+              and all(_JSON_BOUNDS[op](value, float(limit))
+                      for op, limit in map(str.split, bounds)))
+        want = ("a nonnegative integer" if (kind, bounds) == (int, (">= 0",))
+                else f"{_JSON_WORDS[kind]} {' and '.join(bounds)}".rstrip())
+    else:
+        ok, want = isinstance(value, kind), _JSON_WORDS[kind]
+    if not ok:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def check_nodes(where: str, times, grid: TimeGrid, grid_name: str) -> None:

@@ -1,7 +1,7 @@
 """Assembly of latent-space surrogates: a functional (or plain PCA)
 reducer plus one Kriging model per retained score, curve-level mean and
-variance prediction, cross-validation, run_study (the one study loop, of
-both the `study` command and the acceptance study) and a versioned model file.
+variance prediction, run_study (the one study loop, of both the `study`
+command and the acceptance study) and a versioned model file.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .core import (
     make_rng,
     model_nrmse,
     one_blas_thread,
+    read_json,
     run_tasks,
     write_atomic,
 )
@@ -57,10 +58,9 @@ class FitConfig:
     fix_nugget: float | None = None
 
     def __post_init__(self):
-        if self.reducer not in REDUCERS:
-            raise ValueError(f"reducer must be one of {REDUCERS}, got {self.reducer!r}")
-        if self.mirror is not None and not isinstance(self.mirror, bool):
-            raise ValueError(f"mirror must be True, False or None, got {self.mirror!r}")
+        json_field(vars(self), "FitConfig", "", "reducer", REDUCERS)
+        if self.mirror is not None:
+            json_field(vars(self), "FitConfig", "", "mirror", bool)
 
 
 class LatentSurrogate:
@@ -191,42 +191,6 @@ def fit_surrogate(
     return LatentSurrogate(reducer, models, lo, hi, metadata)
 
 
-def cross_validate(
-    ensemble: ResponseEnsemble,
-    k: int,
-    config: FitConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-fold test errors from seeded k-fold cross-validation.
-
-    Folds are contiguous blocks of a seeded permutation, so the split is
-    replayable from the generator state alone.
-    """
-    if k < 2:
-        raise ValueError("need at least 2 folds")
-    if ensemble.n < k:
-        raise ValueError(f"cannot split {ensemble.n} samples into {k} folds")
-    rng = rng if rng is not None else make_rng(0)
-    perm = rng.permutation(ensemble.n)
-    folds = np.array_split(perm, k)
-    fit_seeds = rng.integers(0, 2**63 - 1, size=k)
-    errors = np.empty(k)
-    for i, fold in enumerate(folds):
-        train = np.setdiff1d(perm, fold)
-        if train.size < 2:
-            raise ValueError("fold leaves fewer than 2 training samples")
-        sub = ResponseEnsemble(
-            ensemble.inputs[train],
-            ensemble.responses[train],
-            ensemble.grid,
-            input_names=ensemble.input_names,
-        )
-        sur = fit_surrogate(sub, config, make_rng(fit_seeds[i]))
-        pred = sur.predict_mean_curves(ensemble.inputs[fold])
-        errors[i] = model_nrmse(ensemble.responses[fold], pred)
-    return errors
-
-
 def run_study(model: str, configs: dict, train_sizes, repetitions: int, test_size: int,
               noise_std: float, substeps: int, seed_of) -> list:
     """One (label, n_train, rep, test NRMSE) record per fit, in the order
@@ -291,8 +255,6 @@ def save_surrogate(s: LatentSurrogate, path) -> None:
 
 def _rebuild_kriging(d: dict, where: str, input_lo, input_hi, X_norm, D) -> KrigingModel:
     """A model file's score model, conditioned on D = _squared_differences(X_norm)."""
-    if not isinstance(d, dict):
-        raise ValueError(f"model file: {where} must be an object, got {d!r}")
     ys = json_field(d, "model file", where, "y_std", shape=(X_norm.shape[0],))
     theta = json_field(d, "model file", where, "theta", shape=(input_lo.size,))
     v = {key: json_field(d, "model file", where, key) for key in MODEL_SCALARS}
@@ -307,27 +269,24 @@ def _rebuild_kriging(d: dict, where: str, input_lo, input_hi, X_norm, D) -> Krig
 def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
     """The Reducer of a model file's reducer block.  A functional reducer's
     latent functions are rebuilt from B alone, as the fitter built them."""
-    kind = json_field(red, "model file", "reducer", "kind", str)
-    if kind not in ("fdr", "pca"):
-        raise ValueError(f"model file: reducer.kind must be 'fdr' or 'pca', got {kind!r}")
-    m = json_field(red, "model file", "reducer", "m", int)
+    kind = json_field(red, "model file", "reducer", "kind", ("fdr", "pca"))
+    m = json_field(red, "model file", "reducer", "m", int, ">= 0")
     basis = tau = mirror = B = None
     if kind == "pca":
         phi = json_field(red, "model file", "reducer", "components", shape=(grid.n_t, m))
     else:
         b = json_field(red, "model file", "reducer", "basis", dict)
-        spec = {key: json_field(b, "model file", "reducer.basis", key, json_type)
-                for key, json_type in (("kind", str), ("n_b", int), ("order", int))}
-        tau = json_field(red, "model file", "reducer", "tau")
-        if tau < 0.0:
-            raise ValueError(f"model file: reducer.tau must be nonnegative, got {tau!r}")
+        basis_kind = json_field(b, "model file", "reducer.basis", "kind", str)
+        n_b, order = (json_field(b, "model file", "reducer.basis", key, int, ">= 0")
+                      for key in ("n_b", "order"))
+        tau = json_field(red, "model file", "reducer", "tau", float, ">= 0")
         mirror = json_field(red, "model file", "reducer", "mirror", bool)
         nodes, interval = fit_nodes(grid, mirror)
         try:
-            basis = BasisSystem(spec["kind"], spec["n_b"], *interval, order=spec["order"])
+            basis = BasisSystem(basis_kind, n_b, *interval, order=order)
         except ValueError as err:
             raise ValueError(f"model file: reducer.basis: {err}") from None
-        B = json_field(red, "model file", "reducer", "B", shape=(spec["n_b"], m))
+        B = json_field(red, "model file", "reducer", "B", shape=(n_b, m))
         # fit_reducer's expression: evaluating the basis on grid.nodes, or
         # on the first n_t nodes only, changes phi in its last bits.
         phi = (design_matrix(basis, nodes) @ B)[: grid.n_t]
@@ -358,8 +317,9 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
             f"{FORMAT_VERSION!r}: refit the model from its config and seed"
         )
     g = json_field(doc, "model file", "", "grid", dict)
-    t0, te = (json_field(g, "model file", "grid", key) for key in ("t0", "te"))
-    grid = TimeGrid(t0, te, json_field(g, "model file", "grid", "n_t", int))
+    t0 = json_field(g, "model file", "grid", "t0")
+    te = json_field(g, "model file", "grid", "te", float, f"> {t0!r}")
+    grid = TimeGrid(t0, te, json_field(g, "model file", "grid", "n_t", int, ">= 2"))
     reducer = _rebuild_reducer(json_field(doc, "model file", "", "reducer", dict), grid)
     input_lo = json_field(doc, "model file", "", "input_lo", shape=(None,))
     input_hi = json_field(doc, "model file", "", "input_hi", shape=input_lo.shape)
@@ -367,7 +327,7 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
     X_norm = json_field(
         doc, "model file", "", "X_norm", shape=(None, input_lo.size) if reducer.m else (0,)
     )
-    entries = json_field(doc, "model file", "", "models", list)
+    entries = json_field(doc, "model file", "", "models", [dict])
     if len(entries) != reducer.m:
         raise ValueError(
             f"model file: models has {len(entries)} entries, expected m = {reducer.m}"
@@ -389,5 +349,6 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
 
 
 def load_surrogate(path) -> LatentSurrogate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return surrogate_from_dict(json.load(fh))
+    """The surrogate of the model file at path; text that is not JSON or a
+    top level that is not an object fails naming the path."""
+    return surrogate_from_dict(read_json(f"model file {path}", path))

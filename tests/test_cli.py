@@ -1010,6 +1010,20 @@ def test_config_top_level_must_be_an_object(tmp_path, capsys, document):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_a_file_that_is_not_json_fails_naming_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": 1,}')
+    if command == "fit":
+        args, source = ["--config", str(bad)], f"config {bad}"
+    else:
+        args, source = ["--model-file", str(bad), "--inputs", "x.csv"], f"model file {bad}"
+    out = tmp_path / "o"
+    assert main([command, *args, "--out", str(out)]) == 1
+    assert f"{source}: not valid JSON: Expecting property name" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _set(entry, key, value):
     entry[key] = value
 

@@ -17,6 +17,7 @@ from funcuq.core import (
     JITTERS,
     cho_with_jitter,
     derive_seed,
+    json_field,
     _loaded_openblas,
     mirror_rows,
     one_blas_thread,
@@ -483,3 +484,54 @@ def test_run_tasks_forks_a_helper_under_the_pin(monkeypatch, tmp_path):
     pids = run_tasks(task, range(2), str, "pids")
     assert main_pid in pids and len(set(pids)) == 2
     assert multiprocessing.active_children() == []
+
+
+# (value, kind, bounds, the wording after "s.", or None where json_field
+# returns the value, a number of kind float as a float).
+JSON_FIELD_CASES = [
+    ("pca", ("fdr", "pca"), (), None),
+    ("fpca", ("fdr", "pca"), (), "k must be one of ['fdr', 'pca'], got 'fpca'"),
+    (None, ("fdr", "pca"), (), "k must be one of ['fdr', 'pca'], got None"),
+    ([3, 4], [int], (">= 1",), None),
+    ([3, 0], [int], (">= 1",), "k[1] must be an integer >= 1, got 0"),
+    ([3, "4"], [int], (), "k[1] must be an integer, got '4'"),
+    ({"a": "pca"}, [str], (), "k must be an array, got {'a': 'pca'}"),
+    ({"a": 1.5, "b": 2}, {str: float}, (), None),
+    ({"a": 1.5, "b": "x"}, {str: float}, (), "k.b must be a finite number, got 'x'"),
+    ({"a": -1.5}, {str: float}, (">= 0",), "k.a must be a finite number >= 0, got -1.5"),
+    ([{}, 5], [dict], (), "k[1] must be an object, got 5"),
+    (0, int, (">= 0",), None),
+    (-1, int, (">= 0",), "k must be a nonnegative integer, got -1"),
+    (12, int, (">= 12",), None),
+    (11, int, (">= 12",), "k must be an integer >= 12, got 11"),
+    (-3, int, (), None),
+    (2, float, (), None),
+    (0.5, float, (">= 0", "< 1"), None),
+    (1.0, float, (">= 0", "< 1"), "k must be a finite number >= 0 and < 1, got 1.0"),
+    (0, float, ("> 0",), "k must be a finite number > 0, got 0"),
+    ("no", bool, (), "k must be true or false, got 'no'"),
+    (5, str, (), "k must be a string, got 5"),
+] + [(value, kind, (), f"k must be {want}, got {value!r}")
+     for value in (True, 10**400, math.nan, math.inf, "1")
+     for kind, want in ((int, "an integer"), (float, "a finite number"))]
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, list):
+        return f"[{_kind_name(kind[0])}]"
+    if isinstance(kind, dict):
+        return f"{{str: {_kind_name(kind[str])}}}"
+    return kind.__name__ if isinstance(kind, type) else repr(kind)
+
+
+@pytest.mark.parametrize("value, kind, bounds, message", JSON_FIELD_CASES,
+                         ids=[" ".join([repr(v)[:20], "as", _kind_name(k), *b])
+                              for v, k, b, _ in JSON_FIELD_CASES])
+def test_json_field_checks_every_kind_and_bound(value, kind, bounds, message):
+    doc = {"k": value}
+    if message is None:
+        got = json_field(doc, "f.json", "s", "k", kind, *bounds)
+        assert got == value and type(got) is (float if kind is float else type(value))
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"f.json: s.{message}") + "$"):
+            json_field(doc, "f.json", "s", "k", kind, *bounds)

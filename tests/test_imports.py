@@ -59,11 +59,6 @@ def test_uq_imports_nothing_from_surrogate():
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"
-# Public names that nothing in the package or the benchmark calls, kept on
-# purpose for library users.
-DEAD_NAME_EXCEPTIONS = {
-    "cross_validate": "the seeded k-fold harness the README offers to library users",
-}
 
 
 def dead_names(modules: dict, perfbench: list) -> list:
@@ -99,8 +94,7 @@ def test_dead_name_check_finds_an_unread_function():
 def test_every_module_level_name_is_read():
     modules = {m: (SRC / m).read_text(encoding="utf-8") for m in MODULES}
     perfbench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
-    dead = [(m, n) for m, n in dead_names(modules, perfbench) if n not in DEAD_NAME_EXCEPTIONS]
-    assert dead == []
+    assert dead_names(modules, perfbench) == []
 
 
 def name_uses(tree, names) -> list:

@@ -18,7 +18,6 @@ from funcuq.core import one_blas_thread
 from funcuq.kriging import PREDICT_ROWS, _squared_differences, _stacked_kernels, normalize_inputs
 from funcuq.surrogate import (
     FitConfig,
-    cross_validate,
     fit_surrogate,
     load_surrogate,
     run_study,
@@ -264,41 +263,6 @@ def test_small_sample_warning():
         fit_surrogate(ens, FitConfig(reducer="pca", n_starts=2, budget=50), fq.make_rng(0))
 
 
-def test_cross_validate_basic():
-    ens = make_linear_ensemble(n=20)
-    cfg = FitConfig(reducer="pca", n_starts=3, budget=100)
-    errs = cross_validate(ens, 5, cfg, fq.make_rng(3))
-    assert errs.shape == (5,)
-    assert np.mean(errs) <= 1e-2
-
-
-def test_cross_validate_leave_one_out():
-    ens = make_linear_ensemble(n=10)
-    cfg = FitConfig(reducer="pca", n_starts=2, budget=50)
-    errs = cross_validate(ens, 10, cfg, fq.make_rng(4))
-    assert errs.shape == (10,)
-    assert np.all(np.isfinite(errs))
-
-
-def test_cross_validate_partition_property():
-    ens = make_linear_ensemble(n=12)
-    rng = fq.make_rng(5)
-    perm = rng.permutation(12)
-    folds = np.array_split(perm, 4)
-    assert sorted(np.concatenate(folds).tolist()) == list(range(12))
-    other = fq.make_rng(99).permutation(12)
-    assert sorted(other.tolist()) == list(range(12))
-    assert not np.array_equal(perm, other)
-
-
-def test_cross_validate_validation():
-    ens = make_linear_ensemble(n=6)
-    with pytest.raises(ValueError):
-        cross_validate(ens, 1, None, fq.make_rng(0))
-    with pytest.raises(ValueError):
-        cross_validate(ens, 7, None, fq.make_rng(0))
-
-
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(reducer="kfdr-x")
@@ -416,7 +380,11 @@ def test_model_file_rejects_non_finite(three_mode_doc, path, key, value):
     for step in path[:-1]:
         node = node[step]
     node[path[-1]] = value
-    with pytest.raises(ValueError, match=re.escape(f"model file: {key} has a non-finite")):
+    # A path ending in a key sets a number field; one ending in an index, an
+    # entry of an array field.
+    problem = f"must be a finite number, got {value}" if isinstance(path[-1], str) else (
+        "has a non-finite")
+    with pytest.raises(ValueError, match=re.escape(f"model file: {key} {problem}")):
         surrogate_from_dict(doc)
 
 
@@ -448,17 +416,23 @@ def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
         ("reducer.kind is missing", lambda doc: doc["reducer"].pop("kind")),
         ("reducer.mirror is missing", lambda doc: doc["reducer"].pop("mirror")),
         ("reducer.basis is missing", lambda doc: doc["reducer"].pop("basis")),
-        ("reducer.kind must be 'fdr' or 'pca'",
+        ("reducer.kind must be one of ['fdr', 'pca']",
          lambda doc: doc["reducer"].update(kind="foo")),
         ("reducer.mirror must be true or false",
          lambda doc: doc["reducer"].update(mirror="no")),
         ("reducer.basis: unknown basis kind",
          lambda doc: doc["reducer"]["basis"].update(kind="spline")),
-        ("reducer.tau must be nonnegative", lambda doc: doc["reducer"].update(tau=-0.5)),
+        ("reducer.tau must be a finite number >= 0",
+         lambda doc: doc["reducer"].update(tau=-0.5)),
         ("metadata must be an object", lambda doc: doc.update(metadata=[])),
         ("models[1] must be an object, got 5", lambda doc: doc["models"].__setitem__(1, 5)),
         ("metadata.input_names has 2 names, expected 3",
          lambda doc: doc["metadata"]["input_names"].pop()),
+        ("grid.n_t must be an integer >= 2, got 1", lambda doc: doc["grid"].update(n_t=1)),
+        ("grid.te must be a finite number > 0.0, got 0.0",
+         lambda doc: doc["grid"].update(te=doc["grid"]["t0"])),
+        ("grid.te must be a finite number > 0.0, got -1e-05",
+         lambda doc: doc["grid"].update(te=-1e-5)),
     ],
 )
 def test_model_file_rejects_bad_fields(three_mode_doc, message, edit):
@@ -466,6 +440,14 @@ def test_model_file_rejects_bad_fields(three_mode_doc, message, edit):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(f"model file: {message}")):
         surrogate_from_dict(doc)
+
+
+def test_load_surrogate_names_a_file_whose_top_level_is_not_an_object(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    message = f"model file {path}: the top level must be a JSON object, got [1, 2]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_surrogate(path)
 
 
 def _set_theta(start, *entries):
