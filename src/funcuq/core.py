@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import operator
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -305,14 +306,16 @@ _JSON_WORDS = {dict: "an object", list: "an array", str: "a string", bool: "true
 def read_json(source: str, path) -> dict:
     """The JSON object in the file at path; ValueError naming `source` (e.g.
     "config c.json") when the text is not JSON or its top level is not an
-    object."""
+    object, which it echoes shortened by reprlib."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as err:  # also a file that is not UTF-8
             raise ValueError(f"{source}: not valid JSON: {err}") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"{source}: the top level must be a JSON object, got {doc!r}")
+        raise ValueError(
+            f"{source}: the top level must be a JSON object, got {reprlib.repr(doc)}"
+        )
     return doc
 
 
@@ -321,7 +324,8 @@ def json_field(doc: dict, source: str, where: str, key: str, kind=float, *bounds
     """doc[key] of the JSON document `source` (e.g. "model file"), where doc
     sits at key path `where`, if it is of `kind` and, for a number, meets
     each of `bounds` (e.g. ">= 0"); otherwise ValueError naming
-    `source: where.key`.
+    `source: where.key` and echoing the value shortened by reprlib, so that
+    a long array or number makes a short message.
 
     kind dict, list, str or bool: a value of that JSON type.  A tuple: one
     of its values.  [kind]: an array, {str: kind}: an object, each of whose
@@ -375,7 +379,7 @@ def json_field(doc: dict, source: str, where: str, key: str, kind=float, *bounds
     else:
         ok, want = isinstance(value, kind), _JSON_WORDS[kind]
     if not ok:
-        raise ValueError(f"{name} must be {want}, got {value!r}")
+        raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")
     return float(value) if kind is float else value
 
 

@@ -5,6 +5,12 @@ mean and the process variance profiled out, and mean/variance prediction.
 Inputs are mapped to the unit hypercube and targets standardized before
 fitting; the hyperparameter search ranges assume that scaling.
 
+The search is L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) through _lbfgsb, a
+loop over scipy's reverse-communication routine setulb with
+scipy.optimize.minimize's defaults.  It evaluates the points minimize
+would, bit for bit, without minimize's per-evaluation wrappers.  setulb is
+private to scipy; its signature here is that of scipy 1.15 and later.
+
 Every Gaussian kernel of the layer, in the search's likelihood,
 conditioning, the log likelihood and prediction, is exp(-theta.D) with
 theta.D one GEMV over the C-ordered squared differences D of
@@ -32,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .core import cho_with_jitter, latin_hypercube
 
@@ -48,6 +55,8 @@ NUGGET_RATIO_BOUNDS = (
 CUT = 100.0
 DEFAULT_N_STARTS = 10
 DEFAULT_BUDGET = 400
+# The stop message of a start that spent its budget, in minimize's words.
+BUDGET_STOP = f"{status_messages[5]}: {task_messages[502]}"
 # Rows per chunk of predict_stack.  Fixed, never a function of the model
 # count, so that a model's predictions have the same bits alone or in a
 # stack.  The chunk's scratch, (p + m) N PREDICT_ROWS doubles, is 1.7 MB
@@ -316,6 +325,52 @@ class _BudgetSpent(Exception):
     """A start has used its evaluation budget."""
 
 
+def _lbfgsb(fun, x0, bounds, maxfun: int) -> str:
+    """minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+    options={"maxfun": maxfun}), driven directly through scipy's
+    reverse-communication routine setulb; returns minimize's message.
+
+    bounds is a finite (n, 2) box.  The loop keeps minimize's defaults and
+    rules: x0 clipped into the box, and a stop after maxiter iterations
+    or, between iterations, once more than maxfun evaluations were made.
+    So fun sees the same points in the same order, bit for bit.  fun(x)
+    returns (value, gradient); its x is a copy, which it may keep but must
+    not change.  A point that setulb requests twice in a row is evaluated
+    once, and its (value, gradient) reused, as minimize's ScalarFunction
+    does.  Exceptions of fun pass through.
+    """
+    # minimize's defaults: stored corrections, ftol (factr = ftol / eps),
+    # pgtol, line-search steps and iterations.
+    m, ftol, pgtol, maxls, maxiter = 10, 2.2204460492503131e-09, 1e-5, 20, 15000
+    n = x0.size
+    lo, hi = np.ascontiguousarray(bounds.T)
+    x = np.clip(x0, lo, hi)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    both = np.full(n, 2, np.int32)  # setulb's code for a variable bounded on both sides
+    factr = ftol / np.finfo(float).eps
+    f, g, last, nfev, nit = 0.0, np.zeros(n), None, 0, 0
+    while True:
+        setulb(m, x, lo, hi, both, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+               maxls, ln_task)
+        if task[0] == 3:  # FG: the value and gradient at x
+            if last is None or not np.array_equal(x, last):
+                last = x.copy()
+                f, grad = fun(last)
+                nfev += 1
+            g = grad.copy()  # setulb overwrites g; a reused gradient stays intact
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # STOP: the iteration limit
+            elif nfev > maxfun:
+                task[:] = 5, 502  # STOP: the evaluation limit
+        else:
+            return f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+
+
 def fit_kriging(
     X,
     y,
@@ -330,10 +385,11 @@ def fit_kriging(
     nugget the search runs over log10 theta and log10 g, g = sigma_n2 /
     sigma_z2, with sigma_z2 profiled in closed form (the concentrated
     likelihood); sigma_n2 = g sigma_z2 is then clamped into
-    SIGMA_N2_BOUNDS.  L-BFGS-B with the analytic gradient runs inside the
-    log10 boxes from n_starts Latin-hypercube starts.  A start whose first
-    kernel matrix does not factorize fails; one that reaches a matrix that
-    does not factorize ends at its best point so far.
+    SIGMA_N2_BOUNDS.  L-BFGS-B (_lbfgsb) with the analytic gradient runs
+    inside the log10 boxes from n_starts Latin-hypercube starts.  A start
+    whose first kernel matrix does not factorize fails; one that reaches a
+    matrix that does not factorize, or its budget, ends at its best point
+    so far.
 
     Parameters
     ----------
@@ -350,8 +406,12 @@ def fit_kriging(
     The returned model's `search` records the search: -LML at the returned
     hyperparameters, likelihood evaluations, those of them in which the
     kernel cut (CUT) zeroed an entry, failed starts, the winning
-    start, the parameters at a bound or clamped to one, the jitter of the
-    final factorization and the nugget share sigma_n2/(sigma_z2+sigma_n2).
+    start, why each start stopped (`stops`: minimize's message, e.g.
+    "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL" or "ABNORMAL: " for
+    a failed line search, BUDGET_STOP, or the error of a kernel matrix
+    that did not factorize), the parameters at a bound or clamped to one,
+    the jitter of the final factorization and the nugget share
+    sigma_n2/(sigma_z2+sigma_n2).
     Raises ValueError on a NaN or inf input or target, naming its index,
     and LinAlgError when every start fails.
     """
@@ -407,7 +467,8 @@ def fit_kriging(
         return _neg_lml(D, ys, theta, 10.0 ** z[p], fix_nugget, count_cut, ones_y)
 
     def search(z0):
-        """Best (value, z, sigma_z2) one start evaluated, or None."""
+        """Best (value, z, sigma_z2) one start evaluated, or None; its
+        evaluations; and why it stopped."""
         best, used = None, 0
 
         def objective(z):
@@ -417,22 +478,24 @@ def fit_kriging(
             used += 1
             value, grad, sigma_z2 = evaluate(z)
             if best is None or value < best[0]:
-                best = (value, z.copy(), sigma_z2)
+                best = (value, z, sigma_z2)
             return value, grad[keep]
 
         # L-BFGS-B checks maxfun only between iterations, so a line search
         # can overrun it; objective() enforces the budget exactly.
         try:
-            minimize(objective, z0, jac=True, method="L-BFGS-B", bounds=bounds,
-                     options={"maxfun": budget})
-        except (np.linalg.LinAlgError, _BudgetSpent):
-            pass
-        return best, used
+            stop = _lbfgsb(objective, z0, bounds, budget)
+        except _BudgetSpent:
+            stop = BUDGET_STOP
+        except np.linalg.LinAlgError as err:
+            stop = str(err)
+        return best, used, stop
 
-    evaluations, failed, best, best_start = 0, 0, None, -1
+    evaluations, failed, best, best_start, stops = 0, 0, None, -1, []
     for i, z0 in enumerate(latin_hypercube(n_starts, len(box), bounds, rng)):
-        found, used = search(z0)
+        found, used, stop = search(z0)
         evaluations += used
+        stops.append(stop)
         if found is None:
             failed += 1
         elif best is None or found[0] < best[0]:
@@ -481,6 +544,7 @@ def fit_kriging(
             "cut_evaluations": cut_evaluations,
             "failed_starts": failed,
             "best_start": best_start,
+            "stops": stops,
             "on_bound": on_bound,
             "jitter": float(jitter),
             "nugget_share": sigma_n2 / (sigma_z2 + sigma_n2),

@@ -253,50 +253,51 @@ def save_surrogate(s: LatentSurrogate, path) -> None:
     write_atomic(path, [json.dumps(surrogate_to_dict(s), sort_keys=True, separators=(",", ":"))])
 
 
-def _rebuild_kriging(d: dict, where: str, input_lo, input_hi, X_norm, D) -> KrigingModel:
+def _rebuild_kriging(d: dict, source: str, where: str, input_lo, input_hi, X_norm,
+                     D) -> KrigingModel:
     """A model file's score model, conditioned on D = _squared_differences(X_norm)."""
-    ys = json_field(d, "model file", where, "y_std", shape=(X_norm.shape[0],))
-    theta = json_field(d, "model file", where, "theta", shape=(input_lo.size,))
-    v = {key: json_field(d, "model file", where, key) for key in MODEL_SCALARS}
+    ys = json_field(d, source, where, "y_std", shape=(X_norm.shape[0],))
+    theta = json_field(d, source, where, "theta", shape=(input_lo.size,))
+    v = {key: json_field(d, source, where, key) for key in MODEL_SCALARS}
     try:
         L, _, _, alpha = condition(D, ys, v["sigma_z2"], theta, v["sigma_n2"], v["mu"])
     except np.linalg.LinAlgError as err:
-        raise ValueError(f"model file: {where} has a kernel matrix that is {err}") from None
+        raise ValueError(f"{source}: {where} has a kernel matrix that is {err}") from None
     return KrigingModel(input_lo=input_lo, input_hi=input_hi, X_norm=X_norm, y_std=ys,
                         theta=theta, _L=L, _alpha=alpha, **v)
 
 
-def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
+def _rebuild_reducer(red: dict, source: str, grid: TimeGrid) -> Reducer:
     """The Reducer of a model file's reducer block.  A functional reducer's
     latent functions are rebuilt from B alone, as the fitter built them."""
-    kind = json_field(red, "model file", "reducer", "kind", ("fdr", "pca"))
-    m = json_field(red, "model file", "reducer", "m", int, ">= 0")
+    kind = json_field(red, source, "reducer", "kind", ("fdr", "pca"))
+    m = json_field(red, source, "reducer", "m", int, ">= 0")
     basis = tau = mirror = B = None
     if kind == "pca":
-        phi = json_field(red, "model file", "reducer", "components", shape=(grid.n_t, m))
+        phi = json_field(red, source, "reducer", "components", shape=(grid.n_t, m))
     else:
-        b = json_field(red, "model file", "reducer", "basis", dict)
-        basis_kind = json_field(b, "model file", "reducer.basis", "kind", str)
-        n_b, order = (json_field(b, "model file", "reducer.basis", key, int, ">= 0")
+        b = json_field(red, source, "reducer", "basis", dict)
+        basis_kind = json_field(b, source, "reducer.basis", "kind", str)
+        n_b, order = (json_field(b, source, "reducer.basis", key, int, ">= 0")
                       for key in ("n_b", "order"))
-        tau = json_field(red, "model file", "reducer", "tau", float, ">= 0")
-        mirror = json_field(red, "model file", "reducer", "mirror", bool)
+        tau = json_field(red, source, "reducer", "tau", float, ">= 0")
+        mirror = json_field(red, source, "reducer", "mirror", bool)
         nodes, interval = fit_nodes(grid, mirror)
         try:
             basis = BasisSystem(basis_kind, n_b, *interval, order=order)
         except ValueError as err:
-            raise ValueError(f"model file: reducer.basis: {err}") from None
-        B = json_field(red, "model file", "reducer", "B", shape=(n_b, m))
+            raise ValueError(f"{source}: reducer.basis: {err}") from None
+        B = json_field(red, source, "reducer", "B", shape=(n_b, m))
         # fit_reducer's expression: evaluating the basis on grid.nodes, or
         # on the first n_t nodes only, changes phi in its last bits.
         phi = (design_matrix(basis, nodes) @ B)[: grid.n_t]
     return Reducer(
         grid=grid,
-        mean_curve=json_field(red, "model file", "reducer", "mean_curve", shape=(grid.n_t,)),
+        mean_curve=json_field(red, source, "reducer", "mean_curve", shape=(grid.n_t,)),
         phi=phi,
-        eigenvalues=json_field(red, "model file", "reducer", "eigenvalues", shape=(None,)),
+        eigenvalues=json_field(red, source, "reducer", "eigenvalues", shape=(None,)),
         m=m,
-        variance_fraction=json_field(red, "model file", "reducer", "variance_fraction"),
+        variance_fraction=json_field(red, source, "reducer", "variance_fraction"),
         basis=basis,
         tau=tau,
         mirror=mirror,
@@ -304,45 +305,46 @@ def _rebuild_reducer(red: dict, grid: TimeGrid) -> Reducer:
     )
 
 
-def surrogate_from_dict(doc: dict) -> LatentSurrogate:
+def surrogate_from_dict(doc: dict, source: str = "model file") -> LatentSurrogate:
     """Rebuild a surrogate from surrogate_to_dict's description.
 
     Every field must be present and of its type, and every array finite,
     made of numbers (core.json_field) and of the shape the rest of the file
-    implies; an error names the offending key, e.g. `models[2].theta`.
+    implies; an error names `source` (load_surrogate's is `model file
+    <path>`) and the offending key, e.g. `model file: models[2].theta`.
     """
     if doc.get("format") != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported model-file format {doc.get('format')!r}, this version reads "
+            f"{source}: unsupported format {doc.get('format')!r}, this version reads "
             f"{FORMAT_VERSION!r}: refit the model from its config and seed"
         )
-    g = json_field(doc, "model file", "", "grid", dict)
-    t0 = json_field(g, "model file", "grid", "t0")
-    te = json_field(g, "model file", "grid", "te", float, f"> {t0!r}")
-    grid = TimeGrid(t0, te, json_field(g, "model file", "grid", "n_t", int, ">= 2"))
-    reducer = _rebuild_reducer(json_field(doc, "model file", "", "reducer", dict), grid)
-    input_lo = json_field(doc, "model file", "", "input_lo", shape=(None,))
-    input_hi = json_field(doc, "model file", "", "input_hi", shape=input_lo.shape)
+    g = json_field(doc, source, "", "grid", dict)
+    t0 = json_field(g, source, "grid", "t0")
+    te = json_field(g, source, "grid", "te", float, f"> {t0!r}")
+    grid = TimeGrid(t0, te, json_field(g, source, "grid", "n_t", int, ">= 2"))
+    reducer = _rebuild_reducer(json_field(doc, source, "", "reducer", dict), source, grid)
+    input_lo = json_field(doc, source, "", "input_lo", shape=(None,))
+    input_hi = json_field(doc, source, "", "input_hi", shape=input_lo.shape)
     # JSON writes the (0, p) design of a surrogate without score models as [].
     X_norm = json_field(
-        doc, "model file", "", "X_norm", shape=(None, input_lo.size) if reducer.m else (0,)
+        doc, source, "", "X_norm", shape=(None, input_lo.size) if reducer.m else (0,)
     )
-    entries = json_field(doc, "model file", "", "models", [dict])
+    entries = json_field(doc, source, "", "models", [dict])
     if len(entries) != reducer.m:
         raise ValueError(
-            f"model file: models has {len(entries)} entries, expected m = {reducer.m}"
+            f"{source}: models has {len(entries)} entries, expected m = {reducer.m}"
         )
     D = _squared_differences(X_norm) if entries else None
     models = [
-        _rebuild_kriging(d, f"models[{j}]", input_lo, input_hi, X_norm, D)
+        _rebuild_kriging(d, source, f"models[{j}]", input_lo, input_hi, X_norm, D)
         for j, d in enumerate(entries)
     ]
-    metadata = json_field(doc, "model file", "", "metadata", dict) if "metadata" in doc else {}
+    metadata = json_field(doc, source, "", "metadata", dict) if "metadata" in doc else {}
     if "input_names" in metadata:
-        names = json_field(metadata, "model file", "metadata", "input_names", list)
+        names = json_field(metadata, source, "metadata", "input_names", list)
         if len(names) != input_lo.size:
             raise ValueError(
-                f"model file: metadata.input_names has {len(names)} names, "
+                f"{source}: metadata.input_names has {len(names)} names, "
                 f"expected {input_lo.size}"
             )
     return LatentSurrogate(reducer, models, input_lo, input_hi, metadata)
@@ -350,5 +352,7 @@ def surrogate_from_dict(doc: dict) -> LatentSurrogate:
 
 def load_surrogate(path) -> LatentSurrogate:
     """The surrogate of the model file at path; text that is not JSON or a
-    top level that is not an object fails naming the path."""
-    return surrogate_from_dict(read_json(f"model file {path}", path))
+    top level that is not an object, and every error of
+    surrogate_from_dict, fail naming the path."""
+    source = f"model file {path}"
+    return surrogate_from_dict(read_json(source, path), source)

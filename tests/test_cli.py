@@ -91,12 +91,13 @@ def test_fit_report_records_each_search(tmp_path):
     assert main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads((out / "fit_report.json").read_text())
     search_keys = {"neg_lml", "evaluations", "cut_evaluations", "failed_starts", "best_start",
-                   "on_bound", "jitter", "nugget_share"}
+                   "stops", "on_bound", "jitter", "nugget_share"}
     for entry in report["kriging"]:
         assert search_keys <= set(entry)
         assert 1 <= entry["evaluations"] <= 2 * 60
         assert 0 <= entry["cut_evaluations"] <= entry["evaluations"]
         assert 0 <= entry["best_start"] < 2
+        assert len(entry["stops"]) == 2 and all(isinstance(stop, str) for stop in entry["stops"])
         share = entry["sigma_n2"] / (entry["sigma_z2"] + entry["sigma_n2"])
         assert entry["nugget_share"] == pytest.approx(share, rel=1e-12)
     # The model file keeps its keys: the search record is not part of it,
@@ -996,6 +997,22 @@ def test_config_seed_may_be_negative(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": -3}))
     assert load_config(cfg_path)["seed"] == -3
+
+
+@pytest.mark.parametrize("document", [{"seed": list(range(200_000))}, list(range(200_000))],
+                         ids=["long key", "long top level"])
+def test_a_long_value_is_echoed_shortened(tmp_path, capsys, document):
+    # The offending value goes through reprlib: a 200,000-entry array
+    # makes an error line of under 1 KB, which still names file and key.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    assert main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert f"config {cfg_path}: " in err
+    assert ("seed must be an integer, got [0, 1, 2, 3, 4, 5, ...]" if "seed" in document
+            else "the top level must be a JSON object, got [0, 1, 2, 3, 4, 5, ...]") in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("document", ["[]", "5", '"x"', "null"])

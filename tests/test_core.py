@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import re
+import reprlib
 import time
 
 import numpy as np
@@ -511,7 +512,7 @@ JSON_FIELD_CASES = [
     (0, float, ("> 0",), "k must be a finite number > 0, got 0"),
     ("no", bool, (), "k must be true or false, got 'no'"),
     (5, str, (), "k must be a string, got 5"),
-] + [(value, kind, (), f"k must be {want}, got {value!r}")
+] + [(value, kind, (), f"k must be {want}, got {reprlib.repr(value)}")
      for value in (True, 10**400, math.nan, math.inf, "1")
      for kind, want in ((int, "an integer"), (float, "a finite number"))]
 

@@ -24,6 +24,7 @@ from funcuq.kriging import (
 )
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 
@@ -487,6 +488,138 @@ def test_fixed_nugget_searches_sigma_z2():
     assert model.sigma_n2 == 0.05
     assert SIGMA_Z2_BOUNDS[0] <= model.sigma_z2 <= SIGMA_Z2_BOUNDS[1]
     assert "sigma_n2" not in model.search["on_bound"]
+
+
+# ---------------------------------------------------------------------------
+# The L-BFGS-B loop: scipy.optimize.minimize is its oracle
+
+
+class Spent(Exception):
+    """The recording objective has made its allowed evaluations."""
+
+
+def recording(D, y, case, limit=None):
+    """(fun, points): fun is objective() on the searched entries, which
+    appends each x it is given to points and raises Spent once it has made
+    `limit` evaluations."""
+    p = D.shape[0]
+    searched = [*range(p), *{"free": [p], "zero": [], "fixed": [p + 1]}[case]]
+    points = []
+
+    def fun(x):
+        if len(points) == limit:
+            raise Spent
+        points.append(x.copy())
+        value, grad, _ = objective(D, y, x, case)
+        return value, grad[searched]
+
+    return fun, points
+
+
+def minimize_lbfgsb(fun, x0, bounds, maxfun):
+    """kriging._lbfgsb as minimize runs it."""
+    return minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                    options={"maxfun": maxfun}).message
+
+
+def outcome(driver, fun, x0, bounds, maxfun):
+    try:
+        return driver(fun, x0, bounds, maxfun)
+    except (Spent, np.linalg.LinAlgError) as err:
+        return type(err)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 10),
+    p=st.integers(1, 3),
+    case=st.sampled_from(["free", "zero", "fixed"]),
+    noiseless=st.booleans(),
+    lows=st.lists(st.floats(-4.0, 1.0), min_size=4, max_size=4),
+    widths=st.lists(st.floats(0.01, 5.0), min_size=4, max_size=4),
+    starts=st.lists(st.floats(-0.2, 1.2), min_size=4, max_size=4),
+    maxfun=st.just(15000) | st.integers(1, 60),
+    limit=st.none() | st.integers(0, 40),
+)
+# The search's own box for p = 2 and a free nugget, the start's nugget
+# ratio above it.
+@example(seed=0, n=8, p=2, case="free", noiseless=False, lows=[-4.0, -4.0, -10.0, 0.0],
+         widths=[8.0, 8.0, 15.0, 1.0], starts=[0.5, 0.5, 1.2, 0.0], maxfun=60, limit=None)
+# A kernel matrix that does not factorize after 4 evaluations, and a
+# line search that fails after 33.
+@example(seed=38, n=10, p=1, case="zero", noiseless=True, lows=[-0.9] * 4, widths=[1.4] * 4,
+         starts=[0.42] * 4, maxfun=15000, limit=None)
+@example(seed=30, n=8, p=1, case="zero", noiseless=True, lows=[-0.6] * 4, widths=[3.8] * 4,
+         starts=[0.11] * 4, maxfun=15000, limit=None)
+@example(seed=1, n=6, p=1, case="zero", noiseless=False, lows=[-1.0] * 4, widths=[3.0] * 4,
+         starts=[-0.2] * 4, maxfun=5, limit=3)
+def test_lbfgsb_requests_the_points_minimize_requests(seed, n, p, case, noiseless, lows, widths,
+                                                       starts, maxfun, limit):
+    # Random boxes (a start outside one is clipped into it), budgets and
+    # objectives that raise after `limit` evaluations or on a kernel
+    # matrix that does not factorize: the loop and minimize evaluate the
+    # same points, bit for bit, and end alike.
+    X, y = search_problem(seed, n, p)
+    if noiseless:
+        y = np.sin(3 * X[:, 0])
+    D = _squared_differences(X)
+    k = p + (case != "zero")
+    lo, width = np.array(lows[:k]), np.array(widths[:k])
+    bounds = np.column_stack([lo, lo + width])
+    x0 = lo + np.array(starts[:k]) * width
+    runs = []
+    for driver in (minimize_lbfgsb, kriging._lbfgsb):
+        fun, points = recording(D, y, case, limit)
+        runs.append((outcome(driver, fun, x0, bounds, maxfun), points))
+    (want, want_points), (got, got_points) = runs
+    assert got == want
+    assert len(got_points) == len(want_points)
+    assert all(np.array_equal(a, b) for a, b in zip(got_points, want_points))
+
+
+@pytest.mark.parametrize("fix_nugget, budget", [(None, 400), (None, 7), (0.0, 100), (0.05, 60)])
+def test_search_record_equals_the_minimize_search(monkeypatch, fix_nugget, budget):
+    X, y = search_problem(26, 12, 2)
+    fits = [fit_kriging(X, y, fq.make_rng(26), n_starts=3, budget=budget, fix_nugget=fix_nugget)]
+    monkeypatch.setattr(kriging, "_lbfgsb", minimize_lbfgsb)
+    fits.append(fit_kriging(X, y, fq.make_rng(26), n_starts=3, budget=budget,
+                            fix_nugget=fix_nugget))
+    got, want = fits
+    assert got.search == want.search
+    assert np.array_equal(got.theta, want.theta)
+    assert (got.sigma_z2, got.sigma_n2, got.mu) == (want.sigma_z2, want.sigma_n2, want.mu)
+
+
+def test_stops_name_why_each_start_ended(monkeypatch):
+    X, y = search_problem(21, 15, 2)
+
+    def search(budget=400):
+        return fit_kriging(X, y, fq.make_rng(22), n_starts=3, budget=budget).search
+
+    assert all(stop.startswith("CONVERGENCE: ") for stop in search()["stops"])
+    assert search(budget=3)["stops"] == [kriging.BUDGET_STOP] * 3
+    neg_lml, calls = kriging._neg_lml, []
+
+    def failing_first(*args):
+        # The first start's first kernel matrix does not factorize.
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("kernel matrix is not positive definite")
+        return neg_lml(*args)
+
+    monkeypatch.setattr(kriging, "_neg_lml", failing_first)
+    record = search()
+    assert record["stops"][0] == "kernel matrix is not positive definite"
+    assert record["failed_starts"] == 1
+    assert all(stop.startswith("CONVERGENCE: ") for stop in record["stops"][1:])
+
+    def uphill(*args):
+        # A gradient of the wrong sign: no line search finds a decrease.
+        value, grad, sigma_z2 = neg_lml(*args)
+        return value, -grad, sigma_z2
+
+    monkeypatch.setattr(kriging, "_neg_lml", uphill)
+    assert search()["stops"] == ["ABNORMAL: "] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,13 @@ def test_model_file_round_trip_is_bit_exact(reducer, n, seed, identical):
         assert np.array_equal(got, want)
 
 
+def written(tmp_path, doc):
+    """The path of a model file holding doc."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize(
     "path, key, value",
     [
@@ -374,7 +381,7 @@ def test_model_file_round_trip_is_bit_exact(reducer, n, seed, identical):
         (("input_hi", 0), "input_hi", float("-inf")),
     ],
 )
-def test_model_file_rejects_non_finite(three_mode_doc, path, key, value):
+def test_model_file_rejects_non_finite(three_mode_doc, tmp_path, path, key, value):
     doc = copy.deepcopy(three_mode_doc)
     node = doc
     for step in path[:-1]:
@@ -384,8 +391,9 @@ def test_model_file_rejects_non_finite(three_mode_doc, path, key, value):
     # entry of an array field.
     problem = f"must be a finite number, got {value}" if isinstance(path[-1], str) else (
         "has a non-finite")
-    with pytest.raises(ValueError, match=re.escape(f"model file: {key} {problem}")):
-        surrogate_from_dict(doc)
+    file = written(tmp_path, doc)
+    with pytest.raises(ValueError, match=re.escape(f"model file {file}: {key} {problem}")):
+        load_surrogate(file)
 
 
 @pytest.mark.parametrize(
@@ -400,11 +408,12 @@ def test_model_file_rejects_non_finite(three_mode_doc, path, key, value):
         ("models[2].y_std", lambda doc: doc["models"][2]["y_std"].pop()),
     ],
 )
-def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
+def test_model_file_rejects_wrong_shapes(three_mode_doc, tmp_path, key, edit):
     doc = copy.deepcopy(three_mode_doc)
     edit(doc)
-    with pytest.raises(ValueError, match=re.escape(f"model file: {key} ")):
-        surrogate_from_dict(doc)
+    file = written(tmp_path, doc)
+    with pytest.raises(ValueError, match=re.escape(f"model file {file}: {key} ")):
+        load_surrogate(file)
 
 
 @pytest.mark.parametrize(
@@ -435,11 +444,12 @@ def test_model_file_rejects_wrong_shapes(three_mode_doc, key, edit):
          lambda doc: doc["grid"].update(te=-1e-5)),
     ],
 )
-def test_model_file_rejects_bad_fields(three_mode_doc, message, edit):
+def test_model_file_rejects_bad_fields(three_mode_doc, tmp_path, message, edit):
     doc = copy.deepcopy(three_mode_doc)
     edit(doc)
-    with pytest.raises(ValueError, match=re.escape(f"model file: {message}")):
-        surrogate_from_dict(doc)
+    file = written(tmp_path, doc)
+    with pytest.raises(ValueError, match=re.escape(f"model file {file}: {message}")):
+        load_surrogate(file)
 
 
 def test_load_surrogate_names_a_file_whose_top_level_is_not_an_object(tmp_path):
@@ -471,13 +481,14 @@ def _set_theta(start, *entries):
     ids=["string", "boolean", "huge integer", "string in array", "boolean in array",
          "string beside an integer beyond int64", "huge tau", "ragged"],
 )
-def test_model_file_numbers_follow_the_config_rule(three_mode_doc, key, edit):
+def test_model_file_numbers_follow_the_config_rule(three_mode_doc, tmp_path, key, edit):
     # As in a config: strings, booleans and integers too large for a float
-    # are not numbers, and the error names the key.
+    # are not numbers, and the error names the file and the key.
     doc = copy.deepcopy(three_mode_doc)
     edit(doc)
-    with pytest.raises(ValueError, match=re.escape(f"model file: {key} ")):
-        surrogate_from_dict(json.loads(json.dumps(doc)))
+    file = written(tmp_path, doc)
+    with pytest.raises(ValueError, match=re.escape(f"model file {file}: {key} ")):
+        load_surrogate(file)
 
 
 @pytest.mark.parametrize("rows", [1, 37])
