@@ -185,9 +185,9 @@ def duffing_batch(params, grid: TimeGrid = DUFFING_GRID,
     return traj[:, :, 0].T
 
 
-def boucwen_excitation_coeffs(seed: int = BOUCWEN_EXCITATION_SEED):
+def boucwen_excitation_coeffs():
     """The fixed standard-normal series coefficients (2 x 150 values)."""
-    return make_rng(seed).standard_normal(2 * BOUCWEN_SERIES_TERMS)
+    return make_rng(BOUCWEN_EXCITATION_SEED).standard_normal(2 * BOUCWEN_SERIES_TERMS)
 
 
 def boucwen_excitation(t, m, theta):
@@ -204,16 +204,11 @@ def boucwen_excitation(t, m, theta):
     return -np.sqrt(0.006 * np.pi * m) * series
 
 
-def boucwen_batch(params, grid: TimeGrid = BOUCWEN_GRID,
-                  substeps: int = DEFAULT_SUBSTEPS, theta=None):
+def boucwen_batch(params, grid: TimeGrid = BOUCWEN_GRID, substeps: int = DEFAULT_SUBSTEPS):
     """Displacement curves for rows of (m, c, k, alpha, y0); shape (n, n_t)."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     m, c, k, alpha, y0 = params.T
-    if theta is None:
-        theta = boucwen_excitation_coeffs()
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2 * BOUCWEN_SERIES_TERMS,):
-        raise ValueError(f"need {2 * BOUCWEN_SERIES_TERMS} excitation coefficients")
+    theta = boucwen_excitation_coeffs()
     n = len(params)
     forcing = _stage_forcing(boucwen_excitation, grid, substeps,
                              max(n, BOUCWEN_SERIES_TERMS), m, theta)

@@ -589,15 +589,27 @@ def save_ensemble(ens: ResponseEnsemble, responses_path, inputs_path) -> None:
 def load_ensemble(responses_path, inputs_path) -> ResponseEnsemble:
     """Read an ensemble written by save_ensemble.
 
-    The time nodes must be uniform: check_nodes against the grid through
-    the first and last node.
+    The time nodes must be at least two, with finite first and last nodes,
+    the last above the first, and uniform: check_nodes against the grid
+    through the first and last node.  The two files must have as many data
+    rows.  Each error names the file or files at fault.
     """
+    where = f"responses file {responses_path}"
     nodes, curves = read_table("responses", responses_path)
     try:
         times = np.array(nodes, dtype=float)
     except ValueError as err:
-        raise ValueError(f"responses file {responses_path}: time nodes: {err}") from None
+        raise ValueError(f"{where}: time nodes: {err}") from None
+    if times.size < 2:
+        raise ValueError(f"{where}: {times.size} time node, need at least 2")
+    t0, te = times[0], times[-1]
+    if not (np.isfinite([t0, te]).all() and te > t0):
+        raise ValueError(f"{where}: time nodes must rise from a finite first node to a finite "
+                         f"last node, got {FLOAT_FMT % t0} to {FLOAT_FMT % te}")
     names, inputs = read_table("inputs", inputs_path)
-    grid = TimeGrid(float(times[0]), float(times[-1]), times.size)
-    check_nodes(f"responses file {responses_path}", times, grid, "uniform grid")
+    if len(inputs) != len(curves):
+        raise ValueError(f"inputs file {inputs_path} has {len(inputs)} data rows, "
+                         f"{where} has {len(curves)}")
+    grid = TimeGrid(float(t0), float(te), times.size)
+    check_nodes(where, times, grid, "uniform grid")
     return ResponseEnsemble(inputs, curves, grid, input_names=names)

@@ -5,11 +5,13 @@ mean and the process variance profiled out, and mean/variance prediction.
 Inputs are mapped to the unit hypercube and targets standardized before
 fitting; the hyperparameter search ranges assume that scaling.
 
-The search is L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) through _lbfgsb, a
-loop over scipy's reverse-communication routine setulb with
+The search is L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995): each start is one
+_lbfgsb loop over scipy's reverse-communication routine setulb with
 scipy.optimize.minimize's defaults.  It evaluates the points minimize
-would, bit for bit, without minimize's per-evaluation wrappers.  setulb is
-private to scipy; its signature here is that of scipy 1.15 and later.
+would, bit for bit, without minimize's per-evaluation wrappers, and itself
+holds the start to its budget, keeps its best point and names its stop.
+setulb is private to scipy; its signature here is that of scipy 1.15 and
+later.
 
 Every Gaussian kernel of the layer, in the search's likelihood,
 conditioning, the log likelihood and prediction, is exp(-theta.D) with
@@ -321,23 +323,21 @@ def _neg_lml(D, y, theta, sigma_z2, nugget, on_cut=None, ones_y=None):
     return value, grad, s * scale
 
 
-class _BudgetSpent(Exception):
-    """A start has used its evaluation budget."""
+def _lbfgsb(fun, x0, bounds, budget: int):
+    """One L-BFGS-B start of at most `budget` evaluations of fun, driven
+    through scipy's reverse-communication routine setulb.
 
-
-def _lbfgsb(fun, x0, bounds, maxfun: int) -> str:
-    """minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-    options={"maxfun": maxfun}), driven directly through scipy's
-    reverse-communication routine setulb; returns minimize's message.
-
-    bounds is a finite (n, 2) box.  The loop keeps minimize's defaults and
-    rules: x0 clipped into the box, and a stop after maxiter iterations
-    or, between iterations, once more than maxfun evaluations were made.
-    So fun sees the same points in the same order, bit for bit.  fun(x)
-    returns (value, gradient); its x is a copy, which it may keep but must
-    not change.  A point that setulb requests twice in a row is evaluated
-    once, and its (value, gradient) reused, as minimize's ScalarFunction
-    does.  Exceptions of fun pass through.
+    bounds is a finite (n, 2) box; fun(x) returns (value, gradient, info),
+    and may keep its x, a copy, but not change it.  The loop keeps
+    minimize's defaults and rules: x0 clipped into the box, a stop after
+    maxiter iterations, and a point that setulb requests twice in a row
+    evaluated once, its (value, gradient) reused.  So fun sees the points
+    minimize would, bit for bit.  Before it evaluates a new point the loop
+    stops with BUDGET_STOP once `budget` evaluations are spent, and a
+    LinAlgError of fun, which counts as an evaluation, stops it with its
+    text.  Returns (value, x, info) of the lowest value evaluated (the
+    first on a tie), or None; the evaluation count; and why it stopped, in
+    minimize's words.
     """
     # minimize's defaults: stored corrections, ftol (factr = ftol / eps),
     # pgtol, line-search steps and iterations.
@@ -351,24 +351,29 @@ def _lbfgsb(fun, x0, bounds, maxfun: int) -> str:
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
     both = np.full(n, 2, np.int32)  # setulb's code for a variable bounded on both sides
     factr = ftol / np.finfo(float).eps
-    f, g, last, nfev, nit = 0.0, np.zeros(n), None, 0, 0
+    f, g, last, best, nfev, nit = 0.0, np.zeros(n), None, None, 0, 0
     while True:
         setulb(m, x, lo, hi, both, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
                maxls, ln_task)
         if task[0] == 3:  # FG: the value and gradient at x
             if last is None or not np.array_equal(x, last):
+                if nfev == budget:
+                    return best, nfev, BUDGET_STOP
                 last = x.copy()
-                f, grad = fun(last)
                 nfev += 1
+                try:
+                    f, grad, info = fun(last)
+                except np.linalg.LinAlgError as err:
+                    return best, nfev, str(err)
+                if best is None or f < best[0]:
+                    best = (f, last, info)
             g = grad.copy()  # setulb overwrites g; a reused gradient stays intact
         elif task[0] == 1:  # NEW_X: an iteration ended
             nit += 1
             if nit >= maxiter:
                 task[:] = 5, 504  # STOP: the iteration limit
-            elif nfev > maxfun:
-                task[:] = 5, 502  # STOP: the evaluation limit
         else:
-            return f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+            return best, nfev, f"{status_messages[task[0]]}: {task_messages[task[1]]}"
 
 
 def fit_kriging(
@@ -385,11 +390,12 @@ def fit_kriging(
     nugget the search runs over log10 theta and log10 g, g = sigma_n2 /
     sigma_z2, with sigma_z2 profiled in closed form (the concentrated
     likelihood); sigma_n2 = g sigma_z2 is then clamped into
-    SIGMA_N2_BOUNDS.  L-BFGS-B (_lbfgsb) with the analytic gradient runs
-    inside the log10 boxes from n_starts Latin-hypercube starts.  A start
-    whose first kernel matrix does not factorize fails; one that reaches a
-    matrix that does not factorize, or its budget, ends at its best point
-    so far.
+    SIGMA_N2_BOUNDS.  L-BFGS-B with the analytic gradient runs inside the
+    log10 boxes from n_starts Latin-hypercube starts, one _lbfgsb call
+    each.  A start ends at convergence or a failed line search, at its
+    budget or at a kernel matrix that does not factorize, and keeps its
+    best point so far; one whose first kernel matrix does not factorize
+    fails.
 
     Parameters
     ----------
@@ -461,39 +467,17 @@ def fit_kriging(
     def evaluate(z):
         theta = 10.0 ** z[:p]
         if fix_nugget is None:
-            return _neg_lml(D, ys, theta, None, 10.0 ** z[p], count_cut, ones_y)
-        if fix_nugget == 0.0:
-            return _neg_lml(D, ys, theta, None, 0.0, count_cut, ones_y)
-        return _neg_lml(D, ys, theta, 10.0 ** z[p], fix_nugget, count_cut, ones_y)
-
-    def search(z0):
-        """Best (value, z, sigma_z2) one start evaluated, or None; its
-        evaluations; and why it stopped."""
-        best, used = None, 0
-
-        def objective(z):
-            nonlocal best, used
-            if used == budget:
-                raise _BudgetSpent
-            used += 1
-            value, grad, sigma_z2 = evaluate(z)
-            if best is None or value < best[0]:
-                best = (value, z, sigma_z2)
-            return value, grad[keep]
-
-        # L-BFGS-B checks maxfun only between iterations, so a line search
-        # can overrun it; objective() enforces the budget exactly.
-        try:
-            stop = _lbfgsb(objective, z0, bounds, budget)
-        except _BudgetSpent:
-            stop = BUDGET_STOP
-        except np.linalg.LinAlgError as err:
-            stop = str(err)
-        return best, used, stop
+            scale_nugget = None, 10.0 ** z[p]
+        elif fix_nugget == 0.0:
+            scale_nugget = None, 0.0
+        else:
+            scale_nugget = 10.0 ** z[p], fix_nugget
+        value, grad, sigma_z2 = _neg_lml(D, ys, theta, *scale_nugget, count_cut, ones_y)
+        return value, grad[keep], sigma_z2
 
     evaluations, failed, best, best_start, stops = 0, 0, None, -1, []
     for i, z0 in enumerate(latin_hypercube(n_starts, len(box), bounds, rng)):
-        found, used, stop = search(z0)
+        found, used, stop = _lbfgsb(evaluate, z0, bounds, budget)
         evaluations += used
         stops.append(stop)
         if found is None:

@@ -130,8 +130,8 @@ class LatentSurrogate:
 
 def fit_surrogate(
     ensemble: ResponseEnsemble,
-    config: FitConfig | None = None,
-    rng: np.random.Generator | None = None,
+    config: FitConfig,
+    rng: np.random.Generator,
 ) -> LatentSurrogate:
     """Fit a latent surrogate: reduce the curves, then fit one Kriging
     model per retained score on the training inputs.
@@ -140,8 +140,6 @@ def fit_surrogate(
     model is the same whatever the host's BLAS thread count: the reducer
     in this process, and the score models in core.run_tasks' pool.
     """
-    config = config or FitConfig()
-    rng = rng if rng is not None else make_rng(0)
     if ensemble.n < 2 * ensemble.p:
         warnings.warn(
             f"only {ensemble.n} samples for {ensemble.p} input dimensions; "

@@ -361,11 +361,11 @@ class PosteriorSamples:
     names: tuple = ()
 
 
-def stretch_draw(rng: np.random.Generator, a: float = STRETCH_A, size=None):
-    """Stretch factors with density proportional to 1/sqrt(z) on [1/a, a]:
-    one float, or an array of the given size."""
+def stretch_draw(rng: np.random.Generator, size=None):
+    """Stretch factors with density proportional to 1/sqrt(z) on [1/a, a],
+    a = STRETCH_A: one float, or an array of the given size."""
     u = rng.random(size)
-    return ((a - 1.0) * u + 1.0) ** 2 / a
+    return ((STRETCH_A - 1.0) * u + 1.0) ** 2 / STRETCH_A
 
 
 def min_walkers(d: int) -> int:
@@ -380,7 +380,6 @@ def ensemble_mcmc(
     iterations: int = DEFAULT_ITERATIONS,
     burn_in: float = DEFAULT_BURN_IN,
     rng: np.random.Generator | None = None,
-    a: float = STRETCH_A,
     names=None,
 ) -> PosteriorSamples:
     """Affine-invariant ensemble sampler with red-blue stretch moves.
@@ -389,10 +388,10 @@ def ensemble_mcmc(
     [0, W//2) and [W//2, W).  Each iteration moves the first half, then
     the second: every walker k of the moving half proposes
     Y = X_j + z (X_k - X_j) against a random walker j of the other half,
-    with z drawn from the 1/sqrt(z) density on [1/a, a], and is accepted
-    with probability min(1, z^(d-1) exp(delta log posterior)).  All
-    proposals of a half are scored in one logpost call (Foreman-Mackey et
-    al. 2013, section 2): logpost maps an (n, d) block to (n,) values.
+    with z from stretch_draw, and is accepted with probability
+    min(1, z^(d-1) exp(delta log posterior)).  All proposals of a half are
+    scored in one logpost call (Foreman-Mackey et al. 2013, section 2):
+    logpost maps an (n, d) block to (n,) values.
     The first burn_in fraction of iterations is discarded.
     """
     d = len(priors)
@@ -427,7 +426,7 @@ def ensemble_mcmc(
             current = state[moving]
             n = current.shape[0]
             partners = state[rng.integers(other.start, other.stop, size=n)]
-            z = stretch_draw(rng, a, size=n)
+            z = stretch_draw(rng, size=n)
             proposals = partners + z[:, None] * (current - partners)
             lp_new = logpost_block(proposals)
             # -inf minus -inf (a walker that started outside the support

@@ -346,6 +346,18 @@ def test_fit_rejects_non_finite_dataset_value(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_fit_names_the_responses_file_of_decreasing_time_nodes(tmp_path, capsys):
+    rp, ip = tmp_path / "responses.csv", tmp_path / "inputs.csv"
+    rp.write_text("1,0.5,0\n1,2,3\n4,5,6\n")
+    ip.write_text("x1\n0.5\n0.7\n")
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, dataset={"inputs": str(ip), "responses": str(rp)})
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"responses file {rp}: time nodes must rise" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fitted_model(tmp_path_factory):
     """A fitted model file and a generated inputs file for `predict`."""

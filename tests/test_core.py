@@ -445,6 +445,32 @@ def test_load_ensemble_names_a_table_without_data_rows(tmp_path):
         fq.load_ensemble(rp, ip)
 
 
+@pytest.mark.parametrize("header, rows, expected", [
+    ("1,0.5,0", ["1,2,3", "4,5,6"], "time nodes must rise from a finite first node to a "
+                                    "finite last node, got 1 to 0"),
+    ("0,0.5,0", ["1,2,3", "4,5,6"], "got 0 to 0"),
+    ("nan,0.5,1", ["1,2,3", "4,5,6"], "got nan to 1"),
+    ("0,0.5,inf", ["1,2,3", "4,5,6"], "got 0 to inf"),
+    ("0", ["1", "4"], "1 time node, need at least 2"),
+])
+def test_load_ensemble_names_the_responses_file_of_a_bad_grid(tmp_path, header, rows, expected):
+    rp, ip = tmp_path / "responses.csv", tmp_path / "inputs.csv"
+    rp.write_text("\n".join([header, *rows]) + "\n")
+    ip.write_text("x1\n0.5\n0.7\n")
+    with pytest.raises(ValueError, match=re.escape(f"responses file {rp}: ") + ".*"
+                       + re.escape(expected)):
+        fq.load_ensemble(rp, ip)
+
+
+def test_load_ensemble_names_both_files_of_a_row_mismatch(tmp_path):
+    rp, ip = tmp_path / "responses.csv", tmp_path / "inputs.csv"
+    rp.write_text("0,0.5,1\n1,2,3\n4,5,6\n")
+    ip.write_text("x1\n0.5\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"inputs file {ip} has 1 data rows, responses file {rp} has 2")):
+        fq.load_ensemble(rp, ip)
+
+
 def test_one_blas_thread_pins_and_restores_each_bundled_blas():
     libs = _loaded_openblas()
     before = [getter() for _, getter in libs]

@@ -494,39 +494,48 @@ def test_fixed_nugget_searches_sigma_z2():
 # The L-BFGS-B loop: scipy.optimize.minimize is its oracle
 
 
-class Spent(Exception):
-    """The recording objective has made its allowed evaluations."""
-
-
-def recording(D, y, case, limit=None):
-    """(fun, points): fun is objective() on the searched entries, which
-    appends each x it is given to points and raises Spent once it has made
-    `limit` evaluations."""
+def recording(D, y, case):
+    """(fun, points): fun is objective() on the searched entries, with
+    sigma_z2 as its info, and appends each x it is given to points."""
     p = D.shape[0]
     searched = [*range(p), *{"free": [p], "zero": [], "fixed": [p + 1]}[case]]
     points = []
 
     def fun(x):
-        if len(points) == limit:
-            raise Spent
         points.append(x.copy())
-        value, grad, _ = objective(D, y, x, case)
-        return value, grad[searched]
+        value, grad, sigma_z2 = objective(D, y, x, case)
+        return value, grad[searched], sigma_z2
 
     return fun, points
 
 
-def minimize_lbfgsb(fun, x0, bounds, maxfun):
-    """kriging._lbfgsb as minimize runs it."""
-    return minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                    options={"maxfun": maxfun}).message
+class BudgetSpent(Exception):
+    """The oracle's objective was asked for one evaluation past the budget."""
 
 
-def outcome(driver, fun, x0, bounds, maxfun):
+def minimize_lbfgsb(fun, x0, bounds, budget):
+    """kriging._lbfgsb's contract, kept with minimize: an objective that
+    raises at evaluation budget + 1 and keeps the best point."""
+    best, used = None, 0
+
+    def objective(x):
+        nonlocal best, used
+        if used == budget:
+            raise BudgetSpent
+        used += 1
+        value, grad, info = fun(x)
+        if best is None or value < best[0]:
+            best = (value, x.copy(), info)
+        return value, grad
+
     try:
-        return driver(fun, x0, bounds, maxfun)
-    except (Spent, np.linalg.LinAlgError) as err:
-        return type(err)
+        stop = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                        options={"maxfun": 15000}).message
+    except BudgetSpent:
+        stop = kriging.BUDGET_STOP
+    except np.linalg.LinAlgError as err:
+        stop = str(err)
+    return best, used, stop
 
 
 @given(
@@ -538,27 +547,26 @@ def outcome(driver, fun, x0, bounds, maxfun):
     lows=st.lists(st.floats(-4.0, 1.0), min_size=4, max_size=4),
     widths=st.lists(st.floats(0.01, 5.0), min_size=4, max_size=4),
     starts=st.lists(st.floats(-0.2, 1.2), min_size=4, max_size=4),
-    maxfun=st.just(15000) | st.integers(1, 60),
-    limit=st.none() | st.integers(0, 40),
+    budget=st.just(15000) | st.integers(1, 60),
 )
 # The search's own box for p = 2 and a free nugget, the start's nugget
 # ratio above it.
 @example(seed=0, n=8, p=2, case="free", noiseless=False, lows=[-4.0, -4.0, -10.0, 0.0],
-         widths=[8.0, 8.0, 15.0, 1.0], starts=[0.5, 0.5, 1.2, 0.0], maxfun=60, limit=None)
+         widths=[8.0, 8.0, 15.0, 1.0], starts=[0.5, 0.5, 1.2, 0.0], budget=60)
 # A kernel matrix that does not factorize after 4 evaluations, and a
 # line search that fails after 33.
 @example(seed=38, n=10, p=1, case="zero", noiseless=True, lows=[-0.9] * 4, widths=[1.4] * 4,
-         starts=[0.42] * 4, maxfun=15000, limit=None)
+         starts=[0.42] * 4, budget=15000)
 @example(seed=30, n=8, p=1, case="zero", noiseless=True, lows=[-0.6] * 4, widths=[3.8] * 4,
-         starts=[0.11] * 4, maxfun=15000, limit=None)
+         starts=[0.11] * 4, budget=15000)
 @example(seed=1, n=6, p=1, case="zero", noiseless=False, lows=[-1.0] * 4, widths=[3.0] * 4,
-         starts=[-0.2] * 4, maxfun=5, limit=3)
+         starts=[-0.2] * 4, budget=3)
 def test_lbfgsb_requests_the_points_minimize_requests(seed, n, p, case, noiseless, lows, widths,
-                                                       starts, maxfun, limit):
-    # Random boxes (a start outside one is clipped into it), budgets and
-    # objectives that raise after `limit` evaluations or on a kernel
-    # matrix that does not factorize: the loop and minimize evaluate the
-    # same points, bit for bit, and end alike.
+                                                       starts, budget):
+    # Random boxes (a start outside one is clipped into it), budgets and a
+    # kernel matrix that does not factorize: the loop and minimize evaluate
+    # the same points, bit for bit, and return the same best point,
+    # evaluation count and stop.
     X, y = search_problem(seed, n, p)
     if noiseless:
         y = np.sin(3 * X[:, 0])
@@ -568,13 +576,33 @@ def test_lbfgsb_requests_the_points_minimize_requests(seed, n, p, case, noiseles
     bounds = np.column_stack([lo, lo + width])
     x0 = lo + np.array(starts[:k]) * width
     runs = []
-    for driver in (minimize_lbfgsb, kriging._lbfgsb):
-        fun, points = recording(D, y, case, limit)
-        runs.append((outcome(driver, fun, x0, bounds, maxfun), points))
+    for lbfgsb in (minimize_lbfgsb, kriging._lbfgsb):
+        fun, points = recording(D, y, case)
+        runs.append((lbfgsb(fun, x0, bounds, budget), points))
     (want, want_points), (got, got_points) = runs
-    assert got == want
-    assert len(got_points) == len(want_points)
+    assert got[1:] == want[1:]
+    assert len(got_points) == len(want_points) == got[1] <= budget
     assert all(np.array_equal(a, b) for a, b in zip(got_points, want_points))
+    assert (got[0] is None) == (want[0] is None)
+    if want[0] is not None:
+        (got_value, got_x, got_info), (want_value, want_x, want_info) = got[0], want[0]
+        assert (got_value, got_info) == (want_value, want_info)
+        assert np.array_equal(got_x, want_x)
+
+
+def test_lbfgsb_keeps_the_first_of_tied_values():
+    # A flat value with a steady slope: no step decreases it, so every
+    # evaluation ties and the line search fails.  info is the call number.
+    def flat(x):
+        calls.append(x)
+        return 1.0, np.ones(1), len(calls)
+
+    results = []
+    for lbfgsb in (minimize_lbfgsb, kriging._lbfgsb):
+        calls = []
+        (value, x, info), used, stop = lbfgsb(flat, np.array([0.5]), np.array([[0.0, 1.0]]), 50)
+        results.append((value, x.tolist(), info, used, stop))
+    assert results[1] == results[0] == (1.0, [0.5], 1, 21, "ABNORMAL: ")
 
 
 @pytest.mark.parametrize("fix_nugget, budget", [(None, 400), (None, 7), (0.0, 100), (0.05, 60)])
